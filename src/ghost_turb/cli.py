@@ -32,7 +32,7 @@ from .correlator import PsfMetrics, psf_metrics
 from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError,
                      ValidationError)
 from .io_formats import FLOAT_FMT, write_map_csv, write_pgm16, write_psf_csv, write_run_json
-from .simulate import run_simulation
+from .simulate import BATCH_FRAMES, run_simulation
 from .turbulence import PHASE_STRUCTURE_COEFF
 
 EXIT_OK = 0
@@ -158,6 +158,8 @@ def cmd_simulate(args) -> int:
     result = output.result
     record = _base_record("simulate", rc)
     record["wall_time_s"] = output.wall_time_s
+    record["batch_frames"] = BATCH_FRAMES
+    record["blas_threads"] = output.blas_threads
     print(f"simulated {result.frames} frames in {output.wall_time_s:.2f} s")
     record.update(_image_products(outdir, "ghost", result.grid, result.ghost,
                                   result.stderr, psf_name="psf_metrics.csv"))

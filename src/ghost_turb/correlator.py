@@ -128,26 +128,38 @@ class GhostImageEstimate:
         self.s_bi2 = np.zeros(shape)
         self.s_b2i2 = np.zeros(shape)
 
-    def add(self, bucket: float, intensity: np.ndarray) -> "GhostImageEstimate":
-        b = float(bucket)
+    def add(self, bucket, intensity) -> "GhostImageEstimate":
+        """Fold in one frame, or a batch of n frames at once.
+
+        One frame is a scalar bucket and an (ny, nx) intensity map; a
+        batch is (n,) buckets and (n, ny, nx) maps.  A batch's six map
+        sums come from two matrix products, I^T [1, b, b^2] and
+        (I^2)^T [1, b, b^2].
+        """
+        b = np.asarray(bucket, dtype=float)
         im = np.asarray(intensity, dtype=float)
-        if im.shape != (self.grid.ny, self.grid.nx):
+        shape = (self.grid.ny, self.grid.nx)
+        if b.ndim > 1 or im.shape != b.shape + shape:
             raise ValidationError(
-                f"intensity shape {im.shape} does not match grid "
-                f"{self.grid.ny} x {self.grid.nx}"
+                f"intensity shape {im.shape} does not match {b.size} bucket value(s) on "
+                f"grid {self.grid.ny} x {self.grid.nx}"
             )
-        if not math.isfinite(b) or not np.all(np.isfinite(im)):
+        if not np.all(np.isfinite(b)) or not np.all(np.isfinite(im)):
             raise ValidationError("bucket and intensity must be finite")
-        self.n += 1
-        self.s_b += b
-        self.s_b2 += b * b
-        self.s_i += im
-        im2 = im * im
-        self.s_i2 += im2
-        self.s_bi += b * im
-        self.s_b2i += (b * b) * im
-        self.s_bi2 += b * im2
-        self.s_b2i2 += (b * b) * im2
+        b = b.reshape(-1)
+        im = im.reshape(b.size, -1)
+        powers = np.stack([np.ones_like(b), b, b * b], axis=1)
+        first = im.T @ powers
+        second = (im * im).T @ powers
+        self.n += b.size
+        self.s_b += float(np.sum(b))
+        self.s_b2 += float(np.sum(powers[:, 2]))
+        self.s_i += first[:, 0].reshape(shape)
+        self.s_bi += first[:, 1].reshape(shape)
+        self.s_b2i += first[:, 2].reshape(shape)
+        self.s_i2 += second[:, 0].reshape(shape)
+        self.s_bi2 += second[:, 1].reshape(shape)
+        self.s_b2i2 += second[:, 2].reshape(shape)
         return self
 
     def merge(self, other: "GhostImageEstimate") -> "GhostImageEstimate":

@@ -1,31 +1,39 @@
-"""Frame-by-frame ghost imaging runs.
+"""Batched ghost imaging runs.
 
-Each frame draws fresh subsource amplitudes (and, when turbulence is on,
-fresh phase screens per path), propagates to the object and reference
-planes, and accumulates the bucket/reference covariance.  All per-frame
-randomness is keyed by (seed, frame_index, stream), and frames are
-reduced in fixed-size batches merged in order, so results are identical
-for any worker count.
+Frames run in fixed batches of BATCH_FRAMES.  A batch draws its
+subsource amplitudes and, when turbulence is on, each path's screen
+mode coefficients as frame-major blocks, each from one generator keyed
+(seed, batch_index, stream).  It evaluates the source-plane screens
+exactly at the subsources through the screen mode table, propagates to
+the object and reference planes with the separable lattice form of the
+Fresnel kernel, and folds its frames into the bucket/reference moment
+sums at once.  Batches are merged in order and BLAS runs on one thread
+in every process, so results are identical for any worker count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import multiprocessing
 
 import numpy as np
 
-from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask, bucket_signal
+from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask
 from .errors import ConfigurationError, ValidationError
-from .optics import ComplexField, Grid2D, OpticalConfig, fresnel_kernel, propagate_subsources
-from .source import SubsourceSet, sample_frame
+from .optics import Grid2D, LatticePropagator, OpticalConfig, propagate_subsources
+from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
+                     draw_amplitudes)
 from .turbulence import ScreenSampler, TurbulenceModel
 
-# Streams for the per-frame screen draws (the source module owns 1).
+# Streams of the per-batch screen draws (the source module owns 1).
 RNG_DOMAIN_SCREEN_BUCKET = 2
 RNG_DOMAIN_SCREEN_REFERENCE = 3
 
@@ -34,12 +42,6 @@ RNG_DOMAIN_SCREEN_REFERENCE = 3
 # configured two-path rho0; the product of the two path coherence
 # factors then reproduces exp(-r^2 / rho0^2).
 PER_PATH_RHO0_FACTOR = math.sqrt(2.0)
-
-# Frames per reduction batch.  The batch layout is fixed by this
-# constant alone, never by the worker count, which keeps accumulation
-# order (and therefore every output bit) schedule-independent.
-BATCH_FRAMES = 256
-
 
 @dataclass(frozen=True, eq=False)
 class RunSetup:
@@ -69,6 +71,7 @@ class SimulationOutput:
     estimate: GhostImageEstimate
     result: GhostImageResult
     wall_time_s: float
+    blas_threads: int | None = None   # OpenBLAS threads per batch; None if not pinned
 
 
 def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:
@@ -123,26 +126,34 @@ def midpath_screen_grid(setup: RunSetup, max_pixels: int = 128) -> Grid2D:
 
 
 class FramePipeline:
-    """Cached kernels and screen samplers for a run's frame loop.
+    """Propagation factors and screen modes for a run's frame loop.
 
-    The cached path computes exactly what propagate_subsources computes,
-    through the same kernel and sampling helpers, so the two agree
-    bit for bit.
+    A batch is processed as matrices: its (n, M) amplitude block, one
+    GEMM per path for the source-plane screen phases at the subsources,
+    the separable lattice propagation to both detector planes, and one
+    batched moment update.
     """
 
     def __init__(self, setup: RunSetup):
         self.setup = setup
         cfg = setup.cfg
-        pos = setup.sources.positions
-        self.k_obj = fresnel_kernel(pos, setup.mask.grid, cfg)
-        self.k_ref = fresnel_kernel(pos, setup.ref_grid, cfg)
+        sources = setup.sources
+        mask = setup.mask
+        self.obj = LatticePropagator(sources.positions, sources.pitch, mask.grid, cfg)
+        self.ref = LatticePropagator(sources.positions, sources.pitch, setup.ref_grid, cfg)
+        # bucket_signal's weights, applied to a whole batch of object maps.
+        self.bucket_weights = mask.transmissivity.reshape(-1) * mask.grid.pitch**2
+        self._obj_maps = np.empty((BATCH_FRAMES, mask.grid.ny, mask.grid.nx))
+        self._ref_maps = np.empty((BATCH_FRAMES, setup.ref_grid.ny, setup.ref_grid.nx))
         self.screen_sampler = None
+        self.mode_table = None
         self.mid_grid = None
         model = setup.model
         fraction = model.screen_position_fraction
         if model.turbulent and fraction == 0.0:
-            grid = source_screen_grid(setup.sources, model)
+            grid = source_screen_grid(sources, model)
             self.screen_sampler = ScreenSampler(grid, per_path_screen_model(model))
+            self.mode_table = self.screen_sampler.mode_table(sources.positions)
         elif model.turbulent and 0.0 < fraction < 1.0:
             self.mid_grid = midpath_screen_grid(setup)
             self.screen_sampler = ScreenSampler(self.mid_grid, per_path_screen_model(model))
@@ -151,56 +162,114 @@ class FramePipeline:
         # reference intensity can depend on it; it is not drawn at all,
         # which keeps such a run equal to the vacuum run frame by frame.
 
-    def _path_screens(self, frame_index: int):
+    def path_draws(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Screen draws (count, K, 2) of the bucket and reference paths.
+
+        With coupled paths both are the same array.
+        """
         seed = self.setup.seed
-        bucket = self.screen_sampler.sample((seed, frame_index, RNG_DOMAIN_SCREEN_BUCKET))
-        if self.setup.model.paths_independent:
-            ref = self.screen_sampler.sample((seed, frame_index, RNG_DOMAIN_SCREEN_REFERENCE))
-        else:
-            ref = bucket
-        return bucket, ref
+        draw = self.screen_sampler.draw
+        bucket = draw(batch_generator(seed, batch_index, RNG_DOMAIN_SCREEN_BUCKET), count)
+        if not self.setup.model.paths_independent:
+            return bucket, bucket
+        return bucket, draw(batch_generator(seed, batch_index, RNG_DOMAIN_SCREEN_REFERENCE),
+                            count)
+
+    def _fields(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        setup = self.setup
+        rng = batch_generator(setup.seed, batch_index, RNG_DOMAIN_SOURCE)
+        amps = draw_amplitudes(setup.sources, rng, count)
+        if self.screen_sampler is None:
+            return self.obj(amps), self.ref(amps)
+        draws_b, draws_r = self.path_draws(batch_index, count)
+        if self.mid_grid is None:
+            eff_b = amps * np.exp(1j * (draws_b.reshape(count, -1) @ self.mode_table))
+            eff_r = eff_b if draws_r is draws_b else (
+                amps * np.exp(1j * (draws_r.reshape(count, -1) @ self.mode_table)))
+            return self.obj(eff_b), self.ref(eff_r)
+        # Intermediate screen: a two-leg propagation per frame and path.
+        model = per_path_screen_model(setup.model)
+        pos = setup.sources.positions
+        obj, ref = [], []
+        screen = self.screen_sampler.screen
+        for i in range(count):
+            screen_b = screen(draws_b[i], (setup.seed, batch_index, RNG_DOMAIN_SCREEN_BUCKET, i))
+            screen_r = screen_b if draws_r is draws_b else screen(
+                draws_r[i], (setup.seed, batch_index, RNG_DOMAIN_SCREEN_REFERENCE, i))
+            obj.append(propagate_subsources(amps[i], pos, screen_b, model,
+                                            setup.mask.grid, setup.cfg).values)
+            ref.append(propagate_subsources(amps[i], pos, screen_r, model,
+                                            setup.ref_grid, setup.cfg).values)
+        return np.stack(obj), np.stack(ref)
+
+    def frames(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buckets (n,) and reference intensity maps (n, ny, nx) of frames start..stop-1.
+
+        start must begin a batch and stop may not pass its end.  The maps
+        are a view of a buffer that the next call overwrites.
+        """
+        batch_index, offset = divmod(start, BATCH_FRAMES)
+        if start < 0 or offset or not start < stop <= start + BATCH_FRAMES:
+            raise ValidationError(f"frames [{start}, {stop}) are not the head of one batch")
+        count = stop - start
+        obj, ref = self._fields(batch_index, count)
+        buckets = _intensity(obj, self._obj_maps[:count]).reshape(count, -1) @ self.bucket_weights
+        return buckets, _intensity(ref, self._ref_maps[:count])
 
     def frame(self, frame_index: int) -> tuple[float, np.ndarray]:
-        """Bucket value and reference intensity map for one frame."""
-        setup = self.setup
-        amps = sample_frame(setup.sources, setup.seed, frame_index).amplitudes
-        model = setup.model
-        fraction = model.screen_position_fraction
-
-        if self.screen_sampler is None:
-            obj_vals = (self.k_obj @ amps).reshape(setup.mask.grid.ny, setup.mask.grid.nx)
-            ref_vals = (self.k_ref @ amps).reshape(setup.ref_grid.ny, setup.ref_grid.nx)
-        elif fraction == 0.0:
-            screen_b, screen_r = self._path_screens(frame_index)
-            pos = setup.sources.positions
-            eff_b = amps * np.exp(1j * screen_b.sample_at(pos))
-            eff_r = amps * np.exp(1j * screen_r.sample_at(pos))
-            obj_vals = (self.k_obj @ eff_b).reshape(setup.mask.grid.ny, setup.mask.grid.nx)
-            ref_vals = (self.k_ref @ eff_r).reshape(setup.ref_grid.ny, setup.ref_grid.nx)
-        else:
-            screen_b, screen_r = self._path_screens(frame_index)
-            obj = propagate_subsources(amps, setup.sources.positions, screen_b,
-                                       per_path_screen_model(model), setup.mask.grid, setup.cfg)
-            ref = propagate_subsources(amps, setup.sources.positions, screen_r,
-                                       per_path_screen_model(model), setup.ref_grid, setup.cfg)
-            obj_vals = obj.values
-            ref_vals = ref.values
-
-        obj_field = ComplexField(grid=setup.mask.grid, values=obj_vals)
-        bucket = bucket_signal(obj_field, setup.mask)
-        ref_intensity = ref_vals.real**2 + ref_vals.imag**2
-        return bucket, ref_intensity
+        """Bucket value and reference intensity map of one frame."""
+        buckets, maps = self.frames(frame_index - frame_index % BATCH_FRAMES, frame_index + 1)
+        return float(buckets[-1]), maps[-1].copy()
 
     def batch(self, start: int, stop: int) -> GhostImageEstimate:
-        est = GhostImageEstimate(self.setup.ref_grid)
-        for i in range(start, stop):
-            b, im = self.frame(i)
-            est.add(b, im)
-        return est
+        return GhostImageEstimate(self.setup.ref_grid).add(*self.frames(start, stop))
+
+
+def _intensity(fields: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.abs(fields, out=out)
+    out *= out
+    return out
 
 
 def batch_ranges(frames: int) -> list[tuple[int, int]]:
     return [(s, min(s + BATCH_FRAMES, frames)) for s in range(0, frames, BATCH_FRAMES)]
+
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+
+    A product's bits depend on the BLAS thread count, so every process
+    that computes batches uses one thread; that keeps results equal for
+    any worker count.  Yields the thread count used, or None when
+    numpy's OpenBLAS is not found and the count is left alone.
+    """
+    api = _openblas()
+    if api is None:
+        yield None
+        return
+    get, put = api
+    previous = get()
+    put(1)
+    try:
+        yield 1
+    finally:
+        put(previous)
 
 
 _WORKER_PIPELINE: FramePipeline | None = None
@@ -208,6 +277,10 @@ _WORKER_PIPELINE: FramePipeline | None = None
 
 def _init_worker(setup: RunSetup) -> None:
     global _WORKER_PIPELINE
+    api = _openblas()
+    if api is not None:
+        _, set_threads = api
+        set_threads(1)
     _WORKER_PIPELINE = FramePipeline(setup)
 
 
@@ -228,10 +301,12 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
     spans = batch_ranges(setup.frames)
     estimate = GhostImageEstimate(setup.ref_grid)
     if setup.workers == 1:
-        pipeline = FramePipeline(setup)
-        for span in spans:
-            estimate.merge(pipeline.batch(*span))
+        with one_blas_thread() as blas_threads:
+            pipeline = FramePipeline(setup)
+            for span in spans:
+                estimate.merge(pipeline.batch(*span))
     else:
+        blas_threads = 1 if _openblas() is not None else None
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=setup.workers, mp_context=ctx,
                                  initializer=_init_worker, initargs=(setup,)) as pool:
@@ -239,4 +314,4 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
                 estimate.merge(part)
     result = estimate.finalize()
     return SimulationOutput(setup=setup, estimate=estimate, result=result,
-                            wall_time_s=time.perf_counter() - t0)
+                            wall_time_s=time.perf_counter() - t0, blas_threads=blas_threads)

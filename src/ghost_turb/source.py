@@ -2,8 +2,11 @@
 
 Each frame draws one circular complex Gaussian amplitude per subsource
 (zero mean, variance mean_power per subsource, independent between
-subsources and frames).  Frame draws are keyed by (seed, frame_index),
-so any subset of frames can be regenerated in any order.
+subsources and frames).  Draws are keyed per batch: frames
+[b * BATCH_FRAMES, (b + 1) * BATCH_FRAMES) come from one generator keyed
+(seed, b, stream), drawn frame-major, so frame i's numbers are row
+i % BATCH_FRAMES of its batch block whatever the run length, worker
+count or order of evaluation.
 """
 
 from __future__ import annotations
@@ -18,6 +21,17 @@ from .errors import ValidationError
 # Stream tag separating source-amplitude draws from other consumers of
 # the same run seed.
 RNG_DOMAIN_SOURCE = 1
+
+# Frames per draw block: one generator per (seed, batch, stream).  The
+# frame pipeline also uses it as its GEMM block and its merge unit.
+BATCH_FRAMES = 32
+
+
+def batch_generator(seed: int, batch_index: int, stream: int) -> np.random.Generator:
+    """Generator of one batch's draws for one stream."""
+    if seed < 0 or batch_index < 0:
+        raise ValidationError(f"seed and batch index must be >= 0, got {seed}, {batch_index}")
+    return np.random.default_rng((int(seed), int(batch_index), int(stream)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,19 +112,28 @@ def make_source_grid(diameter: float, pitch: float, mean_power: float = 1.0) -> 
                         pitch=float(pitch), diameter=max_pairwise_distance(positions))
 
 
-def sample_frame(sources: SubsourceSet, seed: int, frame_index: int) -> FrameSample:
-    """Circular complex Gaussian amplitudes for one frame.
+def draw_amplitudes(sources: SubsourceSet, rng: np.random.Generator,
+                    frames: int) -> np.ndarray:
+    """Amplitudes (frames, M) of consecutive frames, drawn frame-major.
 
-    Deterministic in (seed, frame_index) via a per-frame random stream,
-    so frames can be generated in any order or in parallel without
-    changing the draws.
+    Row r depends only on the generator state and r, not on `frames`.
+    """
+    g = rng.standard_normal((frames, sources.count, 2))
+    scale = math.sqrt(sources.mean_power / 2.0)
+    return scale * (g[..., 0] + 1j * g[..., 1])
+
+
+def sample_frame(sources: SubsourceSet, seed: int, frame_index: int) -> FrameSample:
+    """Circular complex Gaussian amplitudes of one frame.
+
+    The row frame_index % BATCH_FRAMES of the block its batch draws, so
+    these are the amplitudes the frame pipeline uses for that frame.
     """
     if frame_index < 0:
         raise ValidationError(f"frame_index must be >= 0, got {frame_index}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng((int(seed), int(frame_index), RNG_DOMAIN_SOURCE))
-    g = rng.standard_normal((sources.count, 2))
-    scale = math.sqrt(sources.mean_power / 2.0)
-    amps = scale * (g[:, 0] + 1j * g[:, 1])
+    batch, row = divmod(int(frame_index), BATCH_FRAMES)
+    rng = batch_generator(seed, batch, RNG_DOMAIN_SOURCE)
+    amps = draw_amplitudes(sources, rng, row + 1)[row]
     return FrameSample(amplitudes=amps, frame_index=int(frame_index), seed=int(seed))

@@ -298,17 +298,48 @@ class ScreenSampler:
                  + r[..., None, None, 1] * self._k1d[:, None])
         return np.sum(self._amp**2 * np.cos(phase), axis=(-2, -1))
 
+    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """Mode coefficients of count screens as standard normals, shape (count, K, 2).
+
+        Entry [i, k] holds the real and imaginary parts of screen i's
+        coefficient for mode k (before the spectral weight), drawn
+        screen-major, so row i does not depend on count.
+        """
+        if self._amp is None:
+            raise ValidationError("a turbulence-free sampler has no modes to draw")
+        return rng.standard_normal((count, self._amp.size, 2))
+
+    def screen(self, normals: np.ndarray, seed) -> PhaseScreen:
+        """The screen on this grid of one row (K, 2) of draw()."""
+        g = np.asarray(normals).reshape(self._amp.shape + (2,))
+        coeff = (g[..., 0] + 1j * g[..., 1]) * self._amp
+        values = (self._ey @ coeff @ self._ex.T).real
+        return PhaseScreen(grid=self.grid, values=values, rho0_target=self.model.rho0,
+                           ell=self.ell, sigma2=self.sigma2, seed=_normalize_seed(seed))
+
+    def mode_table(self, points) -> np.ndarray:
+        """Real (2K, P) table that maps draw() rows to screen phases at P points.
+
+        The screen's phase at rho is Re sum_k amp_k c_k exp(i k . rho),
+        so with c_k = g_k0 + i g_k1 it is (g.reshape(-1) @ table)[p]:
+        exact at any point, with no grid and no interpolation.
+        """
+        if self._amp is None:
+            raise ValidationError("a turbulence-free sampler has no modes")
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        ey = np.exp(1j * np.outer(self._k1d, pts[:, 1]))
+        ex = np.exp(1j * np.outer(self._k1d, pts[:, 0]))
+        modes = self._amp[:, :, None] * ey[:, None, :] * ex[None, :, :]
+        table = np.stack([modes.real, -modes.imag], axis=2)
+        return table.reshape(-1, pts.shape[0])
+
     def sample(self, seed) -> PhaseScreen:
         seq = _normalize_seed(seed)
         if self._amp is None:
-            values = np.zeros((self.grid.ny, self.grid.nx))
-        else:
-            rng = np.random.default_rng(seq)
-            g = rng.standard_normal(self._amp.shape + (2,))
-            coeff = (g[..., 0] + 1j * g[..., 1]) * self._amp
-            values = (self._ey @ coeff @ self._ex.T).real
-        return PhaseScreen(grid=self.grid, values=values, rho0_target=self.model.rho0,
-                           ell=self.ell, sigma2=self.sigma2, seed=seq)
+            return PhaseScreen(grid=self.grid, values=np.zeros((self.grid.ny, self.grid.nx)),
+                               rho0_target=self.model.rho0, ell=self.ell,
+                               sigma2=self.sigma2, seed=seq)
+        return self.screen(self.draw(np.random.default_rng(seq), 1)[0], seq)
 
 
 def generate_phase_screen(grid: Grid2D, model: TurbulenceModel, seed,

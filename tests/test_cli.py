@@ -10,6 +10,7 @@ from ghost_turb.config import build_config, load_config, parse_config_text, pars
 from ghost_turb.errors import ConfigurationError
 from ghost_turb.io_formats import read_pgm8
 from ghost_turb.optics import Grid2D
+from ghost_turb.simulate import BATCH_FRAMES
 
 NOMINAL_REGIME = ["--set", "cn2=1.5e-12"]
 
@@ -107,6 +108,8 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert record["config"]["frames"] == 300
     assert set(record["versions"]) == {"ghost_turb", "numpy", "python"}
     assert record["wall_time_s"] > 0
+    assert record["batch_frames"] == BATCH_FRAMES
+    assert record["blas_threads"] in (1, None)
     rows = _read_csv(outdir / "psf_metrics.csv")
     metrics = {r["metric"]: r["value"] for r in rows}
     assert metrics["status"] == "ok"

@@ -122,6 +122,20 @@ def test_estimate_rejects_bad_frames():
         est.add(1.0, np.full((3, 3), math.inf))
 
 
+def test_batched_add_equals_frame_by_frame(rng):
+    g = Grid2D.centered(5, 4, 1e-5)
+    buckets, frames = _random_series(rng, 40, (4, 5))
+    single = GhostImageEstimate(g)
+    for b, im in zip(buckets, frames):
+        single.add(b, im)
+    batched = GhostImageEstimate(g).add(buckets[:32], frames[:32]).add(buckets[32:], frames[32:])
+    assert batched.n == single.n == 40
+    for name in ("s_b", "s_b2", "s_i", "s_i2", "s_bi", "s_b2i", "s_bi2", "s_b2i2"):
+        assert np.allclose(getattr(batched, name), getattr(single, name), rtol=1e-13, atol=0)
+    with pytest.raises(ValidationError, match="shape"):
+        GhostImageEstimate(g).add(buckets[:3], frames[:2])
+
+
 def test_merge_equals_single_pass(rng):
     g = Grid2D.centered(4, 4, 1e-5)
     buckets, frames = _random_series(rng, 60, (4, 4))

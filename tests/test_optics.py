@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import (ComplexField, Grid2D, OpticalConfig, _edge_window,
-                               fresnel_kernel, greens_function, propagate_subsources)
+from ghost_turb.optics import (ComplexField, Grid2D, LatticePropagator, OpticalConfig,
+                               _edge_window, fresnel_kernel, greens_function,
+                               propagate_subsources)
+from ghost_turb.source import make_source_grid
 from ghost_turb.turbulence import TurbulenceModel, generate_phase_screen
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -88,9 +90,9 @@ def test_greens_function_turbulence_phase_is_multiplicative(rng):
     phi = rng.uniform(-math.pi, math.pi, size=7)
     with_phase = greens_function(dst, src, CFG, turbulence_phase=phi)
     without = greens_function(dst, src, CFG)
-    # The accumulated path phase is ~1e7 rad, so factoring the exponential
-    # costs about one ulp of that argument (~1e-9 relative).
-    assert np.allclose(with_phase, without * np.exp(1j * phi), rtol=1e-8)
+    # The ~1e7 rad path phase kL enters as one constant factor, not as a
+    # term of each element's phase, so the factoring is exact to rounding.
+    assert np.allclose(with_phase, without * np.exp(1j * phi), rtol=1e-12)
 
 
 def test_greens_function_rejects_bad_axes():
@@ -117,6 +119,29 @@ def test_fresnel_kernel_distance_override():
     assert np.allclose(short, manual, rtol=1e-12)
     with pytest.raises(ValidationError):
         fresnel_kernel(pos, grid, CFG, distance=0.0)
+
+
+@pytest.mark.parametrize("diameter, pitch, ref_n", [
+    (11e-3, 11e-3 / 16.0, 64),      # default geometry: 197 subsources, 64^2 reference
+    (2e-3, 0.5e-3, 7),
+])
+def test_lattice_propagator_matches_dense_kernel(rng, diameter, pitch, ref_n):
+    sources = make_source_grid(diameter, pitch)
+    grid = Grid2D.centered(ref_n, ref_n, 12e-6)
+    amps = rng.normal(size=(3, sources.count)) + 1j * rng.normal(size=(3, sources.count))
+    dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).T.reshape(3, ref_n, ref_n)
+    separable = LatticePropagator(sources.positions, sources.pitch, grid, CFG)(amps)
+    assert separable.shape == (3, ref_n, ref_n)
+    assert np.max(np.abs(separable - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_lattice_propagator_rejects_off_lattice_positions():
+    grid = Grid2D.centered(4, 4, 1e-5)
+    pos = np.array([[0.0, 0.0], [1e-3, 0.0], [0.5e-3, 0.25e-3]])
+    with pytest.raises(ConfigurationError, match="off the square lattice"):
+        LatticePropagator(pos, 0.5e-3, grid, CFG)
+    # A decimal pitch that is not exact in binary still counts as on the lattice.
+    LatticePropagator(np.array([[0.3e-3, -0.7e-3]]), 0.1e-3, grid, CFG)
 
 
 def test_propagate_direct_sum_and_linearity(rng):

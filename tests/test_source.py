@@ -5,7 +5,8 @@ import pytest
 
 import oracles
 from ghost_turb.errors import ValidationError
-from ghost_turb.source import (SubsourceSet, make_source_grid,
+from ghost_turb.source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet,
+                               batch_generator, draw_amplitudes, make_source_grid,
                                max_pairwise_distance, sample_frame)
 
 
@@ -94,3 +95,14 @@ def test_amplitude_moments_match_circular_gaussian():
     assert abs(np.mean(np.abs(draws) ** 2) - p) < 4 * se
     assert abs(np.mean(draws ** 2)) < 4 * se
     assert abs(np.mean(np.abs(draws) ** 4) - 2 * p * p) < 4 * math.sqrt(20.0) * p * p / math.sqrt(n)
+
+
+def test_sample_frame_is_a_row_of_its_batch_block():
+    s = make_source_grid(11e-3, 2e-3)
+    block = draw_amplitudes(s, batch_generator(42, 1, RNG_DOMAIN_SOURCE), BATCH_FRAMES)
+    for row in (0, 5, BATCH_FRAMES - 1):
+        frame = sample_frame(s, seed=42, frame_index=BATCH_FRAMES + row)
+        assert np.array_equal(frame.amplitudes, block[row])
+    # Frame-major draws: a shorter block is a prefix of the longer one.
+    head = draw_amplitudes(s, batch_generator(42, 1, RNG_DOMAIN_SOURCE), 3)
+    assert np.array_equal(head, block[:3])

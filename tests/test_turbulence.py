@@ -260,3 +260,30 @@ def test_sample_at_interpolates_between_nodes(rng):
     mid = screen.sample_at(np.array([(x[4] + x[5]) / 2.0, y[7]]))
     manual = 0.5 * (screen.values[7, 4] + screen.values[7, 5])
     assert float(mid) == pytest.approx(manual, rel=1e-12)
+
+
+def test_sample_keeps_its_draw_order():
+    # sample(seed) draws one (K, 2) block of standard normals from
+    # default_rng(seed), the same numbers in the same order as a direct
+    # per-mode draw, so screens keep their values bit for bit.
+    g = grid_for_screens()
+    sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
+    normals = np.random.default_rng((9, 3, 2)).standard_normal(sampler._amp.shape + (2,))
+    coeff = (normals[..., 0] + 1j * normals[..., 1]) * sampler._amp
+    expected = (sampler._ey @ coeff @ sampler._ex.T).real
+    assert np.array_equal(sampler.sample((9, 3, 2)).values, expected)
+    block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
+    assert np.array_equal(sampler.screen(block[0], (9, 3, 2)).values, expected)
+
+
+def test_mode_table_matches_screen_at_nodes():
+    g = grid_for_screens()
+    sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
+    pts = g.points().reshape(-1, 2)[::7]
+    table = sampler.mode_table(pts)
+    draws = sampler.draw(np.random.default_rng(17), 3)
+    phases = draws.reshape(3, -1) @ table
+    for i in range(3):
+        screen = sampler.screen(draws[i], (17, i))
+        assert np.max(np.abs(phases[i] - screen.sample_at(pts))) <= 1e-12
+    assert np.max(np.abs(phases)) > 0.1
