@@ -92,7 +92,15 @@ def bucket_signal(field: ComplexField, mask: ObjectMask) -> float:
     """Masked object-plane intensity integral, sum(|u|^2 T) * pitch^2."""
     if not field.grid.same_layout(mask.grid):
         raise ValidationError("field and mask must share one grid layout")
-    return float(np.sum(field.intensity() * mask.transmissivity) * mask.grid.pitch**2)
+    return float(bucket_signals(field.intensity(), mask))
+
+
+def bucket_signals(intensity: np.ndarray, mask: ObjectMask) -> np.ndarray:
+    """sum(I T) * pitch^2 of each (ny, nx) map in a (..., ny, nx) stack."""
+    im = np.asarray(intensity, dtype=float)
+    if im.shape[-2:] != mask.transmissivity.shape:
+        raise ValidationError(f"intensity shape {im.shape} does not match the mask grid")
+    return np.sum(im * mask.transmissivity, axis=(-2, -1)) * mask.grid.pitch**2
 
 
 @dataclass(frozen=True, eq=False)

@@ -135,7 +135,14 @@ class ComplexField:
         object.__setattr__(self, "values", v)
 
     def intensity(self) -> np.ndarray:
-        return self.values.real**2 + self.values.imag**2
+        return intensity(self.values)
+
+
+def intensity(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^2 of complex values as re^2 + im^2, written to out if given."""
+    out = np.square(values.real, out=out)
+    out += np.square(values.imag)
+    return out
 
 
 def greens_function(rho_dst, rho_src, cfg: OpticalConfig, turbulence_phase=0.0) -> np.ndarray:
@@ -199,20 +206,28 @@ class LatticePropagator:
     c = path_prefactor(cfg), so a frame's field is c Ky A Kx^T for its
     amplitudes A placed on the lattice.  This is the Fresnel kernel
     itself, factored exactly, not an approximation of it.  Positions
-    farther than LATTICE_TOLERANCE pitches from a node raise
-    ConfigurationError.
+    farther than LATTICE_TOLERANCE pitches from a node, or two on one
+    node, raise ConfigurationError.  Buffers for max_frames frames are
+    allocated once; a call takes at most that many.
     """
 
-    def __init__(self, positions, pitch: float, grid: Grid2D, cfg: OpticalConfig):
+    def __init__(self, positions, pitch: float, grid: Grid2D, cfg: OpticalConfig,
+                 max_frames: int):
         pos = _check_positions(positions)
         if not (math.isfinite(pitch) and pitch > 0):
             raise ValidationError(f"lattice pitch must be finite and > 0, got {pitch}")
+        if max_frames < 1:
+            raise ValidationError(f"max_frames must be >= 1, got {max_frames}")
         nodes = pos / pitch
         idx = np.rint(nodes)
         if np.any(np.abs(nodes - idx) > LATTICE_TOLERANCE):
             raise ConfigurationError(
                 f"subsource positions are off the square lattice of pitch {pitch:.6g} m; "
                 "the frame pipeline needs every subsource on a lattice node"
+            )
+        if np.unique(idx, axis=0).shape[0] != idx.shape[0]:
+            raise ConfigurationError(
+                f"two subsources share a node of the square lattice of pitch {pitch:.6g} m"
             )
         lo = idx.min(axis=0)
         self._ix = (idx[:, 0] - lo[0]).astype(int)
@@ -222,18 +237,15 @@ class LatticePropagator:
         q = cfg.wavenumber / (2.0 * cfg.path_length)
         self.ky = path_prefactor(cfg) * np.exp(1j * q * (grid.y()[:, None] - ys[None, :]) ** 2)
         self.kx_t = np.exp(1j * q * (xs[:, None] - grid.x()[None, :]) ** 2)
-        self._reserve(0)
-
-    def _reserve(self, frames: int) -> None:
         # Nodes without a subsource stay zero for good, so the lattice
         # buffer is filled once here and only written at subsources later.
         (ny, lat_y), (lat_x, nx) = self.ky.shape, self.kx_t.shape
-        self._lattice = np.zeros((frames, lat_y, lat_x), dtype=complex)
-        self._half = np.empty((frames, ny, lat_x), dtype=complex)
-        self._field = np.empty((frames, ny, nx), dtype=complex)
+        self._lattice = np.zeros((max_frames, lat_y, lat_x), dtype=complex)
+        self._half = np.empty((max_frames, ny, lat_x), dtype=complex)
+        self._field = np.empty((max_frames, ny, nx), dtype=complex)
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Fields (n, ny, nx) of n frames of subsource amplitudes (n, M).
+        """Fields (n, ny, nx) of n <= max_frames frames of subsource amplitudes (n, M).
 
         The fields are a view of a buffer that the next call overwrites:
         a frame loop reuses its buffers instead of allocating, and so
@@ -241,8 +253,6 @@ class LatticePropagator:
         """
         amps = np.asarray(amplitudes)
         n = amps.shape[0]
-        if n > self._lattice.shape[0]:
-            self._reserve(n)
         lattice = self._lattice[:n]
         lattice[:, self._iy, self._ix] = amps
         np.matmul(self.ky, lattice, out=self._half[:n])

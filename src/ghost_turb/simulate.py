@@ -26,9 +26,9 @@ import multiprocessing
 
 import numpy as np
 
-from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask
+from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask, bucket_signals
 from .errors import ConfigurationError, ValidationError
-from .optics import Grid2D, LatticePropagator, OpticalConfig, propagate_subsources
+from .optics import Grid2D, LatticePropagator, OpticalConfig, intensity, propagate_subsources
 from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                      draw_amplitudes)
 from .turbulence import ScreenSampler, TurbulenceModel
@@ -139,10 +139,10 @@ class FramePipeline:
         cfg = setup.cfg
         sources = setup.sources
         mask = setup.mask
-        self.obj = LatticePropagator(sources.positions, sources.pitch, mask.grid, cfg)
-        self.ref = LatticePropagator(sources.positions, sources.pitch, setup.ref_grid, cfg)
-        # bucket_signal's weights, applied to a whole batch of object maps.
-        self.bucket_weights = mask.transmissivity.reshape(-1) * mask.grid.pitch**2
+        self.obj = LatticePropagator(sources.positions, sources.pitch, mask.grid, cfg,
+                                     BATCH_FRAMES)
+        self.ref = LatticePropagator(sources.positions, sources.pitch, setup.ref_grid, cfg,
+                                     BATCH_FRAMES)
         self._obj_maps = np.empty((BATCH_FRAMES, mask.grid.ny, mask.grid.nx))
         self._ref_maps = np.empty((BATCH_FRAMES, setup.ref_grid.ny, setup.ref_grid.nx))
         self.screen_sampler = None
@@ -213,22 +213,11 @@ class FramePipeline:
             raise ValidationError(f"frames [{start}, {stop}) are not the head of one batch")
         count = stop - start
         obj, ref = self._fields(batch_index, count)
-        buckets = _intensity(obj, self._obj_maps[:count]).reshape(count, -1) @ self.bucket_weights
-        return buckets, _intensity(ref, self._ref_maps[:count])
-
-    def frame(self, frame_index: int) -> tuple[float, np.ndarray]:
-        """Bucket value and reference intensity map of one frame."""
-        buckets, maps = self.frames(frame_index - frame_index % BATCH_FRAMES, frame_index + 1)
-        return float(buckets[-1]), maps[-1].copy()
+        buckets = bucket_signals(intensity(obj, self._obj_maps[:count]), self.setup.mask)
+        return buckets, intensity(ref, self._ref_maps[:count])
 
     def batch(self, start: int, stop: int) -> GhostImageEstimate:
         return GhostImageEstimate(self.setup.ref_grid).add(*self.frames(start, stop))
-
-
-def _intensity(fields: np.ndarray, out: np.ndarray) -> np.ndarray:
-    np.abs(fields, out=out)
-    out *= out
-    return out
 
 
 def batch_ranges(frames: int) -> list[tuple[int, int]]:

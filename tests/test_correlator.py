@@ -5,11 +5,11 @@ import pytest
 
 import oracles
 from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signal,
-                                   double_slit_mask, point_mask, psf_metrics,
+                                   bucket_signals, double_slit_mask, point_mask, psf_metrics,
                                    three_bar_mask)
 from ghost_turb.errors import (InsufficientDataError, NoDetectionError,
                                ValidationError)
-from ghost_turb.optics import ComplexField, Grid2D
+from ghost_turb.optics import ComplexField, Grid2D, intensity
 
 
 def test_object_mask_validation():
@@ -77,6 +77,18 @@ def test_bucket_signal_manual(rng):
     other = ObjectMask(grid=Grid2D.centered(6, 6, 3e-5), transmissivity=t)
     with pytest.raises(ValidationError, match="grid"):
         bucket_signal(field, other)
+
+
+def test_bucket_signals_of_a_stack_match_each_frame(rng):
+    g = Grid2D.centered(9, 7, 2e-5)
+    mask = ObjectMask(grid=g, transmissivity=rng.uniform(0, 1, size=(7, 9)))
+    vals = rng.normal(size=(5, 7, 9)) + 1j * rng.normal(size=(5, 7, 9))
+    stack = bucket_signals(intensity(vals), mask)
+    assert stack.shape == (5,)
+    for i in range(5):
+        assert stack[i] == bucket_signal(ComplexField(grid=g, values=vals[i]), mask)
+    with pytest.raises(ValidationError, match="mask grid"):
+        bucket_signals(np.ones((5, 9, 7)), mask)
 
 
 def _random_series(rng, n, shape):

@@ -130,7 +130,7 @@ def test_lattice_propagator_matches_dense_kernel(rng, diameter, pitch, ref_n):
     grid = Grid2D.centered(ref_n, ref_n, 12e-6)
     amps = rng.normal(size=(3, sources.count)) + 1j * rng.normal(size=(3, sources.count))
     dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).T.reshape(3, ref_n, ref_n)
-    separable = LatticePropagator(sources.positions, sources.pitch, grid, CFG)(amps)
+    separable = LatticePropagator(sources.positions, sources.pitch, grid, CFG, 3)(amps)
     assert separable.shape == (3, ref_n, ref_n)
     assert np.max(np.abs(separable - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -139,9 +139,13 @@ def test_lattice_propagator_rejects_off_lattice_positions():
     grid = Grid2D.centered(4, 4, 1e-5)
     pos = np.array([[0.0, 0.0], [1e-3, 0.0], [0.5e-3, 0.25e-3]])
     with pytest.raises(ConfigurationError, match="off the square lattice"):
-        LatticePropagator(pos, 0.5e-3, grid, CFG)
+        LatticePropagator(pos, 0.5e-3, grid, CFG, 1)
     # A decimal pitch that is not exact in binary still counts as on the lattice.
-    LatticePropagator(np.array([[0.3e-3, -0.7e-3]]), 0.1e-3, grid, CFG)
+    LatticePropagator(np.array([[0.3e-3, -0.7e-3]]), 0.1e-3, grid, CFG, 1)
+    # Two subsources on one node would overwrite each other on the lattice.
+    pos = np.array([[0.0, 0.0], [1e-3, 0.0], [1e-3, 0.0]])
+    with pytest.raises(ConfigurationError, match="share a node"):
+        LatticePropagator(pos, 0.5e-3, grid, CFG, 1)
 
 
 def test_propagate_direct_sum_and_linearity(rng):
