@@ -97,9 +97,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 def _as_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigurationError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(key: str, value: str) -> int:
@@ -284,9 +287,7 @@ def build_config(raw_items: dict[str, str]) -> RunConfig:
         compare_tolerance=_as_float("compare_tolerance", raw["compare_tolerance"]),
         out_dir=raw["out_dir"],
     )
-    if not 0.0 <= cfg.screen_fraction <= 1.0:
-        raise ConfigurationError(f"screen_fraction must lie in [0, 1], "
-                                 f"got {cfg.screen_fraction}")
+    cfg.turbulence()   # the screen model owns the screen-plane rule
     if cfg.frames < 2:
         raise ConfigurationError(f"imaging runs need frames >= 2, got {cfg.frames}")
     if cfg.source_power <= 0:

@@ -1,33 +1,23 @@
 """Paraxial propagation from point subsources to detector-plane grids.
 
 The propagation kernel is the free-space quadratic-phase (Fresnel) kernel
-for a path of length L.  A thin phase screen can sit anywhere along the
-path: at the source plane it multiplies each subsource amplitude, at the
-detector plane it multiplies the summed field per pixel, and at an
-intermediate plane the propagation is done in two legs with the screen
-applied on its own grid between them.  Sources on a square lattice can
-be propagated many frames at a time through the exact separable form of
-the kernel (LatticePropagator).
+for a path of length L.  Turbulence never enters here: a source-plane
+screen is a phase on the subsource amplitudes, and a detector-plane
+screen is a unit-modulus factor per pixel that no intensity can see.
+Sources on a square lattice are propagated many frames at a time
+through the exact separable form of the kernel (LatticePropagator);
+propagate_subsources is the dense direct sum it is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 
-if TYPE_CHECKING:
-    from .turbulence import PhaseScreen, TurbulenceModel
-
-# Two-leg quadrature: fraction of the screen half-extent reserved for the
-# soft edge window, and the number of Fresnel zones kept as margin around
-# the geometric beam footprint.
-EDGE_TAPER_FRACTION = 0.15
-FRESNEL_ZONE_MARGIN = 3.0
 # Largest distance, in lattice pitches, of a subsource from its lattice
 # node; LatticePropagator places it on the node.
 LATTICE_TOLERANCE = 1e-9
@@ -145,7 +135,7 @@ def intensity(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def greens_function(rho_dst, rho_src, cfg: OpticalConfig, turbulence_phase=0.0) -> np.ndarray:
+def greens_function(rho_dst, rho_src, cfg: OpticalConfig) -> np.ndarray:
     """Point-to-point paraxial propagation kernel over cfg.path_length.
 
     Parameters
@@ -153,22 +143,18 @@ def greens_function(rho_dst, rho_src, cfg: OpticalConfig, turbulence_phase=0.0) 
     rho_dst, rho_src : array_like (..., 2)
         Destination and source transverse coordinates in meters;
         broadcast against each other.
-    turbulence_phase : array_like
-        Real phase (radians) added by a screen along this path; the
-        kernel is multiplied by exp(1j * turbulence_phase).
 
     Returns
     -------
-    complex ndarray with the broadcast shape.  The modulus is
-    1 / (wavelength * path_length) for any real turbulence_phase.
+    complex ndarray with the broadcast shape and modulus
+    1 / (wavelength * path_length).
     """
     dst = np.asarray(rho_dst, dtype=float)
     src = np.asarray(rho_src, dtype=float)
     if dst.shape[-1] != 2 or src.shape[-1] != 2:
         raise ValidationError("coordinates must have a trailing axis of size 2 (x, y)")
     d2 = np.sum((dst - src) ** 2, axis=-1)
-    phase = cfg.wavenumber * d2 / (2.0 * cfg.path_length) + np.asarray(turbulence_phase)
-    return path_prefactor(cfg) * np.exp(1j * phase)
+    return path_prefactor(cfg) * np.exp(1j * (cfg.wavenumber * d2 / (2.0 * cfg.path_length)))
 
 
 def path_prefactor(cfg: OpticalConfig) -> complex:
@@ -181,21 +167,15 @@ def path_prefactor(cfg: OpticalConfig) -> complex:
                    * np.exp(1j * cfg.wavenumber * cfg.path_length))
 
 
-def fresnel_kernel(positions: np.ndarray, grid: Grid2D, cfg: OpticalConfig,
-                   distance: float | None = None) -> np.ndarray:
+def fresnel_kernel(positions: np.ndarray, grid: Grid2D, cfg: OpticalConfig) -> np.ndarray:
     """Vacuum kernel matrix from point sources to grid pixels.
 
     Returns a complex array of shape (ny * nx, M) so a propagated field
-    is ``(kernel @ amplitudes).reshape(ny, nx)``.  ``distance`` overrides
-    cfg.path_length for partial legs.
+    is ``(kernel @ amplitudes).reshape(ny, nx)``.
     """
     pos = _check_positions(positions)
-    d = cfg.path_length if distance is None else float(distance)
-    if not (math.isfinite(d) and d > 0):
-        raise ValidationError(f"propagation distance must be finite and > 0, got {d}")
-    leg = OpticalConfig(wavelength=cfg.wavelength, path_length=d)
     pts = grid.points().reshape(-1, 1, 2)
-    return greens_function(pts, pos[None, :, :], leg)
+    return greens_function(pts, pos[None, :, :], cfg)
 
 
 class LatticePropagator:
@@ -268,78 +248,15 @@ def _check_positions(positions) -> np.ndarray:
     return pos
 
 
-def _require_coverage(grid: Grid2D, pts: np.ndarray, what: str) -> None:
-    (xmin, xmax), (ymin, ymax) = grid.span()
-    px = pts[..., 0]
-    py = pts[..., 1]
-    if px.min() < xmin or px.max() > xmax or py.min() < ymin or py.max() > ymax:
-        raise ConfigurationError(
-            f"screen grid does not cover {what}: grid spans x [{xmin:.6g}, {xmax:.6g}], "
-            f"y [{ymin:.6g}, {ymax:.6g}] but needs x [{px.min():.6g}, {px.max():.6g}], "
-            f"y [{py.min():.6g}, {py.max():.6g}]"
-        )
-
-
-def _edge_window(grid: Grid2D) -> np.ndarray:
-    """Separable cosine-squared taper over the outer EDGE_TAPER_FRACTION."""
-
-    def axis_window(coords: np.ndarray, center: float) -> np.ndarray:
-        half = max(abs(coords[0] - center), abs(coords[-1] - center))
-        if half == 0.0:
-            return np.ones_like(coords)
-        flat = (1.0 - EDGE_TAPER_FRACTION) * half
-        r = np.abs(coords - center)
-        w = np.ones_like(coords)
-        outer = r > flat
-        t = (r[outer] - flat) / (half - flat)
-        w[outer] = np.cos(0.5 * np.pi * np.clip(t, 0.0, 1.0)) ** 2
-        return w
-
-    wx = axis_window(grid.x(), grid.center[0])
-    wy = axis_window(grid.y(), grid.center[1])
-    return wy[:, None] * wx[None, :]
-
-
-def _two_leg_checks(screen_grid: Grid2D, positions: np.ndarray, dst_grid: Grid2D,
-                    cfg: OpticalConfig, fraction: float) -> None:
-    l1 = fraction * cfg.path_length
-    l2 = (1.0 - fraction) * cfg.path_length
-    src_r = float(np.max(np.hypot(positions[:, 0], positions[:, 1])))
-    dpts = dst_grid.points()
-    dst_r = float(np.max(np.hypot(dpts[..., 0], dpts[..., 1])))
-    fresnel = math.sqrt(cfg.wavelength * l1 * l2 / cfg.path_length)
-    footprint = (1.0 - fraction) * src_r + fraction * dst_r + FRESNEL_ZONE_MARGIN * fresnel
-    (xmin, xmax), (ymin, ymax) = screen_grid.span()
-    cx, cy = screen_grid.center
-    usable = (1.0 - EDGE_TAPER_FRACTION) * min(xmax - cx, cx - xmin, ymax - cy, cy - ymin)
-    if usable < footprint:
-        raise ConfigurationError(
-            f"screen grid half-extent {usable:.6g} m (after edge taper) is smaller than the "
-            f"beam footprint {footprint:.6g} m at fraction {fraction}; enlarge the screen grid"
-        )
-    # The quadrature must sample the combined quadratic phase at better
-    # than half a cycle per pixel across the screen.
-    k = cfg.wavenumber
-    grad = k * (footprint + src_r) / l1 + k * (footprint + dst_r) / l2
-    max_pitch = math.pi / grad
-    if screen_grid.pitch > max_pitch:
-        raise ConfigurationError(
-            f"screen grid pitch {screen_grid.pitch:.6g} m undersamples the two-leg quadrature; "
-            f"required pitch <= {max_pitch:.6g} m"
-        )
-
-
-def propagate_subsources(amplitudes, positions, screen: "PhaseScreen | None",
-                         model: "TurbulenceModel | None", dst_grid: Grid2D,
+def propagate_subsources(amplitudes, positions, dst_grid: Grid2D,
                          cfg: OpticalConfig) -> ComplexField:
-    """Propagate subsource amplitudes to a destination grid.
+    """Vacuum field of subsource amplitudes on a destination grid.
 
-    With no screen the result is the direct Fresnel sum over subsources.
-    With a screen, ``model.screen_position_fraction`` selects where the
-    phase is applied: 0 samples the screen at the subsource positions,
-    1 multiplies the summed field by the screen at the pixel positions,
-    and intermediate values run a two-leg Fresnel sum with the screen
-    applied on its own grid at distance fraction * L.
+    The direct Fresnel sum over subsources through the dense
+    fresnel_kernel: the reference that the separable LatticePropagator
+    is tested against.  A source-plane screen enters as the phase of
+    the amplitudes; a detector-plane screen would only multiply each
+    pixel by a unit-modulus factor.
     """
     pos = _check_positions(positions)
     amps = np.asarray(amplitudes, dtype=complex)
@@ -349,39 +266,5 @@ def propagate_subsources(amplitudes, positions, screen: "PhaseScreen | None",
         )
     if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
         raise ValidationError("amplitudes must be finite")
-
-    if screen is None:
-        values = (fresnel_kernel(pos, dst_grid, cfg) @ amps).reshape(dst_grid.ny, dst_grid.nx)
-        return ComplexField(grid=dst_grid, values=values)
-
-    if model is None:
-        raise ConfigurationError("a screen was given without a turbulence model")
-    fraction = model.screen_position_fraction
-
-    if fraction == 0.0:
-        _require_coverage(screen.grid, pos, "the subsource positions")
-        phi = screen.sample_at(pos)
-        eff = amps * np.exp(1j * phi)
-        values = (fresnel_kernel(pos, dst_grid, cfg) @ eff).reshape(dst_grid.ny, dst_grid.nx)
-        return ComplexField(grid=dst_grid, values=values)
-
-    if fraction == 1.0:
-        dst_pts = dst_grid.points()
-        _require_coverage(screen.grid, dst_pts, "the destination grid")
-        vac = (fresnel_kernel(pos, dst_grid, cfg) @ amps).reshape(dst_grid.ny, dst_grid.nx)
-        phi = screen.sample_at(dst_pts.reshape(-1, 2)).reshape(dst_grid.ny, dst_grid.nx)
-        return ComplexField(grid=dst_grid, values=vac * np.exp(1j * phi))
-
-    # Intermediate plane: source -> screen plane (fraction * L), apply the
-    # screen on its own grid, then screen plane -> destination.
-    _two_leg_checks(screen.grid, pos, dst_grid, cfg, fraction)
-    l1 = fraction * cfg.path_length
-    l2 = (1.0 - fraction) * cfg.path_length
-    mid = (fresnel_kernel(pos, screen.grid, cfg, distance=l1) @ amps).reshape(
-        screen.grid.ny, screen.grid.nx
-    )
-    mid = mid * np.exp(1j * screen.values) * _edge_window(screen.grid)
-    mid_pts = screen.grid.points().reshape(-1, 2)
-    k2 = fresnel_kernel(mid_pts, dst_grid, cfg, distance=l2)
-    values = (k2 @ (mid.reshape(-1) * screen.grid.pitch**2)).reshape(dst_grid.ny, dst_grid.nx)
+    values = (fresnel_kernel(pos, dst_grid, cfg) @ amps).reshape(dst_grid.ny, dst_grid.nx)
     return ComplexField(grid=dst_grid, values=values)

@@ -1,14 +1,16 @@
 """Batched ghost imaging runs.
 
 Frames run in fixed batches of BATCH_FRAMES.  A batch draws its
-subsource amplitudes and, when turbulence is on, each path's screen
-mode coefficients as frame-major blocks, each from one generator keyed
-(seed, batch_index, stream).  It evaluates the source-plane screens
-exactly at the subsources through the screen mode table, propagates to
-the object and reference planes with the separable lattice form of the
-Fresnel kernel, and folds its frames into the bucket/reference moment
-sums at once.  Batches are merged in order and BLAS runs on one thread
-in every process, so results are identical for any worker count.
+subsource amplitudes and, when a source-plane screen is on, each path's
+screen mode coefficients as frame-major blocks, each from one generator
+keyed (seed, batch_index, stream).  It evaluates the source-plane
+screens exactly at the subsources through the screen mode table,
+propagates to the object and reference planes with the separable
+lattice form of the Fresnel kernel (the only propagation path), and
+folds its frames into the bucket/reference moment sums at once.  A
+detector-plane screen cannot change any intensity, so it is not drawn.
+Batches are merged in order and BLAS runs on one thread in every
+process, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import multiprocessing
 import numpy as np
 
 from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask, bucket_signals
-from .errors import ConfigurationError, ValidationError
-from .optics import Grid2D, LatticePropagator, OpticalConfig, intensity, propagate_subsources
+from .errors import ValidationError
+from .optics import Grid2D, LatticePropagator, OpticalConfig, intensity
 from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                      draw_amplitudes)
 from .turbulence import ScreenSampler, TurbulenceModel
@@ -95,36 +97,6 @@ def source_screen_grid(sources: SubsourceSet, model: TurbulenceModel) -> Grid2D:
     return Grid2D(nx=n, ny=n, pitch=pitch, center=(0.0, 0.0))
 
 
-def midpath_screen_grid(setup: RunSetup, max_pixels: int = 128) -> Grid2D:
-    """Screen-plane grid for an intermediate screen position."""
-    f = setup.model.screen_position_fraction
-    cfg = setup.cfg
-    pos = setup.sources.positions
-    src_r = float(np.max(np.hypot(pos[:, 0], pos[:, 1])))
-    candidates = []
-    for g in (setup.mask.grid, setup.ref_grid):
-        pts = g.points()
-        candidates.append(float(np.max(np.hypot(pts[..., 0], pts[..., 1]))))
-    dst_r = max(candidates)
-    l1 = f * cfg.path_length
-    l2 = (1.0 - f) * cfg.path_length
-    fresnel = math.sqrt(cfg.wavelength * l1 * l2 / cfg.path_length)
-    footprint = (1.0 - f) * src_r + f * dst_r + 3.0 * fresnel
-    half = footprint / 0.8
-    k = cfg.wavenumber
-    grad = k * (footprint + src_r) / l1 + k * (footprint + dst_r) / l2
-    pitch = 0.8 * math.pi / grad
-    if setup.model.turbulent:
-        pitch = min(pitch, setup.model.rho0 / 5.0)
-    n = 2 * int(math.ceil(half / pitch)) + 1
-    if n > max_pixels:
-        raise ConfigurationError(
-            f"intermediate screen needs a {n}^2 grid (> {max_pixels}^2); shrink the "
-            "source or detector extents, or move the screen to an end plane"
-        )
-    return Grid2D(nx=n, ny=n, pitch=pitch, center=(0.0, 0.0))
-
-
 class FramePipeline:
     """Propagation factors and screen modes for a run's frame loop.
 
@@ -145,22 +117,18 @@ class FramePipeline:
                                      BATCH_FRAMES)
         self._obj_maps = np.empty((BATCH_FRAMES, mask.grid.ny, mask.grid.nx))
         self._ref_maps = np.empty((BATCH_FRAMES, setup.ref_grid.ny, setup.ref_grid.nx))
+        # A screen acts at the source plane (fraction 0) or the detector
+        # plane (fraction 1).  A detector-plane screen multiplies each
+        # pixel's summed field by a unit-modulus factor, so no bucket or
+        # reference intensity can depend on it; it is not drawn at all,
+        # which keeps such a run equal to the vacuum run frame by frame.
         self.screen_sampler = None
         self.mode_table = None
-        self.mid_grid = None
         model = setup.model
-        fraction = model.screen_position_fraction
-        if model.turbulent and fraction == 0.0:
+        if model.turbulent and model.screen_position_fraction == 0.0:
             grid = source_screen_grid(sources, model)
             self.screen_sampler = ScreenSampler(grid, per_path_screen_model(model))
             self.mode_table = self.screen_sampler.mode_table(sources.positions)
-        elif model.turbulent and 0.0 < fraction < 1.0:
-            self.mid_grid = midpath_screen_grid(setup)
-            self.screen_sampler = ScreenSampler(self.mid_grid, per_path_screen_model(model))
-        # A detector-plane screen (fraction 1) multiplies each pixel's
-        # summed field by a unit-modulus factor, so no bucket or
-        # reference intensity can depend on it; it is not drawn at all,
-        # which keeps such a run equal to the vacuum run frame by frame.
 
     def path_draws(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Screen draws (count, K, 2) of the bucket and reference paths.
@@ -182,25 +150,10 @@ class FramePipeline:
         if self.screen_sampler is None:
             return self.obj(amps), self.ref(amps)
         draws_b, draws_r = self.path_draws(batch_index, count)
-        if self.mid_grid is None:
-            eff_b = amps * np.exp(1j * (draws_b.reshape(count, -1) @ self.mode_table))
-            eff_r = eff_b if draws_r is draws_b else (
-                amps * np.exp(1j * (draws_r.reshape(count, -1) @ self.mode_table)))
-            return self.obj(eff_b), self.ref(eff_r)
-        # Intermediate screen: a two-leg propagation per frame and path.
-        model = per_path_screen_model(setup.model)
-        pos = setup.sources.positions
-        obj, ref = [], []
-        screen = self.screen_sampler.screen
-        for i in range(count):
-            screen_b = screen(draws_b[i], (setup.seed, batch_index, RNG_DOMAIN_SCREEN_BUCKET, i))
-            screen_r = screen_b if draws_r is draws_b else screen(
-                draws_r[i], (setup.seed, batch_index, RNG_DOMAIN_SCREEN_REFERENCE, i))
-            obj.append(propagate_subsources(amps[i], pos, screen_b, model,
-                                            setup.mask.grid, setup.cfg).values)
-            ref.append(propagate_subsources(amps[i], pos, screen_r, model,
-                                            setup.ref_grid, setup.cfg).values)
-        return np.stack(obj), np.stack(ref)
+        eff_b = amps * np.exp(1j * (draws_b.reshape(count, -1) @ self.mode_table))
+        eff_r = eff_b if draws_r is draws_b else (
+            amps * np.exp(1j * (draws_r.reshape(count, -1) @ self.mode_table)))
+        return self.obj(eff_b), self.ref(eff_r)
 
     def frames(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (n,) and reference intensity maps (n, ny, nx) of frames start..stop-1.

@@ -163,10 +163,12 @@ class TurbulenceModel:
     """Coherence length plus screen placement for a simulated path.
 
     rho0 is the transverse coherence length in meters (math.inf means no
-    turbulence).  screen_position_fraction places the thin screen along
-    the path: 0 at the source plane, 1 at the detector plane.  When
-    paths_independent is true the bucket and reference paths get
-    independently drawn screens each frame.
+    turbulence).  screen_position_fraction places the thin screen at
+    one of two planes: 0 at the source plane, where rho0 acts, or 1 at
+    the detector plane, where a screen leaves every intensity unchanged.
+    Nothing in between: rho0 already weights turbulence along the path
+    by (1 - z/L)^(5/3).  When paths_independent is true the bucket and
+    reference paths get independently drawn screens each frame.
     """
 
     rho0: float
@@ -177,8 +179,10 @@ class TurbulenceModel:
         if math.isnan(self.rho0) or self.rho0 <= 0:
             raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {self.rho0}")
         f = self.screen_position_fraction
-        if not (math.isfinite(f) and 0.0 <= f <= 1.0):
-            raise ValidationError(f"screen_position_fraction must be in [0, 1], got {f}")
+        if f not in (0.0, 1.0):
+            raise ValidationError(
+                f"screen_position_fraction must be 0 (source plane) or 1 (detector plane), "
+                f"got {f}")
 
     @property
     def turbulent(self) -> bool:

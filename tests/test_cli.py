@@ -90,6 +90,27 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("wavelength", "nan"), ("path_length", "inf"), ("compare_tolerance", "nan"),
+    ("rho0", "nan"), ("source_diameter", "-inf"),
+])
+def test_non_finite_number_exits_2(capsys, key, value):
+    assert main(["rho0", "--set", f"{key}={value}"]) == 2
+    assert f"{key}: expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("regime", [[], NOMINAL_REGIME], ids=["vacuum", "turbulent"])
+@pytest.mark.parametrize("command", ["rho0", "simulate", "analytic", "compare"])
+def test_intermediate_screen_fraction_exits_2(tmp_path, capsys, command, regime):
+    outdir = tmp_path / "out"
+    argv = [command, "--set", "screen_fraction=0.5", "--frames", "64",
+            "--out", str(outdir), *regime]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "source plane" in err and "detector plane" in err
+    assert not outdir.exists()
+
+
 def _small_sim_args(outdir, frames=300, extra=()):
     return ["simulate", "--frames", str(frames), "--out", str(outdir),
             "--set", "source_pitch=2e-3", "--set", "ref_pixels=24",

@@ -7,13 +7,12 @@ import pytest
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import GhostImageEstimate, bucket_signal, point_mask
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import ComplexField, Grid2D, OpticalConfig, propagate_subsources
+from ghost_turb.optics import Grid2D, OpticalConfig, propagate_subsources
 from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR,
                                  RNG_DOMAIN_SCREEN_BUCKET,
                                  RNG_DOMAIN_SCREEN_REFERENCE, FramePipeline,
-                                 RunSetup, _openblas, batch_ranges, midpath_screen_grid,
-                                 one_blas_thread, per_path_screen_model, run_simulation,
-                                 source_screen_grid)
+                                 RunSetup, _openblas, batch_ranges, one_blas_thread,
+                                 per_path_screen_model, run_simulation, source_screen_grid)
 from ghost_turb.source import SubsourceSet, batch_generator, make_source_grid, sample_frame
 from ghost_turb.turbulence import ScreenSampler, TurbulenceModel
 
@@ -89,10 +88,8 @@ def test_vacuum_engine_matches_direct_propagation():
     est = GhostImageEstimate(setup.ref_grid)
     for i in range(setup.frames):
         amps = sample_frame(setup.sources, setup.seed, i).amplitudes
-        obj = propagate_subsources(amps, setup.sources.positions, None, None,
-                                   setup.mask.grid, CFG)
-        ref = propagate_subsources(amps, setup.sources.positions, None, None,
-                                   setup.ref_grid, CFG)
+        obj = propagate_subsources(amps, setup.sources.positions, setup.mask.grid, CFG)
+        ref = propagate_subsources(amps, setup.sources.positions, setup.ref_grid, CFG)
         assert buckets[i] == pytest.approx(bucket_signal(obj, setup.mask), rel=1e-12)
         assert _close(maps[i], ref.intensity())
         est.add(bucket_signal(obj, setup.mask), ref.intensity())
@@ -121,8 +118,8 @@ def test_turbulent_engine_matches_manual_screen_loop():
         screen_r = sampler.screen(draws_r[i], (setup.seed, 0, RNG_DOMAIN_SCREEN_REFERENCE, i))
         eff_b = amps * np.exp(1j * screen_b.sample_at(pos))
         eff_r = amps * np.exp(1j * screen_r.sample_at(pos))
-        obj = propagate_subsources(eff_b, pos, None, None, setup.mask.grid, CFG)
-        ref = propagate_subsources(eff_r, pos, None, None, setup.ref_grid, CFG)
+        obj = propagate_subsources(eff_b, pos, setup.mask.grid, CFG)
+        ref = propagate_subsources(eff_r, pos, setup.ref_grid, CFG)
         assert buckets[i] == pytest.approx(bucket_signal(obj, setup.mask), rel=1e-12)
         assert _close(maps[i], ref.intensity())
 
@@ -208,32 +205,3 @@ def test_source_plane_screen_changes_the_result():
     turb = run_simulation(_setup(rho0=2e-3, fraction=0.0, frames=40, seed=3))
     vac = run_simulation(_setup(rho0=math.inf, fraction=0.0, frames=40, seed=3))
     assert not np.array_equal(turb.result.ghost, vac.result.ghost)
-
-
-def test_midpath_grid_rejects_large_geometry():
-    setup = _setup(rho0=5e-3, fraction=0.5, frames=2)
-    with pytest.raises(ConfigurationError, match="end plane"):
-        midpath_screen_grid(setup)
-
-
-def test_midpath_run_small_geometry():
-    sources = make_source_grid(1e-3, 0.25e-3)
-    model = TurbulenceModel(rho0=5e-3, screen_position_fraction=0.5)
-    obj_grid = Grid2D.centered(5, 5, 12e-6)
-    ref_grid = Grid2D.centered(8, 8, 12e-6)
-    setup = RunSetup(cfg=CFG, sources=sources, model=model,
-                     mask=point_mask(obj_grid), ref_grid=ref_grid,
-                     frames=3, seed=5)
-    grid = midpath_screen_grid(setup)
-    assert grid.nx <= 128 and grid.nx % 2 == 1
-    out = run_simulation(setup)
-    assert out.result.frames == 3
-    assert np.all(np.isfinite(out.result.ghost))
-    pipeline = FramePipeline(setup)
-    buckets, _ = pipeline.frames(0, setup.frames)
-    amps = sample_frame(sources, 5, 0).amplitudes
-    draws_b, _ = pipeline.path_draws(0, 1)
-    screen_b = pipeline.screen_sampler.screen(draws_b[0], (5, 0, RNG_DOMAIN_SCREEN_BUCKET, 0))
-    obj = propagate_subsources(amps, sources.positions, screen_b,
-                               per_path_screen_model(model), obj_grid, CFG)
-    assert buckets[0] == bucket_signal(obj, setup.mask)

@@ -134,8 +134,9 @@ def test_coherence_length_rejects_bad_wavelength():
 def test_turbulence_model_validation():
     with pytest.raises(ValidationError):
         TurbulenceModel(rho0=-1.0)
-    with pytest.raises(ValidationError):
-        TurbulenceModel(rho0=1.0, screen_position_fraction=1.5)
+    for fraction in (1.5, 0.5, -0.1, math.nan):
+        with pytest.raises(ValidationError, match="source plane"):
+            TurbulenceModel(rho0=1.0, screen_position_fraction=fraction)
     assert TurbulenceModel(rho0=math.inf).turbulent is False
     assert TurbulenceModel(rho0=0.01).turbulent is True
 
