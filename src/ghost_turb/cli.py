@@ -24,9 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analytic import (TwoPhotonPhases, corrected_mds_lhs, immunity_criterion,
-                       pair_coherence_factor, predicted_ghost_image,
-                       turbulence_free_lhs)
+from .analytic import (immunity_criterion, mds_demo_rows, pair_coherence_factor,
+                       predicted_ghost_image)
 from .config import RunConfig, config_to_setup, load_config, parse_mask
 from .correlator import PsfMetrics, psf_metrics
 from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError,
@@ -152,10 +151,9 @@ def _image_products(outdir: Path, stem: str, grid, image: np.ndarray,
 
 def cmd_simulate(args) -> int:
     rc = _load(args)
-    outdir = _outdir(rc)
-    setup = config_to_setup(rc)
-    output = run_simulation(setup)
+    output = run_simulation(config_to_setup(rc))
     result = output.result
+    outdir = _outdir(rc)
     record = _base_record("simulate", rc)
     record["wall_time_s"] = output.wall_time_s
     record["batch_frames"] = BATCH_FRAMES
@@ -174,22 +172,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def analytic_ghost_image(rc: RunConfig) -> np.ndarray:
-    """Closed-form covariance image for the configured mask and grids."""
-    obj_grid = rc.object_grid()
-    mask = parse_mask(rc.mask, obj_grid)
-    sources = rc.subsources()
-    params = rc.coherence_params()
-    ref_grid = rc.reference_grid()
-    points = obj_grid.points()
-    total = np.zeros((ref_grid.ny, ref_grid.nx))
-    weights = mask.transmissivity
-    for iy, ix in zip(*np.nonzero(weights > 0.0)):
-        rho_b = (float(points[iy, ix, 0]), float(points[iy, ix, 1]))
-        total += weights[iy, ix] * predicted_ghost_image(ref_grid, rho_b, sources, params)
-    return total
-
-
 def _write_bracket_curve(path: Path, rc: RunConfig) -> None:
     """Pair coherence factor vs subsource separation, coincident detectors."""
     params = rc.coherence_params()
@@ -203,47 +185,6 @@ def _write_bracket_curve(path: Path, rc: RunConfig) -> None:
             value = pair_coherence_factor(zero, zero, (r / 2.0, 0.0),
                                           (-r / 2.0, 0.0), params)
             writer.writerow([FLOAT_FMT % r, FLOAT_FMT % float(value)])
-
-
-def mds_demo_rows(seed: int = 20260815, matched_draws: int = 10_000,
-                  random_draws: int = 1_000_000) -> list[dict]:
-    """Worst-case and mean behavior of the corrected two-photon sum.
-
-    Row one: detector phase noise common to both interfering terms
-    (mode-independent) cancels, so the corrected value tracks the
-    noise-free one draw by draw.  Row two: mode-dependent phase noise
-    destroys the interference, pulling the mean from 4 to 2 at unit
-    magnitudes and zero geometric phases.
-    """
-    rng = np.random.default_rng(seed)
-    mags = rng.uniform(0.1, 2.0, size=(4, matched_draws))
-    geos = rng.uniform(0.0, 2.0 * math.pi, size=(4, matched_draws))
-    common1, common2 = rng.uniform(0.0, 2.0 * math.pi, size=(2, matched_draws))
-    matched = TwoPhotonPhases(
-        mag1_a=mags[0], mag1_b=mags[1], mag2_a=mags[2], mag2_b=mags[3],
-        geo1_a=geos[0], geo1_b=geos[1], geo2_a=geos[2], geo2_b=geos[3],
-        turb1_a=common1, turb1_b=common1, turb2_a=common2, turb2_b=common2)
-    corrected = corrected_mds_lhs(matched)
-    clean = turbulence_free_lhs(matched)
-    worst = float(np.max(np.abs(corrected - clean) / clean))
-
-    ones = np.ones(random_draws)
-    zeros = np.zeros(random_draws)
-    turb = rng.uniform(0.0, 2.0 * math.pi, size=(4, random_draws))
-    scrambled = TwoPhotonPhases(
-        mag1_a=ones, mag1_b=ones, mag2_a=ones, mag2_b=ones,
-        geo1_a=zeros, geo1_b=zeros, geo2_a=zeros, geo2_b=zeros,
-        turb1_a=turb[0], turb1_b=turb[1], turb2_a=turb[2], turb2_b=turb[3])
-    mean_scrambled = float(np.mean(corrected_mds_lhs(scrambled)))
-
-    return [
-        {"case": "mode_independent", "draws": matched_draws,
-         "max_rel_diff_vs_clean": worst, "mean_lhs": float(np.mean(corrected)),
-         "clean_mean_lhs": float(np.mean(clean))},
-        {"case": "mode_dependent", "draws": random_draws,
-         "max_rel_diff_vs_clean": float("nan"), "mean_lhs": mean_scrambled,
-         "clean_mean_lhs": 4.0},
-    ]
 
 
 def _write_mds_demo(path: Path, rows: list[dict]) -> None:
@@ -260,12 +201,14 @@ def _write_mds_demo(path: Path, rows: list[dict]) -> None:
 
 def cmd_analytic(args) -> int:
     rc = _load(args)
-    outdir = _outdir(rc)
-    image = analytic_ghost_image(rc)
-    record = _base_record("analytic", rc)
-    record.update(_image_products(outdir, "analytic", rc.reference_grid(), image, None))
-    _write_bracket_curve(outdir / "bracket_curve.csv", rc)
+    ref_grid = rc.reference_grid()
+    mask = parse_mask(rc.mask, rc.object_grid())
+    image = predicted_ghost_image(ref_grid, mask, rc.subsources(), rc.coherence_params())
     rows = mds_demo_rows(seed=rc.seed)
+    outdir = _outdir(rc)
+    record = _base_record("analytic", rc)
+    record.update(_image_products(outdir, "analytic", ref_grid, image, None))
+    _write_bracket_curve(outdir / "bracket_curve.csv", rc)
     _write_mds_demo(outdir / "mds_demo.csv", rows)
     record["mds_demo"] = rows
     write_run_json(outdir / "run.json", record)
@@ -287,7 +230,6 @@ def _axis_rel_err(sim: PsfMetrics, ana: PsfMetrics) -> tuple[float, float]:
 
 def cmd_compare(args) -> int:
     rc = _load(args)
-    outdir = _outdir(rc)
     record = _base_record("compare", rc)
     rows = []
     status = EXIT_OK
@@ -296,10 +238,13 @@ def cmd_compare(args) -> int:
         label = "inf" if math.isinf(rho0) else f"{rho0 * 1e3:g}"
         row: dict = {"rho0_mm": label}
         try:
-            output = run_simulation(config_to_setup(rc_point))
+            setup = config_to_setup(rc_point)
+            output = run_simulation(setup)
             sim = psf_metrics(output.result.ghost, output.result.grid,
                               stderr=output.result.stderr)
-            ana = psf_metrics(analytic_ghost_image(rc_point), rc_point.reference_grid())
+            image = predicted_ghost_image(setup.ref_grid, setup.mask, setup.sources,
+                                          rc_point.coherence_params())
+            ana = psf_metrics(image, setup.ref_grid)
         except (NoDetectionError, InsufficientDataError) as exc:
             row.update(status="undecidable", detail=str(exc))
             print(f"rho0 {label} mm: undecidable ({exc}); add frames", file=sys.stderr)
@@ -318,6 +263,7 @@ def cmd_compare(args) -> int:
         if not within and status == EXIT_OK:
             status = EXIT_TOLERANCE
         rows.append(row)
+    outdir = _outdir(rc)
     with open(outdir / "compare.csv", "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rho0_mm", "status", "fwhm_sim_x_m", "fwhm_sim_y_m",

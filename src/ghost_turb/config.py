@@ -290,6 +290,10 @@ def build_config(raw_items: dict[str, str]) -> RunConfig:
     cfg.turbulence()   # the screen model owns the screen-plane rule
     if cfg.frames < 2:
         raise ConfigurationError(f"imaging runs need frames >= 2, got {cfg.frames}")
+    if cfg.seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {cfg.workers}")
     if cfg.source_power <= 0:
         raise ConfigurationError(f"source_power must be positive, got {cfg.source_power}")
     if cfg.compare_tolerance <= 0:

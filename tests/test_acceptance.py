@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.analytic import (CoherenceParams, glauber_pair_term,
-                                 immunity_criterion, pair_coherence_factor)
-from ghost_turb.cli import mds_demo_rows
+from ghost_turb.analytic import (CoherenceParams, glauber_pair_term, immunity_criterion,
+                                 mds_demo_rows, pair_coherence_factor)
 from ghost_turb.correlator import GhostImageEstimate, point_mask, psf_metrics
 from ghost_turb.io_formats import write_pgm16
 from ghost_turb.optics import Grid2D, OpticalConfig

@@ -8,6 +8,7 @@ from ghost_turb.analytic import (CoherenceParams, TwoPhotonPhases, corrected_mds
                                  glauber_pair_term, immunity_criterion,
                                  pair_coherence_factor, predicted_ghost_image,
                                  turbulence_free_lhs)
+from ghost_turb.correlator import ObjectMask, three_bar_mask
 from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D
 from ghost_turb.source import make_source_grid
@@ -110,11 +111,17 @@ def test_glauber_prefactor():
     assert float(term / bracket) == pytest.approx(2.0 * beta**4 * 2.0 * 3.0, rel=1e-12)
 
 
+def _point_bucket(rho_b, pitch=12e-6):
+    """One fully transmissive pixel centred at rho_b."""
+    grid = Grid2D(1, 1, pitch, center=(float(rho_b[0]), float(rho_b[1])))
+    return ObjectMask(grid=grid, transmissivity=np.ones((1, 1)))
+
+
 def test_predicted_ghost_image_matches_pair_sum_oracle():
     sources = make_source_grid(3e-3, 1e-3)
     grid = Grid2D.centered(16, 16, 12e-6)
     rb = np.array([36e-6, -24e-6])
-    img = predicted_ghost_image(grid, rb, sources, PARAMS)
+    img = predicted_ghost_image(grid, _point_bucket(rb), sources, PARAMS)
     ref = oracles.pair_sum_reference(grid, rb, sources.positions,
                                      PARAMS.wavelength, PARAMS.path_length,
                                      PARAMS.rho0)
@@ -126,7 +133,7 @@ def test_predicted_ghost_image_peak_and_pedestal():
     sources = make_source_grid(11e-3, 1e-3)
     grid = Grid2D.centered(33, 33, 12e-6)
     rb = np.array([60e-6, -36e-6])
-    img = predicted_ghost_image(grid, rb, sources, PARAMS)
+    img = predicted_ghost_image(grid, _point_bucket(rb), sources, PARAMS)
     pts = grid.points().reshape(-1, 2)
     peak_idx = np.argmax(img)
     assert np.allclose(pts[peak_idx], rb)
@@ -141,11 +148,35 @@ def test_predicted_ghost_image_peak_and_pedestal():
     assert np.all(img >= -1e-9 * total_weight)
 
 
-def test_predicted_ghost_image_rejects_multiple_buckets():
+def _gray_mask(grid):
+    t = np.zeros((grid.ny, grid.nx))
+    t[1, 1:4] = 0.25
+    t[3, 2] = 0.5
+    t[4, 0:5:2] = 1.0
+    return ObjectMask(grid=grid, transmissivity=t)
+
+
+@pytest.mark.parametrize("make_mask", [
+    lambda grid: three_bar_mask(grid, bar_width=12e-6, height=36e-6),
+    _gray_mask,
+], ids=["three_bar", "gray"])
+@pytest.mark.parametrize("rho0", [PARAMS.rho0, 2e-3, math.inf], ids=["nominal", "2mm", "vacuum"])
+def test_masked_prediction_is_transmissivity_weighted_pair_sum(make_mask, rho0):
     sources = make_source_grid(3e-3, 1e-3)
-    grid = Grid2D.centered(4, 4, 12e-6)
-    with pytest.raises(ValidationError):
-        predicted_ghost_image(grid, np.zeros((2, 2)), sources, PARAMS)
+    ref_grid = Grid2D.centered(12, 12, 12e-6)
+    mask = make_mask(Grid2D.centered(5, 5, 12e-6))
+    params = CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=rho0,
+                             prefactor_radius=0.5e-3)
+    points = mask.grid.points()
+    expected = np.zeros((ref_grid.ny, ref_grid.nx))
+    lit = list(zip(*np.nonzero(mask.transmissivity)))
+    assert len(lit) > 1
+    for iy, ix in lit:
+        expected += mask.transmissivity[iy, ix] * oracles.pair_sum_reference(
+            ref_grid, points[iy, ix], sources.positions, params.wavelength,
+            params.path_length, params.rho0)
+    img = predicted_ghost_image(ref_grid, mask, sources, params)
+    assert np.allclose(img, expected, rtol=1e-10, atol=0)
 
 
 def _unit_phases(**overrides):

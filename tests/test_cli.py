@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ghost_turb.cli import main, mds_demo_rows
+from ghost_turb.analytic import mds_demo_rows
+from ghost_turb.cli import main
 from ghost_turb.config import build_config, load_config, parse_config_text, parse_mask
 from ghost_turb.errors import ConfigurationError
 from ghost_turb.io_formats import read_pgm8
@@ -108,6 +109,26 @@ def test_intermediate_screen_fraction_exits_2(tmp_path, capsys, command, regime)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "source plane" in err and "detector plane" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("setting", ["seed=-5", "workers=0"])
+@pytest.mark.parametrize("command", ["rho0", "analytic", "compare"])
+def test_negative_seed_or_no_workers_exits_2(tmp_path, capsys, command, setting):
+    outdir = tmp_path / "out"
+    assert main([command, "--set", setting, "--out", str(outdir)]) == 2
+    key = setting.split("=")[0]
+    assert f"{key} must be >= " in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
+@pytest.mark.parametrize("setting", ["ref_pixels=0", "object_pitch=-1e-6"])
+def test_invalid_grid_exits_2_without_output_directory(tmp_path, capsys, command, setting):
+    outdir = tmp_path / "out"
+    argv = [command, "--set", setting, "--frames", "64", "--out", str(outdir)]
+    assert main(argv) == 2
+    assert "error: grid" in capsys.readouterr().err
     assert not outdir.exists()
 
 
