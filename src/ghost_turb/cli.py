@@ -78,6 +78,14 @@ def _load(args) -> RunConfig:
     return load_config(args.config, _overrides(args))
 
 
+def _check_outdir(rc: RunConfig) -> None:
+    """Refuse, before any work, an output path at or under an existing file."""
+    path = Path(rc.out_dir)
+    for part in (path, *path.parents):
+        if part.exists() and not part.is_dir():
+            raise ConfigurationError(f"output path {part} exists and is not a directory")
+
+
 def _outdir(rc: RunConfig) -> Path:
     path = Path(rc.out_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -151,6 +159,7 @@ def _image_products(outdir: Path, stem: str, grid, image: np.ndarray,
 
 def cmd_simulate(args) -> int:
     rc = _load(args)
+    _check_outdir(rc)
     output = run_simulation(config_to_setup(rc))
     result = output.result
     outdir = _outdir(rc)
@@ -201,6 +210,7 @@ def _write_mds_demo(path: Path, rows: list[dict]) -> None:
 
 def cmd_analytic(args) -> int:
     rc = _load(args)
+    _check_outdir(rc)
     ref_grid = rc.reference_grid()
     mask = parse_mask(rc.mask, rc.object_grid())
     image = predicted_ghost_image(ref_grid, mask, rc.subsources(), rc.coherence_params())
@@ -230,6 +240,7 @@ def _axis_rel_err(sim: PsfMetrics, ana: PsfMetrics) -> tuple[float, float]:
 
 def cmd_compare(args) -> int:
     rc = _load(args)
+    _check_outdir(rc)
     record = _base_record("compare", rc)
     rows = []
     status = EXIT_OK
@@ -310,7 +321,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValidationError, FileNotFoundError) as exc:
+    except (ConfigurationError, ValidationError, FileNotFoundError, FileExistsError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoDetectionError, InsufficientDataError) as exc:

@@ -108,15 +108,14 @@ def write_map_csv(path, grid: Grid2D, values: np.ndarray,
     if arr.shape != (grid.ny, grid.nx):
         raise ValidationError(f"values shape {arr.shape} does not match grid "
                               f"({grid.ny}, {grid.nx})")
-    xs = grid.x()
-    ys = grid.y()
+    # Formatted numbers never need csv quoting, so the rows are joined
+    # directly, in the csv module's default dialect (CRLF line ends).
+    xs = [FLOAT_FMT % x for x in grid.x()]
     with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x_m", "y_m", value_name])
-        for iy in range(grid.ny):
-            for ix in range(grid.nx):
-                writer.writerow([FLOAT_FMT % xs[ix], FLOAT_FMT % ys[iy],
-                                 FLOAT_FMT % arr[iy, ix]])
+        csv.writer(fh).writerow(["x_m", "y_m", value_name])
+        for y, row in zip(grid.y(), arr.tolist()):
+            tail = "," + FLOAT_FMT % y + ","
+            fh.write("".join(x + tail + FLOAT_FMT % v + "\r\n" for x, v in zip(xs, row)))
 
 
 def write_psf_csv(path, metrics: PsfMetrics | None, note: str = "") -> None:

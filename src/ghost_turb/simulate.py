@@ -1,14 +1,26 @@
 """Batched ghost imaging runs.
 
 Frames run in fixed batches of BATCH_FRAMES.  A batch draws its
-subsource amplitudes and, when a source-plane screen is on, each path's
-screen mode coefficients as frame-major blocks, each from one generator
-keyed (seed, batch_index, stream).  It evaluates the source-plane
-screens exactly at the subsources through the screen mode table,
+subsource amplitudes and, when independent source-plane screens are
+on, one relative screen's mode coefficients per frame, as frame-major
+blocks, each from one generator keyed (seed, batch_index, stream).  It
 propagates to the object and reference planes with the separable
-lattice form of the Fresnel kernel (the only propagation path), and
-folds its frames into the bucket/reference moment sums at once.  A
-detector-plane screen cannot change any intensity, so it is not drawn.
+lattice form of the Fresnel kernel (the only propagation path) and
+folds its frames into the bucket/reference moment sums at once.
+
+The ghost image sees source-plane turbulence only through the phase
+difference of the two paths.  For iid circular Gaussian amplitudes a,
+the pair (a e^{i phi_b}, a e^{i phi_r}) has the law of
+(a', a' e^{i (phi_r - phi_b)}), where a' = a e^{i phi_b} is again iid
+circular Gaussian and independent of the screens.  So the bucket path
+takes the drawn amplitudes, and only the reference path gets one
+relative screen phi_r - phi_b, evaluated exactly at the subsources
+through its mode table: twice the per-path covariance, which is a
+screen at the configured pair rho0.  Coupled paths (phi_r = phi_b) and a
+detector-plane screen leave the law of every intensity as in vacuum, so
+nothing is drawn for them and such a run equals the vacuum run frame by
+frame.
+
 Batches are merged in order and BLAS runs on one thread in every
 process, so results are identical for any worker count.
 """
@@ -35,14 +47,13 @@ from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_genera
                      draw_amplitudes)
 from .turbulence import ScreenSampler, TurbulenceModel
 
-# Streams of the per-batch screen draws (the source module owns 1).
-RNG_DOMAIN_SCREEN_BUCKET = 2
-RNG_DOMAIN_SCREEN_REFERENCE = 3
+# Stream of the per-batch relative screen draws (the source module owns 1).
+RNG_DOMAIN_SCREEN = 2
 
-# Each of the two path screens carries half of the pair phase-structure
-# variance, so its own target coherence length is sqrt(2) times the
-# configured two-path rho0; the product of the two path coherence
-# factors then reproduces exp(-r^2 / rho0^2).
+# Each of two independent path screens carries half of the pair
+# phase-structure variance, so its own target coherence length is
+# sqrt(2) times the configured two-path rho0; the product of the two
+# path coherence factors then reproduces exp(-r^2 / rho0^2).
 PER_PATH_RHO0_FACTOR = math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +88,12 @@ class SimulationOutput:
 
 
 def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:
-    """Screen-generation model for one of the two independent paths."""
+    """Screen-generation model for one of two independent path screens.
+
+    The frame pipeline draws no per-path screens, only their difference,
+    which is a screen of `model` itself.  This model serves checks that
+    draw the two paths separately.
+    """
     if not model.turbulent:
         return model
     return TurbulenceModel(rho0=PER_PATH_RHO0_FACTOR * model.rho0,
@@ -101,9 +117,9 @@ class FramePipeline:
     """Propagation factors and screen modes for a run's frame loop.
 
     A batch is processed as matrices: its (n, M) amplitude block, one
-    GEMM per path for the source-plane screen phases at the subsources,
-    the separable lattice propagation to both detector planes, and one
-    batched moment update.
+    GEMM for the relative screen phases at the subsources, the separable
+    lattice propagation to both detector planes, and one batched moment
+    update.
     """
 
     def __init__(self, setup: RunSetup):
@@ -117,31 +133,15 @@ class FramePipeline:
                                      BATCH_FRAMES)
         self._obj_maps = np.empty((BATCH_FRAMES, mask.grid.ny, mask.grid.nx))
         self._ref_maps = np.empty((BATCH_FRAMES, setup.ref_grid.ny, setup.ref_grid.nx))
-        # A screen acts at the source plane (fraction 0) or the detector
-        # plane (fraction 1).  A detector-plane screen multiplies each
-        # pixel's summed field by a unit-modulus factor, so no bucket or
-        # reference intensity can depend on it; it is not drawn at all,
-        # which keeps such a run equal to the vacuum run frame by frame.
+        # Only independent source-plane screens change the law of the
+        # intensities; their difference has the configured pair rho0.
         self.screen_sampler = None
         self.mode_table = None
         model = setup.model
-        if model.turbulent and model.screen_position_fraction == 0.0:
-            grid = source_screen_grid(sources, model)
-            self.screen_sampler = ScreenSampler(grid, per_path_screen_model(model))
+        if (model.turbulent and model.screen_position_fraction == 0.0
+                and model.paths_independent):
+            self.screen_sampler = ScreenSampler(source_screen_grid(sources, model), model)
             self.mode_table = self.screen_sampler.mode_table(sources.positions)
-
-    def path_draws(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Screen draws (count, K, 2) of the bucket and reference paths.
-
-        With coupled paths both are the same array.
-        """
-        seed = self.setup.seed
-        draw = self.screen_sampler.draw
-        bucket = draw(batch_generator(seed, batch_index, RNG_DOMAIN_SCREEN_BUCKET), count)
-        if not self.setup.model.paths_independent:
-            return bucket, bucket
-        return bucket, draw(batch_generator(seed, batch_index, RNG_DOMAIN_SCREEN_REFERENCE),
-                            count)
 
     def _fields(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         setup = self.setup
@@ -149,11 +149,9 @@ class FramePipeline:
         amps = draw_amplitudes(setup.sources, rng, count)
         if self.screen_sampler is None:
             return self.obj(amps), self.ref(amps)
-        draws_b, draws_r = self.path_draws(batch_index, count)
-        eff_b = amps * np.exp(1j * (draws_b.reshape(count, -1) @ self.mode_table))
-        eff_r = eff_b if draws_r is draws_b else (
-            amps * np.exp(1j * (draws_r.reshape(count, -1) @ self.mode_table)))
-        return self.obj(eff_b), self.ref(eff_r)
+        draws = self.screen_sampler.draw(
+            batch_generator(setup.seed, batch_index, RNG_DOMAIN_SCREEN), count)
+        return self.obj(amps), self.ref(amps * np.exp(1j * (draws @ self.mode_table)))
 
     def frames(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (n,) and reference intensity maps (n, ny, nx) of frames start..stop-1.

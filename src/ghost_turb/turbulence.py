@@ -8,7 +8,10 @@ at z = L through refractive-index turbulence Cn2(z) is
 with k the optical wavenumber.  Phase screens are Gaussian random fields
 whose phase structure function follows the square law
 D_phi(r) = 2 r^2 / rho0_target^2 for separations in the quadratic regime
-(|r| up to about a third of the covariance scale ell).
+(|r| up to about a third of the covariance scale ell).  They are drawn
+from the half plane of a truncated wavenumber grid: modes k and -k
+carry the same weight, so a real screen needs one cosine and one sine
+coefficient per half-plane mode, K normals for K wavenumbers.
 """
 
 from __future__ import annotations
@@ -167,8 +170,12 @@ class TurbulenceModel:
     one of two planes: 0 at the source plane, where rho0 acts, or 1 at
     the detector plane, where a screen leaves every intensity unchanged.
     Nothing in between: rho0 already weights turbulence along the path
-    by (1 - z/L)^(5/3).  When paths_independent is true the bucket and
-    reference paths get independently drawn screens each frame.
+    by (1 - z/L)^(5/3).  paths_independent says whether the bucket and
+    reference paths see independent source-plane turbulence each frame
+    (true) or one shared screen (false).  A shared source-plane screen
+    multiplies every subsource amplitude of both paths by the same unit
+    phase, which leaves the circular Gaussian law of the amplitudes
+    unchanged, so such a run is a vacuum run.
     """
 
     rho0: float
@@ -254,11 +261,16 @@ def default_covariance_scale(grid: Grid2D) -> float:
 class ScreenSampler:
     """Reusable spectral sampler for screens on a fixed grid and model.
 
-    The screen is a band-limited Fourier synthesis: independent complex
-    normal coefficients on a truncated wavenumber grid, weighted by the
-    square root of the Gaussian covariance spectrum, evaluated on the
-    pixel grid through separable matrix products.  Construction is
-    deterministic, so sample(seed) is bit-reproducible.
+    The screen is a band-limited Fourier synthesis of a real field on a
+    truncated wavenumber grid, weighted by the square root of the
+    Gaussian covariance spectrum.  Modes k and -k carry the same weight,
+    so only the half plane is drawn: one standard normal for the cosine
+    of k = 0, and one each for the cosine and the sine of every other
+    half-plane mode with sqrt(2) times its weight.  That is K normals
+    for K wavenumbers, with the covariance of the full grid.  The
+    screen is evaluated on the pixel grid through separable matrix
+    products.  Construction is deterministic, so sample(seed) is
+    bit-reproducible.
     """
 
     def __init__(self, grid: Grid2D, model: TurbulenceModel, ell: float | None = None):
@@ -289,6 +301,18 @@ class ScreenSampler:
         spectrum = self.sigma2 * math.pi * self.ell**2 * np.exp(-k2 * self.ell**2 / 4.0)
         self._amp = np.sqrt(spectrum) * (dk / (2.0 * math.pi))
         self._k1d = k1d
+        # Row r of a draw multiplies Re(weight_r exp(i k_r . rho)).  With
+        # the flat mode index j = iy * n + ix, -k is mode K - 1 - j, so
+        # the half plane is j > K // 2 (and K // 2 is k = 0).  Rows: the
+        # cosines of k = 0 and the half plane, then the half-plane sines,
+        # whose weight is -i sqrt(2) amp_k since Re(-i e^{it}) = sin t.
+        count = self._amp.size
+        half = np.arange(count // 2 + 1, count)
+        self._row_mode = np.concatenate([[count // 2], half, half])
+        weight = np.full(count, math.sqrt(2.0), dtype=complex)
+        weight[0] = 1.0
+        weight[half.size + 1:] *= -1j
+        self._row_weight = weight * self._amp.reshape(-1)[self._row_mode]
         self._ey = np.exp(1j * np.outer(grid.y(), k1d))
         self._ex = np.exp(1j * np.outer(grid.x(), k1d))
 
@@ -303,29 +327,27 @@ class ScreenSampler:
         return np.sum(self._amp**2 * np.cos(phase), axis=(-2, -1))
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Mode coefficients of count screens as standard normals, shape (count, K, 2).
+        """Mode coefficients of count screens as standard normals, shape (count, K).
 
-        Entry [i, k] holds the real and imaginary parts of screen i's
-        coefficient for mode k (before the spectral weight), drawn
-        screen-major, so row i does not depend on count.
+        Drawn screen-major, so row i does not depend on count.
         """
         if self._amp is None:
             raise ValidationError("a turbulence-free sampler has no modes to draw")
-        return rng.standard_normal((count, self._amp.size, 2))
+        return rng.standard_normal((count, self._row_mode.size))
 
     def screen(self, normals: np.ndarray, seed) -> PhaseScreen:
-        """The screen on this grid of one row (K, 2) of draw()."""
-        g = np.asarray(normals).reshape(self._amp.shape + (2,))
-        coeff = (g[..., 0] + 1j * g[..., 1]) * self._amp
-        values = (self._ey @ coeff @ self._ex.T).real
+        """The screen on this grid of one row (K,) of draw()."""
+        coeff = np.zeros(self._amp.size, dtype=complex)
+        np.add.at(coeff, self._row_mode, np.asarray(normals).reshape(-1) * self._row_weight)
+        values = (self._ey @ coeff.reshape(self._amp.shape) @ self._ex.T).real
         return PhaseScreen(grid=self.grid, values=values, rho0_target=self.model.rho0,
                            ell=self.ell, sigma2=self.sigma2, seed=_normalize_seed(seed))
 
     def mode_table(self, points) -> np.ndarray:
-        """Real (2K, P) table that maps draw() rows to screen phases at P points.
+        """Real (K, P) table that maps draw() rows to screen phases at P points.
 
-        The screen's phase at rho is Re sum_k amp_k c_k exp(i k . rho),
-        so with c_k = g_k0 + i g_k1 it is (g.reshape(-1) @ table)[p]:
+        The screen's phase at rho is sum_r g_r Re(weight_r exp(i k_r . rho)),
+        the same coefficients screen() synthesizes, so it is (g @ table)[p]:
         exact at any point, with no grid and no interpolation.
         """
         if self._amp is None:
@@ -333,9 +355,8 @@ class ScreenSampler:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         ey = np.exp(1j * np.outer(self._k1d, pts[:, 1]))
         ex = np.exp(1j * np.outer(self._k1d, pts[:, 0]))
-        modes = self._amp[:, :, None] * ey[:, None, :] * ex[None, :, :]
-        table = np.stack([modes.real, -modes.imag], axis=2)
-        return table.reshape(-1, pts.shape[0])
+        iy, ix = np.divmod(self._row_mode, self._k1d.size)
+        return (self._row_weight[:, None] * ey[iy] * ex[ix]).real
 
     def sample(self, seed) -> PhaseScreen:
         seq = _normalize_seed(seed)

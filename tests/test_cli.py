@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ghost_turb import cli
 from ghost_turb.analytic import mds_demo_rows
 from ghost_turb.cli import main
 from ghost_turb.config import build_config, load_config, parse_config_text, parse_mask
@@ -132,6 +133,24 @@ def test_invalid_grid_exits_2_without_output_directory(tmp_path, capsys, command
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_at_an_existing_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command, below):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_work)
+    monkeypatch.setattr(cli, "predicted_ghost_image", no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / "sub" if below else taken
+    assert main([command, "--frames", "64", "--out", str(out)]) == 2
+    assert f"error: output path {taken} exists and is not a directory" in (
+        capsys.readouterr().err)
+    assert taken.read_text() == "keep me\n"
+
+
 def _small_sim_args(outdir, frames=300, extra=()):
     return ["simulate", "--frames", str(frames), "--out", str(outdir),
             "--set", "source_pitch=2e-3", "--set", "ref_pixels=24",
@@ -171,6 +190,18 @@ def test_simulate_outputs_are_deterministic(tmp_path):
         ref = (a / name).read_bytes()
         assert (b / name).read_bytes() == ref, name
         assert (c / name).read_bytes() == ref, name
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_coupled_source_plane_paths_give_the_vacuum_outputs(tmp_path, workers):
+    vacuum = tmp_path / "vacuum"
+    coupled = tmp_path / "coupled"
+    assert main(_small_sim_args(vacuum)) == 0
+    assert main(_small_sim_args(coupled, extra=(
+        "--set", "rho0=0.005", "--set", "paths_independent=false",
+        "--workers", workers))) == 0
+    for name in ("ghost.csv", "stderr.csv"):
+        assert (coupled / name).read_bytes() == (vacuum / name).read_bytes(), name
 
 
 def test_simulate_undecidable_exits_3(tmp_path, capsys):

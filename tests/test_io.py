@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from ghost_turb.correlator import PsfMetrics
 from ghost_turb.errors import ValidationError
-from ghost_turb.io_formats import (read_pgm8, write_map_csv, write_pgm16,
+from ghost_turb.io_formats import (FLOAT_FMT, read_pgm8, write_map_csv, write_pgm16,
                                    write_psf_csv, write_run_json)
 from ghost_turb.optics import Grid2D
 
@@ -103,6 +104,24 @@ def test_map_csv_layout(tmp_path):
     assert float(first[2]) == 0.0
     with pytest.raises(ValidationError, match="shape"):
         write_map_csv(path, grid, np.zeros((3, 3)))
+
+
+def test_map_csv_matches_csv_writer_byte_for_byte(tmp_path, rng):
+    grid = Grid2D.centered(7, 4, 3.3e-6)
+    values = rng.normal(scale=1e17, size=(4, 7))
+    values[1, 2] = -0.0
+    values[2, 5] = -1.0 / 3.0
+    path = tmp_path / "map.csv"
+    write_map_csv(path, grid, values, value_name="stderr, 1-sigma")
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_m", "y_m", "stderr, 1-sigma"])
+        for iy in range(grid.ny):
+            for ix in range(grid.nx):
+                writer.writerow([FLOAT_FMT % grid.x()[ix], FLOAT_FMT % grid.y()[iy],
+                                 FLOAT_FMT % values[iy, ix]])
+    assert path.read_bytes() == oracle.read_bytes()
 
 
 def test_psf_csv_rows(tmp_path):

@@ -8,11 +8,10 @@ from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import GhostImageEstimate, bucket_signal, point_mask
 from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig, propagate_subsources
-from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR,
-                                 RNG_DOMAIN_SCREEN_BUCKET,
-                                 RNG_DOMAIN_SCREEN_REFERENCE, FramePipeline,
-                                 RunSetup, _openblas, batch_ranges, one_blas_thread,
-                                 per_path_screen_model, run_simulation, source_screen_grid)
+from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR, RNG_DOMAIN_SCREEN,
+                                 FramePipeline, RunSetup, _openblas, batch_ranges,
+                                 one_blas_thread, per_path_screen_model, run_simulation,
+                                 source_screen_grid)
 from ghost_turb.source import SubsourceSet, batch_generator, make_source_grid, sample_frame
 from ghost_turb.turbulence import ScreenSampler, TurbulenceModel
 
@@ -101,27 +100,55 @@ def test_vacuum_engine_matches_direct_propagation():
 
 
 def test_turbulent_engine_matches_manual_screen_loop():
-    rho0 = 5e-3
-    setup = _setup(rho0=rho0, fraction=0.0, frames=5)
+    # The bucket path propagates the drawn amplitudes as they are; the
+    # reference path carries one relative screen at the configured rho0.
+    setup = _setup(rho0=5e-3, fraction=0.0, frames=5)
     buckets, maps = FramePipeline(setup).frames(0, setup.frames)
-    screen_grid = source_screen_grid(setup.sources, setup.model)
-    sampler = ScreenSampler(screen_grid, per_path_screen_model(setup.model))
-    assert sampler.model.rho0 == pytest.approx(math.sqrt(2.0) * rho0)
+    sampler = ScreenSampler(source_screen_grid(setup.sources, setup.model), setup.model)
     pos = setup.sources.positions
     # The subsources sit on screen nodes here, where bilinear sampling of
     # the synthesized screen is exact and matches the modal evaluation.
-    draws_b = sampler.draw(batch_generator(setup.seed, 0, RNG_DOMAIN_SCREEN_BUCKET), 5)
-    draws_r = sampler.draw(batch_generator(setup.seed, 0, RNG_DOMAIN_SCREEN_REFERENCE), 5)
+    draws = sampler.draw(batch_generator(setup.seed, 0, RNG_DOMAIN_SCREEN), 5)
     for i in range(setup.frames):
         amps = sample_frame(setup.sources, setup.seed, i).amplitudes
-        screen_b = sampler.screen(draws_b[i], (setup.seed, 0, RNG_DOMAIN_SCREEN_BUCKET, i))
-        screen_r = sampler.screen(draws_r[i], (setup.seed, 0, RNG_DOMAIN_SCREEN_REFERENCE, i))
-        eff_b = amps * np.exp(1j * screen_b.sample_at(pos))
-        eff_r = amps * np.exp(1j * screen_r.sample_at(pos))
-        obj = propagate_subsources(eff_b, pos, setup.mask.grid, CFG)
-        ref = propagate_subsources(eff_r, pos, setup.ref_grid, CFG)
+        screen = sampler.screen(draws[i], (setup.seed, 0, RNG_DOMAIN_SCREEN, i))
+        obj = propagate_subsources(amps, pos, setup.mask.grid, CFG)
+        ref = propagate_subsources(amps * np.exp(1j * screen.sample_at(pos)), pos,
+                                   setup.ref_grid, CFG)
         assert buckets[i] == pytest.approx(bucket_signal(obj, setup.mask), rel=1e-12)
         assert _close(maps[i], ref.intensity())
+
+
+def test_turbulent_buckets_equal_vacuum_buckets():
+    turb = FramePipeline(_setup(rho0=2e-3, frames=BATCH_FRAMES))
+    vac = FramePipeline(_setup(frames=BATCH_FRAMES))
+    turb_buckets, turb_maps = turb.frames(0, BATCH_FRAMES)
+    vac_buckets, vac_maps = vac.frames(0, BATCH_FRAMES)
+    assert np.array_equal(turb_buckets, vac_buckets)
+    assert not np.array_equal(turb_maps, vac_maps)
+
+
+def _default_turbulent_pipeline():
+    return FramePipeline(config_to_setup(load_config(None, {"cn2": "1.5e-12"})))
+
+
+def test_mode_table_gram_is_the_full_grid_covariance():
+    pipeline = _default_turbulent_pipeline()
+    pos = pipeline.setup.sources.positions
+    table = pipeline.mode_table
+    assert table.shape == (pipeline.screen_sampler._amp.size, 197)
+    full = pipeline.screen_sampler.mode_covariance(pos[:, None, :] - pos[None, :, :])
+    assert _close(table.T @ table, full)
+
+
+def test_relative_screen_has_twice_the_per_path_covariance():
+    pipeline = _default_turbulent_pipeline()
+    pos = pipeline.setup.sources.positions
+    per_path = ScreenSampler(pipeline.screen_sampler.grid,
+                             per_path_screen_model(pipeline.setup.model))
+    one_path = per_path.mode_table(pos)
+    relative = pipeline.mode_table
+    assert _close(relative.T @ relative, 2.0 * one_path.T @ one_path)
 
 
 def test_frames_of_a_batch_do_not_depend_on_its_length():
@@ -138,12 +165,15 @@ def test_frames_of_a_batch_do_not_depend_on_its_length():
 
 
 def test_shared_screen_when_paths_coupled():
-    setup = _setup(rho0=5e-3, fraction=0.0, frames=2, paths_independent=False)
-    draws_b, draws_r = FramePipeline(setup).path_draws(0, 2)
-    assert draws_r is draws_b
-    independent = FramePipeline(_setup(rho0=5e-3, fraction=0.0, frames=2))
-    sb, sr = independent.path_draws(0, 2)
-    assert not np.array_equal(sb, sr)
+    # A screen shared by both paths cannot change the law of the fields,
+    # so none is drawn and the frames are the vacuum frames.
+    coupled = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES, paths_independent=False))
+    assert coupled.screen_sampler is None
+    buckets, maps = coupled.frames(0, BATCH_FRAMES)
+    maps = maps.copy()
+    vac_buckets, vac_maps = FramePipeline(_setup(frames=BATCH_FRAMES)).frames(0, BATCH_FRAMES)
+    assert np.array_equal(buckets, vac_buckets)
+    assert np.array_equal(maps, vac_maps)
 
 
 def test_off_lattice_sources_are_rejected():

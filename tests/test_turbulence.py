@@ -264,16 +264,24 @@ def test_sample_at_interpolates_between_nodes(rng):
 
 
 def test_sample_keeps_its_draw_order():
-    # sample(seed) draws one (K, 2) block of standard normals from
-    # default_rng(seed), the same numbers in the same order as a direct
-    # per-mode draw, so screens keep their values bit for bit.
+    # sample(seed) draws K standard normals from default_rng(seed): the
+    # cosine coefficient of k = 0, the cosine coefficients of the half
+    # plane (flat mode index j > K // 2, ky-major), then their sine
+    # coefficients; a half-plane mode carries sqrt(2) times its weight.
     g = grid_for_screens()
     sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
-    normals = np.random.default_rng((9, 3, 2)).standard_normal(sampler._amp.shape + (2,))
-    coeff = (normals[..., 0] + 1j * normals[..., 1]) * sampler._amp
-    expected = (sampler._ey @ coeff @ sampler._ex.T).real
+    amp = sampler._amp.reshape(-1)
+    center = amp.size // 2
+    normals = np.random.default_rng((9, 3, 2)).standard_normal(amp.size)
+    coeff = np.zeros(amp.size, dtype=complex)
+    coeff[center] = normals[0] * amp[center]
+    for r, j in enumerate(range(center + 1, amp.size)):
+        cos, sin = normals[1 + r], normals[center + 1 + r]
+        coeff[j] = math.sqrt(2.0) * amp[j] * (cos - 1j * sin)
+    expected = (sampler._ey @ coeff.reshape(sampler._amp.shape) @ sampler._ex.T).real
     assert np.array_equal(sampler.sample((9, 3, 2)).values, expected)
     block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
+    assert block.shape == (4, amp.size)
     assert np.array_equal(sampler.screen(block[0], (9, 3, 2)).values, expected)
 
 
