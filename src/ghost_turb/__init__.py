@@ -12,34 +12,29 @@ from .analytic import (CoherenceParams, ImmunityVerdict, TwoPhotonPhases,
                        turbulence_free_lhs)
 from .config import RunConfig, build_config, config_to_setup, load_config, parse_mask
 from .correlator import (GhostImageEstimate, GhostImageResult, ObjectMask, PsfMetrics,
-                         bucket_signal, double_slit_mask, point_mask, psf_metrics,
-                         three_bar_mask)
+                         double_slit_mask, point_mask, psf_metrics, three_bar_mask)
 from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError,
                      ValidationError)
-from .optics import (ComplexField, Grid2D, OpticalConfig, fresnel_kernel,
-                     greens_function, propagate_subsources)
+from .optics import (Grid2D, OpticalConfig, fresnel_kernel, greens_function,
+                     propagate_subsources)
 from .simulate import (FramePipeline, RunSetup, SimulationOutput, per_path_screen_model,
                        run_simulation)
-from .source import FrameSample, SubsourceSet, make_source_grid, sample_frame
-from .turbulence import (CnSquaredProfile, PhaseScreen, ScreenSampler, TurbulenceModel,
-                         coherence_length, generate_phase_screen,
-                         structure_function_estimate, weighted_path_integral)
+from .source import SubsourceSet, make_source_grid
+from .turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
+                         coherence_length, weighted_path_integral)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CnSquaredProfile", "CoherenceParams", "ComplexField", "ConfigurationError",
-    "FramePipeline", "FrameSample", "GhostImageEstimate", "GhostImageResult",
-    "Grid2D", "ImmunityVerdict", "InsufficientDataError", "NoDetectionError",
-    "ObjectMask", "OpticalConfig", "PhaseScreen", "PsfMetrics", "RunConfig",
-    "RunSetup", "ScreenSampler", "SimulationOutput", "SubsourceSet",
-    "TurbulenceModel", "TwoPhotonPhases", "ValidationError", "bucket_signal",
-    "build_config", "config_to_setup", "corrected_mds_lhs", "double_slit_mask",
-    "fresnel_kernel", "generate_phase_screen", "glauber_pair_term",
-    "greens_function", "immunity_criterion", "load_config", "make_source_grid",
-    "coherence_length", "pair_coherence_factor", "parse_mask",
-    "per_path_screen_model", "point_mask", "predicted_ghost_image", "psf_metrics",
-    "run_simulation", "sample_frame", "structure_function_estimate",
-    "three_bar_mask", "turbulence_free_lhs", "weighted_path_integral",
-    "__version__",
+    "CnSquaredProfile", "CoherenceParams", "ConfigurationError", "FramePipeline",
+    "GhostImageEstimate", "GhostImageResult", "Grid2D", "ImmunityVerdict",
+    "InsufficientDataError", "NoDetectionError", "ObjectMask", "OpticalConfig",
+    "PsfMetrics", "RunConfig", "RunSetup", "ScreenSampler", "SimulationOutput",
+    "SubsourceSet", "TurbulenceModel", "TwoPhotonPhases", "ValidationError",
+    "build_config", "coherence_length", "config_to_setup", "corrected_mds_lhs",
+    "double_slit_mask", "fresnel_kernel", "glauber_pair_term", "greens_function",
+    "immunity_criterion", "load_config", "make_source_grid", "pair_coherence_factor",
+    "parse_mask", "per_path_screen_model", "point_mask", "predicted_ghost_image",
+    "propagate_subsources", "psf_metrics", "run_simulation", "three_bar_mask",
+    "turbulence_free_lhs", "weighted_path_integral", "__version__",
 ]

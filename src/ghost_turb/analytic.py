@@ -29,7 +29,7 @@ import numpy as np
 
 from .correlator import ObjectMask
 from .errors import ValidationError
-from .optics import Grid2D
+from .optics import Grid2D, check_paraxial
 from .source import SubsourceSet
 
 
@@ -114,8 +114,10 @@ def predicted_ghost_image(ref_grid: Grid2D, mask: ObjectMask, sources: Subsource
 
     A point bucket is a one-pixel mask.  The m = m' terms give a flat
     pedestal M sum_b T_b, the one the simulated frame covariance carries.
+    Non-paraxial geometry raises ConfigurationError.
     """
     pos = sources.positions
+    check_paraxial(pos, (mask.grid, ref_grid), params.wavenumber, params.path_length)
     q = params.wavenumber / params.path_length
     t = mask.transmissivity.ravel()
     lit = np.flatnonzero(t)

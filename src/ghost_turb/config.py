@@ -10,7 +10,7 @@ defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .analytic import CoherenceParams
@@ -21,34 +21,10 @@ from .simulate import RunSetup
 from .source import SubsourceSet, make_source_grid
 from .turbulence import CnSquaredProfile, TurbulenceModel, coherence_length
 
-# Baseline geometry; the wavelength default is assumed, not measured.
-DEFAULTS: dict[str, str] = {
-    "wavelength": "780e-9",
-    "path_length": "1.4",
-    "source_diameter": "11e-3",
-    "source_pitch": "",          # empty -> source_diameter / 16
-    "source_power": "1.0",
-    "frames": "10000",
-    "seed": "12345",
-    "workers": "1",
-    "mask": "point:0,0",
-    "object_pixels": "9",
-    "object_pitch": "12e-6",
-    "ref_pixels": "64",
-    "ref_pitch": "12e-6",
-    "rho0": "",                  # meters, or "inf"; empty -> use cn2 keys
-    "cn2": "",                   # uniform structure constant, m^(-2/3)
-    "cn2_profile": "",           # path to a piecewise profile file
-    "profile": "",               # filled by an inline [profile] section
-    "rho0_sweep_mm": "",         # comma list of mm values or inf, for compare
-    "screen_fraction": "0.0",
-    "paths_independent": "true",
-    "compare_tolerance": "0.10",
-    "out_dir": "ghost_out",
-}
-
-# Keys that all determine the same coherence length; setting one from
-# the command line silences the others from the file.
+# Keys that all determine the same coherence length: rho0 itself, a
+# uniform cn2 in m^(-2/3), a profile file path, or the text of an inline
+# [profile] section.  Setting one from the command line silences the
+# others from the file.
 _RHO0_FAMILY = ("rho0", "cn2", "cn2_profile", "profile")
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
@@ -119,30 +95,67 @@ def _as_bool(key: str, value: str) -> bool:
         raise ConfigurationError(f"{key}: expected true/false, got {value!r}") from None
 
 
+def _as_text(key: str, value: str) -> str:
+    return value
+
+
+def _parse_sweep(key: str, text: str) -> tuple[float, ...]:
+    """rho0_sweep_mm entries, for compare: numbers in millimeters, or inf/vacuum."""
+    values = []
+    for item in text.split(","):
+        word = item.strip().lower()
+        if not word:
+            continue
+        if word in ("inf", "infinity", "vacuum"):
+            values.append(math.inf)
+            continue
+        value = _as_float(key, word) * 1e-3
+        if value <= 0:
+            raise ConfigurationError(f"{key} entries must be positive, got {word}")
+        values.append(value)
+    return tuple(values)
+
+
+def _row(default: str | None, parse, record: str | None, key: str | None = None):
+    """One row of the config-key table: the metadata of the field it fills.
+
+    default is the key's default text (None: the field has no key of its
+    own), parse turns the text into the field value (None: derived in
+    build_config), record is the run.json name (None: not recorded) and
+    key is the config key where it differs from the field name.
+    """
+    return field(metadata={"default": default, "parse": parse, "record": record, "key": key})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully typed run parameters after defaults and overrides."""
+    """Fully typed run parameters after defaults and overrides.
 
-    wavelength: float
-    path_length: float
-    source_diameter: float
-    source_pitch: float
-    source_power: float
-    frames: int
-    seed: int
-    workers: int
-    mask: str
-    object_pixels: int
-    object_pitch: float
-    ref_pixels: int
-    ref_pitch: float
-    rho0: float
-    rho0_origin: str
-    rho0_sweep: tuple[float, ...]
-    screen_fraction: float
-    paths_independent: bool
-    compare_tolerance: float
-    out_dir: str
+    The fields are the config-key table, one row per key; adding a key
+    is adding a row.  The wavelength default is assumed, not measured.
+    """
+
+    # field: type = _row(default text, parser, run.json name)
+    wavelength: float = _row("780e-9", _as_float, "wavelength_m")
+    path_length: float = _row("1.4", _as_float, "path_length_m")
+    source_diameter: float = _row("11e-3", _as_float, "source_diameter_m")
+    source_pitch: float = _row("", None, "source_pitch_m")  # empty: source_diameter / 16
+    source_power: float = _row("1.0", _as_float, "source_power")
+    frames: int = _row("10000", _as_int, "frames")
+    seed: int = _row("12345", _as_int, "seed")
+    workers: int = _row("1", _as_int, "workers")
+    mask: str = _row("point:0,0", _as_text, "mask")
+    object_pixels: int = _row("9", _as_int, "object_pixels")
+    object_pitch: float = _row("12e-6", _as_float, "object_pitch_m")
+    ref_pixels: int = _row("64", _as_int, "ref_pixels")
+    ref_pitch: float = _row("12e-6", _as_float, "ref_pitch_m")
+    rho0: float = _row("", None, "rho0_m")      # meters or inf; see _RHO0_FAMILY
+    rho0_origin: str = _row(None, None, "rho0_origin")
+    rho0_sweep: tuple[float, ...] = _row("", _parse_sweep, "rho0_sweep_m", key="rho0_sweep_mm")
+    screen_fraction: float = _row("0.0", _as_float, "screen_fraction")
+    paths_independent: bool = _row("true", _as_bool, "paths_independent")
+    compare_tolerance: float = _row("0.10", _as_float, "compare_tolerance")
+    out_dir: str = _row("ghost_out", _as_text, None)
 
     def optical(self) -> OpticalConfig:
         return OpticalConfig(wavelength=self.wavelength, path_length=self.path_length)
@@ -168,28 +181,26 @@ class RunConfig:
                                power_m=self.source_power, power_mp=self.source_power)
 
     def to_record(self) -> dict:
-        rec = {
-            "wavelength_m": self.wavelength,
-            "path_length_m": self.path_length,
-            "source_diameter_m": self.source_diameter,
-            "source_pitch_m": self.source_pitch,
-            "source_power": self.source_power,
-            "frames": self.frames,
-            "seed": self.seed,
-            "workers": self.workers,
-            "mask": self.mask,
-            "object_pixels": self.object_pixels,
-            "object_pitch_m": self.object_pitch,
-            "ref_pixels": self.ref_pixels,
-            "ref_pitch_m": self.ref_pitch,
-            "rho0_m": "inf" if math.isinf(self.rho0) else self.rho0,
-            "rho0_origin": self.rho0_origin,
-            "rho0_sweep_m": ["inf" if math.isinf(v) else v for v in self.rho0_sweep],
-            "screen_fraction": self.screen_fraction,
-            "paths_independent": self.paths_independent,
-            "compare_tolerance": self.compare_tolerance,
-        }
-        return rec
+        return {f.metadata["record"]: _record_value(getattr(self, f.name))
+                for f in fields(self) if f.metadata["record"]}
+
+
+def _record_value(value):
+    """run.json form of a field value: inf as "inf", tuples as lists."""
+    if isinstance(value, tuple):
+        return [_record_value(v) for v in value]
+    return "inf" if isinstance(value, float) and math.isinf(value) else value
+
+
+def _key(f) -> str:
+    return f.metadata["key"] or f.name
+
+
+# Config keys with their default text: the table's rows plus the
+# coherence-length family, all empty by default.
+_DEFAULTS = {**{_key(f): f.metadata["default"] for f in fields(RunConfig)
+                if f.metadata["default"] is not None},
+             **dict.fromkeys(_RHO0_FAMILY, "")}
 
 
 def _check_profile_length(profile: CnSquaredProfile, path_length: float,
@@ -230,63 +241,24 @@ def _resolve_rho0(raw: dict[str, str], wavelength: float,
     return math.inf, "vacuum"
 
 
-def _parse_sweep(text: str) -> tuple[float, ...]:
-    """rho0_sweep_mm entries: numbers in millimeters, or inf/vacuum."""
-    values = []
-    for item in text.split(","):
-        word = item.strip().lower()
-        if not word:
-            continue
-        if word in ("inf", "infinity", "vacuum"):
-            values.append(math.inf)
-            continue
-        value = _as_float("rho0_sweep_mm", word) * 1e-3
-        if value <= 0:
-            raise ConfigurationError(f"rho0_sweep_mm entries must be positive, got {word}")
-        values.append(value)
-    return tuple(values)
-
-
 def build_config(raw_items: dict[str, str]) -> RunConfig:
     """Apply defaults, validate keys, and resolve derived values."""
-    unknown = sorted(set(raw_items) - set(DEFAULTS))
+    unknown = sorted(set(raw_items) - set(_DEFAULTS))
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-    raw = dict(DEFAULTS)
+    raw = dict(_DEFAULTS)
     raw.update({k: v for k, v in raw_items.items() if v != ""})
 
-    wavelength = _as_float("wavelength", raw["wavelength"])
-    path_length = _as_float("path_length", raw["path_length"])
+    values = {f.name: f.metadata["parse"](_key(f), raw[_key(f)])
+              for f in fields(RunConfig) if f.metadata["parse"]}
+    wavelength, path_length = values["wavelength"], values["path_length"]
     if wavelength <= 0 or path_length <= 0:
         raise ConfigurationError("wavelength and path_length must be positive")
-    source_diameter = _as_float("source_diameter", raw["source_diameter"])
     pitch_text = raw["source_pitch"]
-    source_pitch = _as_float("source_pitch", pitch_text) if pitch_text \
-        else source_diameter / 16.0
-    rho0, rho0_origin = _resolve_rho0(raw, wavelength, path_length)
-
-    cfg = RunConfig(
-        wavelength=wavelength,
-        path_length=path_length,
-        source_diameter=source_diameter,
-        source_pitch=source_pitch,
-        source_power=_as_float("source_power", raw["source_power"]),
-        frames=_as_int("frames", raw["frames"]),
-        seed=_as_int("seed", raw["seed"]),
-        workers=_as_int("workers", raw["workers"]),
-        mask=raw["mask"],
-        object_pixels=_as_int("object_pixels", raw["object_pixels"]),
-        object_pitch=_as_float("object_pitch", raw["object_pitch"]),
-        ref_pixels=_as_int("ref_pixels", raw["ref_pixels"]),
-        ref_pitch=_as_float("ref_pitch", raw["ref_pitch"]),
-        rho0=rho0,
-        rho0_origin=rho0_origin,
-        rho0_sweep=_parse_sweep(raw["rho0_sweep_mm"]),
-        screen_fraction=_as_float("screen_fraction", raw["screen_fraction"]),
-        paths_independent=_as_bool("paths_independent", raw["paths_independent"]),
-        compare_tolerance=_as_float("compare_tolerance", raw["compare_tolerance"]),
-        out_dir=raw["out_dir"],
-    )
+    values["source_pitch"] = _as_float("source_pitch", pitch_text) if pitch_text \
+        else values["source_diameter"] / 16.0
+    values["rho0"], values["rho0_origin"] = _resolve_rho0(raw, wavelength, path_length)
+    cfg = RunConfig(**values)
     cfg.turbulence()   # the screen model owns the screen-plane rule
     if cfg.frames < 2:
         raise ConfigurationError(f"imaging runs need frames >= 2, got {cfg.frames}")

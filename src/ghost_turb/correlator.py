@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientDataError, NoDetectionError, ValidationError
-from .optics import ComplexField, Grid2D
+from .optics import Grid2D
 
 # A peak must clear the image baseline by this many standard errors to
 # count as a detection when an uncertainty map is available.
@@ -86,13 +86,6 @@ def three_bar_mask(grid: Grid2D, bar_width: float, height: float) -> ObjectMask:
         in_x |= np.abs(xs - c) <= bar_width / 2.0
     t = (in_y[:, None] & in_x[None, :]).astype(float)
     return ObjectMask(grid=grid, transmissivity=t)
-
-
-def bucket_signal(field: ComplexField, mask: ObjectMask) -> float:
-    """Masked object-plane intensity integral, sum(|u|^2 T) * pitch^2."""
-    if not field.grid.same_layout(mask.grid):
-        raise ValidationError("field and mask must share one grid layout")
-    return float(bucket_signals(field.intensity(), mask))
 
 
 def bucket_signals(intensity: np.ndarray, mask: ObjectMask) -> np.ndarray:

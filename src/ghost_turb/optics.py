@@ -22,6 +22,11 @@ from .errors import ConfigurationError, ValidationError
 # node; LatticePropagator places it on the node.
 LATTICE_TOLERANCE = 1e-9
 
+# Largest phase, in radians, the Fresnel kernel may drop: the quartic
+# term k d^4 / (8 L^3) of the path length sqrt(L^2 + d^2) over a
+# transverse source-to-pixel offset d.
+PARAXIAL_PHASE_LIMIT = 0.1
+
 
 @dataclass(frozen=True)
 class OpticalConfig:
@@ -105,29 +110,6 @@ class Grid2D:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexField:
-    """Complex scalar field sampled on a grid, values[iy, ix]."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.shape != (self.grid.ny, self.grid.nx):
-            raise ValidationError(
-                f"field shape {v.shape} does not match grid {self.grid.ny} x {self.grid.nx}"
-            )
-        if not np.iscomplexobj(v):
-            raise ValidationError("field values must be complex")
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise ValidationError("field values must be finite")
-        object.__setattr__(self, "values", v)
-
-    def intensity(self) -> np.ndarray:
-        return intensity(self.values)
-
-
 def intensity(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """|u|^2 of complex values as re^2 + im^2, written to out if given."""
     out = np.square(values.real, out=out)
@@ -155,6 +137,25 @@ def greens_function(rho_dst, rho_src, cfg: OpticalConfig) -> np.ndarray:
         raise ValidationError("coordinates must have a trailing axis of size 2 (x, y)")
     d2 = np.sum((dst - src) ** 2, axis=-1)
     return path_prefactor(cfg) * np.exp(1j * (cfg.wavenumber * d2 / (2.0 * cfg.path_length)))
+
+
+def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> None:
+    """Raise ConfigurationError unless every subsource-to-pixel path is paraxial.
+
+    The farthest pixel of a grid from a subsource is one of the grid's
+    corners, so the largest offset d costs O(M) per grid.
+    """
+    pos = _check_positions(positions)
+    corners = np.array([(x, y) for grid in grids for x in grid.span()[0]
+                        for y in grid.span()[1]])
+    d2 = float(np.max(np.sum((pos[:, None, :] - corners[None, :, :]) ** 2, axis=-1)))
+    phase = wavenumber * d2 * d2 / (8.0 * path_length**3)
+    if phase > PARAXIAL_PHASE_LIMIT:
+        raise ConfigurationError(
+            f"geometry is not paraxial: the Fresnel kernel drops a phase k d^4 / (8 L^3) "
+            f"= {phase:.3g} rad (limit {PARAXIAL_PHASE_LIMIT} rad) at the largest "
+            f"source-to-pixel offset d = {math.sqrt(d2):.6g} m over path_length "
+            f"{path_length:.6g} m")
 
 
 def path_prefactor(cfg: OpticalConfig) -> complex:
@@ -249,8 +250,8 @@ def _check_positions(positions) -> np.ndarray:
 
 
 def propagate_subsources(amplitudes, positions, dst_grid: Grid2D,
-                         cfg: OpticalConfig) -> ComplexField:
-    """Vacuum field of subsource amplitudes on a destination grid.
+                         cfg: OpticalConfig) -> np.ndarray:
+    """Vacuum field (ny, nx) of subsource amplitudes on a destination grid.
 
     The direct Fresnel sum over subsources through the dense
     fresnel_kernel: the reference that the separable LatticePropagator
@@ -266,5 +267,4 @@ def propagate_subsources(amplitudes, positions, dst_grid: Grid2D,
         )
     if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
         raise ValidationError("amplitudes must be finite")
-    values = (fresnel_kernel(pos, dst_grid, cfg) @ amps).reshape(dst_grid.ny, dst_grid.nx)
-    return ComplexField(grid=dst_grid, values=values)
+    return (fresnel_kernel(pos, dst_grid, cfg) @ amps).reshape(dst_grid.ny, dst_grid.nx)

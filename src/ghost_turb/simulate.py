@@ -42,7 +42,7 @@ import numpy as np
 
 from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask, bucket_signals
 from .errors import ValidationError
-from .optics import Grid2D, LatticePropagator, OpticalConfig, intensity
+from .optics import Grid2D, LatticePropagator, OpticalConfig, check_paraxial, intensity
 from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                      draw_amplitudes)
 from .turbulence import ScreenSampler, TurbulenceModel
@@ -76,6 +76,9 @@ class RunSetup:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        # Checked here: raised in a pool initializer, it would break the pool.
+        check_paraxial(self.sources.positions, (self.mask.grid, self.ref_grid),
+                       self.cfg.wavenumber, self.cfg.path_length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +251,9 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
     else:
         blas_threads = 1 if _openblas() is not None else None
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=setup.workers, mp_context=ctx,
+        # The fork context starts every worker at the first submit, so
+        # there are no more workers than batches.
+        with ProcessPoolExecutor(max_workers=min(setup.workers, len(spans)), mp_context=ctx,
                                  initializer=_init_worker, initargs=(setup,)) as pool:
             for part in pool.map(_worker_batch, spans):
                 estimate.merge(part)

@@ -62,15 +62,6 @@ class SubsourceSet:
         return self.positions.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class FrameSample:
-    """Complex subsource amplitudes for one frame."""
-
-    amplitudes: np.ndarray
-    frame_index: int
-    seed: int
-
-
 def max_pairwise_distance(positions: np.ndarray) -> float:
     """Largest distance between any two points, 0.0 for a single point."""
     pos = np.asarray(positions, dtype=float)
@@ -121,19 +112,3 @@ def draw_amplitudes(sources: SubsourceSet, rng: np.random.Generator,
     g = rng.standard_normal((frames, sources.count, 2))
     scale = math.sqrt(sources.mean_power / 2.0)
     return scale * (g[..., 0] + 1j * g[..., 1])
-
-
-def sample_frame(sources: SubsourceSet, seed: int, frame_index: int) -> FrameSample:
-    """Circular complex Gaussian amplitudes of one frame.
-
-    The row frame_index % BATCH_FRAMES of the block its batch draws, so
-    these are the amplitudes the frame pipeline uses for that frame.
-    """
-    if frame_index < 0:
-        raise ValidationError(f"frame_index must be >= 0, got {frame_index}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    batch, row = divmod(int(frame_index), BATCH_FRAMES)
-    rng = batch_generator(seed, batch, RNG_DOMAIN_SOURCE)
-    amps = draw_amplitudes(sources, rng, row + 1)[row]
-    return FrameSample(amplitudes=amps, frame_index=int(frame_index), seed=int(seed))

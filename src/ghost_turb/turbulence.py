@@ -11,18 +11,20 @@ D_phi(r) = 2 r^2 / rho0_target^2 for separations in the quadratic regime
 (|r| up to about a third of the covariance scale ell).  They are drawn
 from the half plane of a truncated wavenumber grid: modes k and -k
 carry the same weight, so a real screen needs one cosine and one sine
-coefficient per half-plane mode, K normals for K wavenumbers.
+coefficient per half-plane mode, K normals for K wavenumbers.  A screen
+is never synthesized on a grid: its mode table gives its phase exactly
+at the points where it acts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientDataError, ValidationError
+from .errors import ConfigurationError, ValidationError
 from .optics import Grid2D
 
 # Path-weighting coefficient of the spherical-wave phase structure
@@ -36,19 +38,6 @@ PHASE_STRUCTURE_COEFF = 2.91
 # separations.
 KMAX_FACTOR = 9.0
 EMBED_MARGIN_FACTOR = 3.5
-
-
-def _normalize_seed(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        seq = (int(seed),)
-    else:
-        try:
-            seq = tuple(int(s) for s in seed)
-        except TypeError:
-            raise ValidationError(f"seed must be an int or a sequence of ints, got {seed!r}")
-    if len(seq) == 0 or any(s < 0 for s in seq):
-        raise ValidationError(f"seed entries must be non-negative ints, got {seq}")
-    return seq
 
 
 @dataclass(frozen=True)
@@ -196,58 +185,6 @@ class TurbulenceModel:
         return math.isfinite(self.rho0)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseScreen:
-    """Phase samples (radians) on a grid, with the synthesis parameters."""
-
-    grid: Grid2D
-    values: np.ndarray
-    rho0_target: float
-    ell: float
-    sigma2: float
-    seed: tuple[int, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.ny, self.grid.nx):
-            raise ValidationError(
-                f"screen shape {v.shape} does not match grid {self.grid.ny} x {self.grid.nx}"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("screen values must be finite")
-        object.__setattr__(self, "values", v)
-
-    def sample_at(self, points) -> np.ndarray:
-        """Bilinear phase samples at (..., 2) coordinates inside the grid.
-
-        Accurate off the pixel centers only when the grid pitch is small
-        against the covariance scale ell, which holds for every screen
-        this package generates for source-plane use.
-        """
-        pts = np.asarray(points, dtype=float)
-        if pts.shape[-1] != 2:
-            raise ValidationError("points must have a trailing axis of size 2 (x, y)")
-        xs = self.grid.x()
-        ys = self.grid.y()
-        fx = (pts[..., 0] - xs[0]) / self.grid.pitch
-        fy = (pts[..., 1] - ys[0]) / self.grid.pitch
-        eps = 1e-9
-        if (np.any(fx < -eps) or np.any(fx > self.grid.nx - 1 + eps)
-                or np.any(fy < -eps) or np.any(fy > self.grid.ny - 1 + eps)):
-            raise ValidationError("sample points fall outside the screen grid")
-        if self.grid.nx == 1 and self.grid.ny == 1:
-            return np.broadcast_to(self.values[0, 0], pts.shape[:-1]).copy()
-        i0 = np.clip(np.floor(fx).astype(int), 0, max(self.grid.nx - 2, 0))
-        j0 = np.clip(np.floor(fy).astype(int), 0, max(self.grid.ny - 2, 0))
-        i1 = np.minimum(i0 + 1, self.grid.nx - 1)
-        j1 = np.minimum(j0 + 1, self.grid.ny - 1)
-        wx = np.clip(fx - i0, 0.0, 1.0)
-        wy = np.clip(fy - j0, 0.0, 1.0)
-        v = self.values
-        return ((1 - wy) * ((1 - wx) * v[j0, i0] + wx * v[j0, i1])
-                + wy * ((1 - wx) * v[j1, i0] + wx * v[j1, i1]))
-
-
 def default_covariance_scale(grid: Grid2D) -> float:
     """Covariance scale ell for a screen covering this grid.
 
@@ -259,31 +196,25 @@ def default_covariance_scale(grid: Grid2D) -> float:
 
 
 class ScreenSampler:
-    """Reusable spectral sampler for screens on a fixed grid and model.
+    """Spectral screen sampler for a source-plane region and a model.
 
-    The screen is a band-limited Fourier synthesis of a real field on a
+    The screen is a band-limited Fourier sum of a real field on a
     truncated wavenumber grid, weighted by the square root of the
     Gaussian covariance spectrum.  Modes k and -k carry the same weight,
     so only the half plane is drawn: one standard normal for the cosine
     of k = 0, and one each for the cosine and the sine of every other
     half-plane mode with sqrt(2) times its weight.  That is K normals
-    for K wavenumbers, with the covariance of the full grid.  The
-    screen is evaluated on the pixel grid through separable matrix
-    products.  Construction is deterministic, so sample(seed) is
-    bit-reproducible.
+    for K wavenumbers, with the covariance of the full grid.  The grid
+    argument only fixes the covariance scale ell (default_covariance_scale)
+    and the mode spacing dk from its extent; no screen is synthesized on
+    it.  Phases are evaluated at any points through mode_table, exactly.
+    Construction is deterministic, so equal draws give equal phases.
     """
 
-    def __init__(self, grid: Grid2D, model: TurbulenceModel, ell: float | None = None):
+    def __init__(self, grid: Grid2D, model: TurbulenceModel):
         self.grid = grid
         self.model = model
-        if model.turbulent and grid.pitch >= model.rho0 / 4.0:
-            raise ValidationError(
-                f"screen grid pitch {grid.pitch:.6g} m must be below rho0/4 = "
-                f"{model.rho0 / 4.0:.6g} m to resolve the coherence scale"
-            )
-        self.ell = float(ell) if ell is not None else default_covariance_scale(grid)
-        if not (math.isfinite(self.ell) and self.ell > 0):
-            raise ValidationError(f"covariance scale ell must be finite and > 0, got {self.ell}")
+        self.ell = default_covariance_scale(grid)
         if not model.turbulent:
             self.sigma2 = 0.0
             self._amp = None
@@ -313,15 +244,12 @@ class ScreenSampler:
         weight[0] = 1.0
         weight[half.size + 1:] *= -1j
         self._row_weight = weight * self._amp.reshape(-1)[self._row_mode]
-        self._ey = np.exp(1j * np.outer(grid.y(), k1d))
-        self._ex = np.exp(1j * np.outer(grid.x(), k1d))
 
     def mode_covariance(self, separations) -> np.ndarray:
         """Covariance the mode table realizes at (..., 2) separations."""
-        if self._amp is None:
-            r = np.asarray(separations, dtype=float)
-            return np.zeros(r.shape[:-1])
         r = np.asarray(separations, dtype=float)
+        if self._amp is None:
+            return np.zeros(r.shape[:-1])
         phase = (r[..., None, None, 0] * self._k1d[None, :]
                  + r[..., None, None, 1] * self._k1d[:, None])
         return np.sum(self._amp**2 * np.cos(phase), axis=(-2, -1))
@@ -335,20 +263,11 @@ class ScreenSampler:
             raise ValidationError("a turbulence-free sampler has no modes to draw")
         return rng.standard_normal((count, self._row_mode.size))
 
-    def screen(self, normals: np.ndarray, seed) -> PhaseScreen:
-        """The screen on this grid of one row (K,) of draw()."""
-        coeff = np.zeros(self._amp.size, dtype=complex)
-        np.add.at(coeff, self._row_mode, np.asarray(normals).reshape(-1) * self._row_weight)
-        values = (self._ey @ coeff.reshape(self._amp.shape) @ self._ex.T).real
-        return PhaseScreen(grid=self.grid, values=values, rho0_target=self.model.rho0,
-                           ell=self.ell, sigma2=self.sigma2, seed=_normalize_seed(seed))
-
     def mode_table(self, points) -> np.ndarray:
         """Real (K, P) table that maps draw() rows to screen phases at P points.
 
         The screen's phase at rho is sum_r g_r Re(weight_r exp(i k_r . rho)),
-        the same coefficients screen() synthesizes, so it is (g @ table)[p]:
-        exact at any point, with no grid and no interpolation.
+        so it is (g @ table)[p]: exact at any point, with no interpolation.
         """
         if self._amp is None:
             raise ValidationError("a turbulence-free sampler has no modes")
@@ -357,68 +276,3 @@ class ScreenSampler:
         ex = np.exp(1j * np.outer(self._k1d, pts[:, 0]))
         iy, ix = np.divmod(self._row_mode, self._k1d.size)
         return (self._row_weight[:, None] * ey[iy] * ex[ix]).real
-
-    def sample(self, seed) -> PhaseScreen:
-        seq = _normalize_seed(seed)
-        if self._amp is None:
-            return PhaseScreen(grid=self.grid, values=np.zeros((self.grid.ny, self.grid.nx)),
-                               rho0_target=self.model.rho0, ell=self.ell,
-                               sigma2=self.sigma2, seed=seq)
-        return self.screen(self.draw(np.random.default_rng(seq), 1)[0], seq)
-
-
-def generate_phase_screen(grid: Grid2D, model: TurbulenceModel, seed,
-                          ell: float | None = None) -> PhaseScreen:
-    """One phase screen on a grid; bit-identical for equal seed and inputs.
-
-    The ensemble structure function of the generated screens is
-    D_phi(r) = 2 sigma2 (1 - exp(-|r|^2/ell^2)) with sigma2/ell^2 =
-    1/model.rho0^2, which approximates the square law 2 |r|^2 / rho0^2
-    for |r| up to about ell/3.  An infinite rho0 yields the zero screen.
-    """
-    return ScreenSampler(grid, model, ell=ell).sample(seed)
-
-
-def structure_function_estimate(screens: Sequence[PhaseScreen] | np.ndarray,
-                                offset_px: tuple[int, int]) -> tuple[float, float]:
-    """Ensemble phase structure function at an integer pixel offset.
-
-    Each screen contributes the spatial mean of the squared phase
-    increment at the offset; the ensemble mean and its standard error
-    over screens are returned.  Per-screen averaging keeps the standard
-    error honest despite correlated pixel pairs inside one screen.
-    """
-    if isinstance(screens, np.ndarray):
-        stack = np.asarray(screens, dtype=float)
-        if stack.ndim != 3:
-            raise ValidationError(f"screen stack must be (count, ny, nx), got {stack.shape}")
-    else:
-        screens = list(screens)
-        if len(screens) == 0:
-            raise InsufficientDataError("no screens given")
-        grid = screens[0].grid
-        for s in screens[1:]:
-            if not s.grid.same_layout(grid):
-                raise ValidationError("all screens must share one grid layout")
-        stack = np.stack([s.values for s in screens])
-    count, ny, nx = stack.shape
-    if count < 2:
-        raise InsufficientDataError("need at least 2 screens for a standard error")
-    dx, dy = offset_px
-    if dx != int(dx) or dy != int(dy):
-        raise ValidationError(f"offset must be integer pixels, got {offset_px}")
-    dx, dy = int(dx), int(dy)
-    if abs(dx) >= nx or abs(dy) >= ny:
-        raise ValidationError(
-            f"offset {offset_px} px does not fit in a {ny} x {nx} screen"
-        )
-    if dx == 0 and dy == 0:
-        return 0.0, 0.0
-    x0, x1 = (0, nx - dx) if dx >= 0 else (-dx, nx)
-    y0, y1 = (0, ny - dy) if dy >= 0 else (-dy, ny)
-    shifted = stack[:, y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-    base = stack[:, y0:y1, x0:x1]
-    per_screen = np.mean((shifted - base) ** 2, axis=(1, 2))
-    mean = float(np.mean(per_screen))
-    stderr = float(np.std(per_screen, ddof=1) / math.sqrt(count))
-    return mean, stderr

@@ -79,21 +79,22 @@ def pair_term_mc_screens(rho_m, rho_mp, wavelength: float, path_length: float,
                          rho0: float, prefactor_radius: float, power_m: float,
                          power_mp: float, sampler, seed: int,
                          draws: int) -> tuple[float, float]:
-    """Same estimator, but the increments come from full synthesized screens.
+    """Same estimator, but the increments come from whole mode-sum screens.
 
-    sampler must generate screens whose own structure target makes one
-    path contribute variance r^2 / rho0^2, i.e. the per-path screens the
-    simulator uses.  Detectors are taken coincident (geo term zero).
+    sampler must draw screens whose own structure target makes one path
+    contribute variance r^2 / rho0^2, i.e. the per-path screens the
+    simulator's relative screen stands for.  Draw i of each path is one
+    screen from the generator keyed (seed, i, path), evaluated exactly
+    at the two subsources through the sampler's mode table.  Detectors
+    are taken coincident (geo term zero).
     """
     beta = math.pi * prefactor_radius**2 / (wavelength * path_length)
-    points = np.asarray([rho_m, rho_mp], dtype=float)
+    table = sampler.mode_table(np.asarray([rho_m, rho_mp], dtype=float))
     scale = 2.0 * beta**4 * power_m * power_mp
     samples = np.empty(draws)
     for i in range(draws):
-        screen_b = sampler.sample((seed, i, 0))
-        screen_p = sampler.sample((seed, i, 1))
-        db = screen_b.sample_at(points)
-        dp = screen_p.sample_at(points)
+        db = sampler.draw(np.random.default_rng((seed, i, 0)), 1)[0] @ table
+        dp = sampler.draw(np.random.default_rng((seed, i, 1)), 1)[0] @ table
         samples[i] = scale * (1.0 + math.cos((db[0] - db[1]) - (dp[0] - dp[1])))
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(draws))

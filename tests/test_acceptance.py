@@ -21,7 +21,8 @@ from ghost_turb.correlator import GhostImageEstimate, point_mask, psf_metrics
 from ghost_turb.io_formats import write_pgm16
 from ghost_turb.optics import Grid2D, OpticalConfig
 from ghost_turb.simulate import RunSetup, per_path_screen_model, run_simulation
-from ghost_turb.source import make_source_grid, sample_frame
+from ghost_turb.source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, batch_generator,
+                               draw_amplitudes, make_source_grid)
 from ghost_turb.turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
                                    coherence_length, weighted_path_integral)
 
@@ -137,9 +138,10 @@ def test_criterion_3_pair_term_vs_monte_carlo(capsys, rho0_nominal):
         assert abs(analytic - mc) <= 3.0 * se, (
             f"geometry {i}: analytic {analytic:.6g} vs MC {mc:.6g} +- {se:.2g}")
 
-    # Cross-check with full synthesized screens instead of Gaussian
-    # increments: the per-path screens the simulator draws must push the
-    # same Monte Carlo average onto the closed form.
+    # Cross-check with whole mode-sum screens instead of Gaussian
+    # increments: per-path screens from the simulator's sampler, evaluated
+    # at the two subsources, must push the same Monte Carlo average onto
+    # the closed form.
     screen_draws = 2000
     for j in (0, 1, 2):
         rho_m, rho_mp, params, analytic = geometries[j]
@@ -295,8 +297,10 @@ def test_criterion_8_property_suites(capsys, rho0_nominal):
 
     # Source amplitude moments: circular Gaussian with E|a|^2 = P.
     sources = make_source_grid(DIAMETER, DIAMETER / 16.0)
-    draws = np.concatenate([sample_frame(sources, seed=2024, frame_index=i).amplitudes
-                            for i in range(300)])
+    # Frames 0..299: the head of each batch's block, as the pipeline draws it.
+    draws = np.concatenate([
+        draw_amplitudes(sources, batch_generator(2024, b, RNG_DOMAIN_SOURCE), BATCH_FRAMES)
+        for b in range(math.ceil(300 / BATCH_FRAMES))])[:300].reshape(-1)
     n = draws.size
     assert abs(np.mean(draws.real)) < 4.0 * math.sqrt(0.5 / n)
     assert abs(np.mean(draws.imag)) < 4.0 * math.sqrt(0.5 / n)

@@ -133,6 +133,19 @@ def test_invalid_grid_exits_2_without_output_directory(tmp_path, capsys, command
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--workers", "1"], ["simulate", "--workers", "2"],
+                                  ["analytic"], ["compare"]],
+                         ids=["simulate-1", "simulate-2", "analytic", "compare"])
+def test_non_paraxial_geometry_exits_2_without_output_directory(tmp_path, capsys, argv):
+    # At 5 cm the Fresnel kernel drops a quartic phase of about 9.8 rad.
+    outdir = tmp_path / "out"
+    assert main([*argv, "--set", "path_length=0.05", "--frames", "64",
+                 "--out", str(outdir)]) == 2
+    assert "error: geometry is not paraxial" in capsys.readouterr().err
+    assert not outdir.exists()
+    assert main(["rho0", "--set", "path_length=0.05"]) == 0
+
+
 @pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
 @pytest.mark.parametrize("below", [False, True])
 def test_out_at_an_existing_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
@@ -317,6 +330,18 @@ def test_load_config_defaults():
     assert rc.source_pitch == pytest.approx(11e-3 / 16.0)
     assert rc.frames == 10000
     assert rc.out_dir == "ghost_out"
+
+
+def test_config_record_keeps_its_run_json_names():
+    rec = load_config(None, {"rho0_sweep_mm": "2, inf"}).to_record()
+    assert list(rec) == [
+        "wavelength_m", "path_length_m", "source_diameter_m", "source_pitch_m",
+        "source_power", "frames", "seed", "workers", "mask", "object_pixels",
+        "object_pitch_m", "ref_pixels", "ref_pitch_m", "rho0_m", "rho0_origin",
+        "rho0_sweep_m", "screen_fraction", "paths_independent", "compare_tolerance"]
+    assert rec["rho0_m"] == "inf" and rec["rho0_origin"] == "vacuum"
+    assert rec["rho0_sweep_m"] == [2e-3, "inf"]
+    assert rec["wavelength_m"] == 780e-9 and rec["paths_independent"] is True
 
 
 def test_sweep_parsing():

@@ -4,15 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ghost_turb import simulate
 from ghost_turb.config import config_to_setup, load_config
-from ghost_turb.correlator import GhostImageEstimate, bucket_signal, point_mask
+from ghost_turb.correlator import GhostImageEstimate, bucket_signals, point_mask
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import Grid2D, OpticalConfig, propagate_subsources
+from ghost_turb.optics import Grid2D, OpticalConfig, intensity, propagate_subsources
 from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR, RNG_DOMAIN_SCREEN,
                                  FramePipeline, RunSetup, _openblas, batch_ranges,
                                  one_blas_thread, per_path_screen_model, run_simulation,
                                  source_screen_grid)
-from ghost_turb.source import SubsourceSet, batch_generator, make_source_grid, sample_frame
+from ghost_turb.source import (RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
+                               draw_amplitudes, make_source_grid)
 from ghost_turb.turbulence import ScreenSampler, TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -84,14 +86,16 @@ def test_vacuum_engine_matches_direct_propagation():
     # Fresnel sum, so they agree to rounding.
     setup = _setup(frames=6)
     buckets, maps = FramePipeline(setup).frames(0, setup.frames)
+    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
+                           setup.frames)
     est = GhostImageEstimate(setup.ref_grid)
     for i in range(setup.frames):
-        amps = sample_frame(setup.sources, setup.seed, i).amplitudes
-        obj = propagate_subsources(amps, setup.sources.positions, setup.mask.grid, CFG)
-        ref = propagate_subsources(amps, setup.sources.positions, setup.ref_grid, CFG)
-        assert buckets[i] == pytest.approx(bucket_signal(obj, setup.mask), rel=1e-12)
-        assert _close(maps[i], ref.intensity())
-        est.add(bucket_signal(obj, setup.mask), ref.intensity())
+        obj = propagate_subsources(amps[i], setup.sources.positions, setup.mask.grid, CFG)
+        ref = propagate_subsources(amps[i], setup.sources.positions, setup.ref_grid, CFG)
+        bucket = float(bucket_signals(intensity(obj), setup.mask))
+        assert buckets[i] == pytest.approx(bucket, rel=1e-12)
+        assert _close(maps[i], intensity(ref))
+        est.add(bucket, intensity(ref))
     direct = est.finalize()
     out = run_simulation(setup)
     assert _close(out.result.ghost, direct.ghost)
@@ -106,17 +110,35 @@ def test_turbulent_engine_matches_manual_screen_loop():
     buckets, maps = FramePipeline(setup).frames(0, setup.frames)
     sampler = ScreenSampler(source_screen_grid(setup.sources, setup.model), setup.model)
     pos = setup.sources.positions
-    # The subsources sit on screen nodes here, where bilinear sampling of
-    # the synthesized screen is exact and matches the modal evaluation.
+    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
+                           setup.frames)
     draws = sampler.draw(batch_generator(setup.seed, 0, RNG_DOMAIN_SCREEN), 5)
     for i in range(setup.frames):
-        amps = sample_frame(setup.sources, setup.seed, i).amplitudes
-        screen = sampler.screen(draws[i], (setup.seed, 0, RNG_DOMAIN_SCREEN, i))
-        obj = propagate_subsources(amps, pos, setup.mask.grid, CFG)
-        ref = propagate_subsources(amps * np.exp(1j * screen.sample_at(pos)), pos,
-                                   setup.ref_grid, CFG)
-        assert buckets[i] == pytest.approx(bucket_signal(obj, setup.mask), rel=1e-12)
-        assert _close(maps[i], ref.intensity())
+        screen = draws[i] @ sampler.mode_table(pos)
+        obj = propagate_subsources(amps[i], pos, setup.mask.grid, CFG)
+        ref = propagate_subsources(amps[i] * np.exp(1j * screen), pos, setup.ref_grid, CFG)
+        assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), setup.mask)),
+                                           rel=1e-12)
+        assert _close(maps[i], intensity(ref))
+
+
+def test_pool_has_no_more_workers_than_batches(monkeypatch):
+    # The fork context starts every worker at the first submit, each
+    # building a pipeline, so idle workers would cost a fork apiece.
+    sizes = []
+
+    class RecordingPool(simulate.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    setup = _setup(rho0=5e-3, frames=2 * BATCH_FRAMES, workers=4)
+    pooled = run_simulation(setup)
+    assert sizes == [2]
+    serial = run_simulation(replace(setup, workers=1))
+    assert np.array_equal(pooled.result.ghost, serial.result.ghost)
+    assert np.array_equal(pooled.result.stderr, serial.result.stderr)
 
 
 def test_turbulent_buckets_equal_vacuum_buckets():

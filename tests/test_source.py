@@ -7,7 +7,7 @@ import oracles
 from ghost_turb.errors import ValidationError
 from ghost_turb.source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet,
                                batch_generator, draw_amplitudes, make_source_grid,
-                               max_pairwise_distance, sample_frame)
+                               max_pairwise_distance)
 
 
 def test_lattice_count_matches_bruteforce():
@@ -65,28 +65,31 @@ def test_subsource_set_validation():
         SubsourceSet(positions=np.zeros((2, 2)), mean_power=0.0, pitch=1.0, diameter=0.0)
 
 
+def _block(s, seed, batch, frames):
+    return draw_amplitudes(s, batch_generator(seed, batch, RNG_DOMAIN_SOURCE), frames)
+
+
 def test_sample_frame_is_deterministic_per_key():
     s = make_source_grid(11e-3, 1e-3)
-    a = sample_frame(s, seed=42, frame_index=7).amplitudes
-    b = sample_frame(s, seed=42, frame_index=7).amplitudes
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, sample_frame(s, seed=42, frame_index=8).amplitudes)
-    assert not np.array_equal(a, sample_frame(s, seed=43, frame_index=7).amplitudes)
+    a = _block(s, 42, 0, 9)
+    assert np.array_equal(a, _block(s, 42, 0, 9))
+    assert not np.array_equal(a[7], a[8])
+    assert not np.array_equal(a[7], _block(s, 43, 0, 9)[7])
+    assert not np.array_equal(a[7], _block(s, 42, 1, 9)[7])
 
 
 def test_sample_frame_rejects_bad_keys():
-    s = make_source_grid(11e-3, 2e-3)
     with pytest.raises(ValidationError):
-        sample_frame(s, seed=-1, frame_index=0)
+        batch_generator(-1, 0, RNG_DOMAIN_SOURCE)
     with pytest.raises(ValidationError):
-        sample_frame(s, seed=0, frame_index=-1)
+        batch_generator(0, -1, RNG_DOMAIN_SOURCE)
 
 
 def test_amplitude_moments_match_circular_gaussian():
     # E[a] = 0, E[|a|^2] = P, E[a^2] = 0, E[|a|^4] = 2 P^2.
     s = make_source_grid(11e-3, 1e-3, mean_power=0.7)
-    draws = np.concatenate([sample_frame(s, seed=11, frame_index=i).amplitudes
-                            for i in range(200)])
+    draws = np.concatenate([_block(s, 11, b, BATCH_FRAMES)
+                            for b in range(math.ceil(200 / BATCH_FRAMES))])[:200].reshape(-1)
     n = draws.size
     p = 0.7
     se = p / math.sqrt(n)
@@ -98,11 +101,10 @@ def test_amplitude_moments_match_circular_gaussian():
 
 
 def test_sample_frame_is_a_row_of_its_batch_block():
+    # Frame-major draws: a frame's amplitudes are its row of the batch
+    # block however many frames are drawn, so a shorter block is a prefix.
     s = make_source_grid(11e-3, 2e-3)
-    block = draw_amplitudes(s, batch_generator(42, 1, RNG_DOMAIN_SOURCE), BATCH_FRAMES)
+    block = _block(s, 42, 1, BATCH_FRAMES)
     for row in (0, 5, BATCH_FRAMES - 1):
-        frame = sample_frame(s, seed=42, frame_index=BATCH_FRAMES + row)
-        assert np.array_equal(frame.amplitudes, block[row])
-    # Frame-major draws: a shorter block is a prefix of the longer one.
-    head = draw_amplitudes(s, batch_generator(42, 1, RNG_DOMAIN_SOURCE), 3)
-    assert np.array_equal(head, block[:3])
+        assert np.array_equal(_block(s, 42, 1, row + 1)[row], block[row])
+    assert np.array_equal(_block(s, 42, 1, 3), block[:3])

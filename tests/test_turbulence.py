@@ -3,12 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ghost_turb.errors import (ConfigurationError, InsufficientDataError,
-                               ValidationError)
+from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import Grid2D
 from ghost_turb.turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
                                    coherence_length, default_covariance_scale,
-                                   generate_phase_screen, structure_function_estimate,
                                    weighted_path_integral)
 
 import oracles
@@ -152,36 +150,31 @@ def test_default_covariance_scale():
     assert default_covariance_scale(tiny) == pytest.approx(8e-3)
 
 
+def phases(sampler, seed, count, points):
+    """Screen phases (count, P) at points: draw() rows through the mode table."""
+    return sampler.draw(np.random.default_rng(seed), count) @ sampler.mode_table(points)
+
+
 def test_screen_zero_for_infinite_rho0():
     g = grid_for_screens()
-    s = generate_phase_screen(g, TurbulenceModel(rho0=math.inf), seed=4)
-    assert np.all(s.values == 0.0)
-    assert s.sigma2 == 0.0
+    sampler = ScreenSampler(g, TurbulenceModel(rho0=math.inf))
+    assert sampler.sigma2 == 0.0
+    assert np.all(sampler.mode_covariance(np.ones((3, 2))) == 0.0)
+    with pytest.raises(ValidationError, match="turbulence-free"):
+        sampler.draw(np.random.default_rng(4), 1)
+    with pytest.raises(ValidationError, match="turbulence-free"):
+        sampler.mode_table(np.zeros((1, 2)))
 
 
 def test_screen_regeneration_is_bit_identical():
     g = grid_for_screens()
-    model = TurbulenceModel(rho0=5e-3)
-    a = generate_phase_screen(g, model, seed=(9, 3, 2))
-    b = generate_phase_screen(g, model, seed=(9, 3, 2))
-    c = generate_phase_screen(g, model, seed=(9, 3, 3))
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-
-
-def test_screen_pitch_precondition():
-    g = Grid2D.centered(17, 17, 2e-3)
-    with pytest.raises(ValidationError, match="rho0/4"):
-        generate_phase_screen(g, TurbulenceModel(rho0=5e-3), seed=1)
-
-
-def test_sampler_rejects_bad_seed():
-    g = grid_for_screens()
     sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
-    with pytest.raises(ValidationError):
-        sampler.sample(-3)
-    with pytest.raises(ValidationError):
-        sampler.sample((1, -2))
+    pts = g.points().reshape(-1, 2)
+    a = phases(sampler, (9, 3, 2), 1, pts)
+    b = phases(ScreenSampler(g, TurbulenceModel(rho0=5e-3)), (9, 3, 2), 1, pts)
+    c = phases(sampler, (9, 3, 3), 1, pts)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_mode_covariance_matches_target_gaussian():
@@ -200,99 +193,81 @@ def test_mode_covariance_matches_target_gaussian():
 def test_screen_structure_function_tracks_square_law():
     # Ensemble structure function ~= 2 r^2 / rho0^2 in the quadratic
     # regime, validated against the mode-exact value and the square law.
+    # Each screen contributes the mean squared phase increment over every
+    # node pair of the grid at one offset; the standard error is over
+    # screens, which keeps it honest despite correlated pairs in a screen.
     g = grid_for_screens(n=33, pitch=2.5e-4)
     model = TurbulenceModel(rho0=4e-3)
     sampler = ScreenSampler(g, model)
-    screens = [sampler.sample((11, i)) for i in range(400)]
-    for offset in ((1, 0), (0, 2), (3, 3)):
-        est, se = structure_function_estimate(screens, offset)
-        r = g.pitch * math.hypot(*offset)
-        sep = np.array([offset[0] * g.pitch, offset[1] * g.pitch])
+    draws = np.concatenate([sampler.draw(np.random.default_rng((11, i)), 1)
+                            for i in range(400)])
+    nodes = (draws @ sampler.mode_table(g.points())).reshape(-1, g.ny, g.nx)
+    for dx, dy in ((1, 0), (0, 2), (3, 3)):
+        diff = nodes[:, dy:, dx:] - nodes[:, :g.ny - dy, :g.nx - dx]
+        per_screen = np.mean(diff**2, axis=(1, 2))
+        est = float(np.mean(per_screen))
+        se = float(np.std(per_screen, ddof=1) / math.sqrt(per_screen.size))
+        r = g.pitch * math.hypot(dx, dy)
+        sep = np.array([dx * g.pitch, dy * g.pitch])
         exact = 2.0 * (sampler.mode_covariance(np.zeros(2))
                        - sampler.mode_covariance(sep))
         assert est == pytest.approx(float(exact), abs=4.0 * se)
         assert float(exact) == pytest.approx(2.0 * r**2 / model.rho0**2, rel=0.01)
 
 
-def test_structure_function_estimate_edges():
-    g = grid_for_screens(n=9)
-    sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
-    screens = [sampler.sample((5, i)) for i in range(3)]
-    assert structure_function_estimate(screens, (0, 0)) == (0.0, 0.0)
-    # negative offsets agree with their mirror image
-    plus, _ = structure_function_estimate(screens, (2, 1))
-    minus, _ = structure_function_estimate(screens, (-2, -1))
-    assert plus == pytest.approx(minus, rel=1e-12)
-    with pytest.raises(InsufficientDataError):
-        structure_function_estimate(screens[:1], (1, 0))
-    with pytest.raises(ValidationError):
-        structure_function_estimate(screens, (9, 0))
-    with pytest.raises(InsufficientDataError):
-        structure_function_estimate([], (1, 0))
+def _full_plane_phases(sampler, normals, points):
+    """Phases of one screen as a Hermitian sum over the full mode plane.
 
-
-def test_structure_function_accepts_stack():
-    stack = np.zeros((3, 5, 5))
-    stack[1] = 1.0
-    mean, se = structure_function_estimate(stack, (1, 0))
-    assert mean == 0.0 and se == 0.0
-
-
-def test_sample_at_matches_grid_nodes():
-    g = grid_for_screens()
-    screen = generate_phase_screen(g, TurbulenceModel(rho0=5e-3), seed=2)
-    pts = g.points()
-    got = screen.sample_at(pts)
-    assert np.allclose(got, screen.values, rtol=0.0, atol=1e-12)
-
-
-def test_sample_at_outside_grid_raises():
-    g = grid_for_screens()
-    screen = generate_phase_screen(g, TurbulenceModel(rho0=5e-3), seed=2)
-    with pytest.raises(ValidationError, match="outside"):
-        screen.sample_at(np.array([g.x()[-1] + g.pitch, 0.0]))
-
-
-def test_sample_at_interpolates_between_nodes(rng):
-    g = grid_for_screens()
-    screen = generate_phase_screen(g, TurbulenceModel(rho0=5e-3), seed=3)
-    x = g.x()
-    y = g.y()
-    mid = screen.sample_at(np.array([(x[4] + x[5]) / 2.0, y[7]]))
-    manual = 0.5 * (screen.values[7, 4] + screen.values[7, 5])
-    assert float(mid) == pytest.approx(manual, rel=1e-12)
+    Coefficient c_k = amp_k (g_cos - i g_sin) / sqrt(2) on a half-plane
+    mode and conj(c_k) on its mirror -k, amp_0 g_0 at k = 0, summed with
+    no real part taken: an independent route to the mode table's phases.
+    """
+    amp = sampler._amp.reshape(-1)
+    center = amp.size // 2
+    half = np.arange(center + 1, amp.size)
+    coeff = np.zeros(amp.size, dtype=complex)
+    coeff[center] = normals[0] * amp[center]
+    coeff[half] = amp[half] * (normals[1:half.size + 1] - 1j * normals[half.size + 1:])
+    coeff[half] /= math.sqrt(2.0)
+    coeff[amp.size - 1 - half] = np.conj(coeff[half])
+    ky, kx = np.meshgrid(sampler._k1d, sampler._k1d, indexing="ij")
+    arg = np.outer(points[:, 0], kx.reshape(-1)) + np.outer(points[:, 1], ky.reshape(-1))
+    return np.exp(1j * arg) @ coeff
 
 
 def test_sample_keeps_its_draw_order():
-    # sample(seed) draws K standard normals from default_rng(seed): the
-    # cosine coefficient of k = 0, the cosine coefficients of the half
-    # plane (flat mode index j > K // 2, ky-major), then their sine
+    # A screen draws K standard normals from its generator: the cosine
+    # coefficient of k = 0, the cosine coefficients of the half plane
+    # (flat mode index j > K // 2, ky-major), then their sine
     # coefficients; a half-plane mode carries sqrt(2) times its weight.
     g = grid_for_screens()
     sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
+    pts = g.points().reshape(-1, 2)
     amp = sampler._amp.reshape(-1)
     center = amp.size // 2
     normals = np.random.default_rng((9, 3, 2)).standard_normal(amp.size)
-    coeff = np.zeros(amp.size, dtype=complex)
-    coeff[center] = normals[0] * amp[center]
+    expected = normals[0] * amp[center] * np.ones(pts.shape[0])
+    ky, kx = np.meshgrid(sampler._k1d, sampler._k1d, indexing="ij")
+    kx, ky = kx.reshape(-1), ky.reshape(-1)
     for r, j in enumerate(range(center + 1, amp.size)):
         cos, sin = normals[1 + r], normals[center + 1 + r]
-        coeff[j] = math.sqrt(2.0) * amp[j] * (cos - 1j * sin)
-    expected = (sampler._ey @ coeff.reshape(sampler._amp.shape) @ sampler._ex.T).real
-    assert np.array_equal(sampler.sample((9, 3, 2)).values, expected)
+        arg = kx[j] * pts[:, 0] + ky[j] * pts[:, 1]
+        expected += math.sqrt(2.0) * amp[j] * (cos * np.cos(arg) + sin * np.sin(arg))
+    got = phases(sampler, (9, 3, 2), 1, pts)[0]
+    assert np.max(np.abs(got - expected)) <= 1e-12
     block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
     assert block.shape == (4, amp.size)
-    assert np.array_equal(sampler.screen(block[0], (9, 3, 2)).values, expected)
+    assert np.array_equal(block[0], normals)
 
 
 def test_mode_table_matches_screen_at_nodes():
     g = grid_for_screens()
     sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
     pts = g.points().reshape(-1, 2)[::7]
-    table = sampler.mode_table(pts)
     draws = sampler.draw(np.random.default_rng(17), 3)
-    phases = draws.reshape(3, -1) @ table
+    got = draws @ sampler.mode_table(pts)
     for i in range(3):
-        screen = sampler.screen(draws[i], (17, i))
-        assert np.max(np.abs(phases[i] - screen.sample_at(pts))) <= 1e-12
-    assert np.max(np.abs(phases)) > 0.1
+        screen = _full_plane_phases(sampler, draws[i], pts)
+        assert np.max(np.abs(screen.imag)) <= 1e-12
+        assert np.max(np.abs(got[i] - screen.real)) <= 1e-12
+    assert np.max(np.abs(got)) > 0.1
