@@ -39,7 +39,25 @@ class ObjectMask:
             )
         if not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0:
             raise ValidationError("transmissivity values must be finite and in [0, 1]")
+        if not np.any(t > 0.0):
+            raise ValidationError(
+                "mask transmits nothing: the bucket signal is identically zero, so no "
+                "number of frames can form a ghost image")
         object.__setattr__(self, "transmissivity", t)
+
+    def support(self) -> "ObjectMask":
+        """This mask on the bounding box of its transmissive pixels.
+
+        The bucket integral over the box equals the one over the whole
+        grid: every pixel outside it has zero transmissivity.
+        """
+        rows, cols = np.nonzero(self.transmissivity > 0.0)
+        y0, y1, x0, x1 = rows.min(), rows.max() + 1, cols.min(), cols.max() + 1
+        xs, ys = self.grid.x(), self.grid.y()
+        grid = Grid2D(nx=int(x1 - x0), ny=int(y1 - y0), pitch=self.grid.pitch,
+                      center=(0.5 * float(xs[x0] + xs[x1 - 1]),
+                              0.5 * float(ys[y0] + ys[y1 - 1])))
+        return ObjectMask(grid=grid, transmissivity=self.transmissivity[y0:y1, x0:x1])
 
 
 def point_mask(grid: Grid2D, position=(0.0, 0.0)) -> ObjectMask:
@@ -132,35 +150,41 @@ class GhostImageEstimate:
     def add(self, bucket, intensity) -> "GhostImageEstimate":
         """Fold in one frame, or a batch of n frames at once.
 
-        One frame is a scalar bucket and an (ny, nx) intensity map; a
-        batch is (n,) buckets and (n, ny, nx) maps.  A batch's six map
-        sums come from two matrix products, I^T [1, b, b^2] and
-        (I^2)^T [1, b, b^2].
+        One frame is a scalar bucket and its (ny, nx) intensity map.  A
+        batch is (n,) buckets and the (2, ny, nx, n) block [I; I^2] of
+        its maps and their squares, frames last, as intensity_moments
+        leaves it.  A batch's six map sums are one matrix product of
+        that block, as (2 ny nx, n), with [1, b, b^2] (n, 3).
         """
         b = np.asarray(bucket, dtype=float)
-        im = np.asarray(intensity, dtype=float)
+        block = np.asarray(intensity, dtype=float)
         shape = (self.grid.ny, self.grid.nx)
-        if b.ndim > 1 or im.shape != b.shape + shape:
+        if b.ndim == 0 and block.shape == shape:
+            b = b.reshape(1)
+            block = np.stack([block, block * block])[..., None]
+        elif b.ndim != 1 or block.shape != (2,) + shape + b.shape:
             raise ValidationError(
-                f"intensity shape {im.shape} does not match {b.size} bucket value(s) on "
+                f"intensity shape {block.shape} does not match {b.size} bucket value(s) on "
                 f"grid {self.grid.ny} x {self.grid.nx}"
             )
-        if not np.all(np.isfinite(b)) or not np.all(np.isfinite(im)):
-            raise ValidationError("bucket and intensity must be finite")
-        b = b.reshape(-1)
-        im = im.reshape(b.size, -1)
         powers = np.stack([np.ones_like(b), b, b * b], axis=1)
-        first = im.T @ powers
-        second = (im * im).T @ powers
+        sums = block.reshape(-1, b.size) @ powers
+        # Column 0 adds every block value with weight 1, and a non-finite
+        # bucket enters every row of columns 1 and 2, so any NaN or inf
+        # input leaves a non-finite sum: checking the (2 ny nx, 3) sums
+        # checks the inputs without another pass over the block.
+        if not np.all(np.isfinite(sums)):
+            raise ValidationError("bucket and intensity must be finite")
+        first, second = sums.reshape((2,) + shape + (3,))
         self.n += b.size
         self.s_b += float(np.sum(b))
         self.s_b2 += float(np.sum(powers[:, 2]))
-        self.s_i += first[:, 0].reshape(shape)
-        self.s_bi += first[:, 1].reshape(shape)
-        self.s_b2i += first[:, 2].reshape(shape)
-        self.s_i2 += second[:, 0].reshape(shape)
-        self.s_bi2 += second[:, 1].reshape(shape)
-        self.s_b2i2 += second[:, 2].reshape(shape)
+        self.s_i += first[..., 0]
+        self.s_bi += first[..., 1]
+        self.s_b2i += first[..., 2]
+        self.s_i2 += second[..., 0]
+        self.s_bi2 += second[..., 1]
+        self.s_b2i2 += second[..., 2]
         return self
 
     def merge(self, other: "GhostImageEstimate") -> "GhostImageEstimate":

@@ -5,8 +5,11 @@ for a path of length L.  Turbulence never enters here: a source-plane
 screen is a phase on the subsource amplitudes, and a detector-plane
 screen is a unit-modulus factor per pixel that no intensity can see.
 Sources on a square lattice are propagated many frames at a time
-through the exact separable form of the kernel (LatticePropagator);
-propagate_subsources is the dense direct sum it is checked against.
+through the exact separable form of the kernel (LatticePropagator), in
+real arithmetic on planar fields: the real and imaginary parts are two
+float planes of one buffer, and each complex factor K is kept as its
+real block matrix [[Re K, -Im K], [Im K, Re K]].  propagate_subsources
+is the dense direct sum it is checked against.
 """
 
 from __future__ import annotations
@@ -110,11 +113,18 @@ class Grid2D:
         )
 
 
-def intensity(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|u|^2 of complex values as re^2 + im^2, written to out if given."""
-    out = np.square(values.real, out=out)
-    out += np.square(values.imag)
-    return out
+def intensity_moments(fields: np.ndarray) -> np.ndarray:
+    """[I; I^2] of planar fields (2, ...), in place.
+
+    I = re^2 + im^2 overwrites the real plane and I^2 the imaginary
+    plane of the same buffer, which is returned.
+    """
+    re, im = fields
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    re += im
+    np.multiply(re, re, out=im)
+    return fields
 
 
 def greens_function(rho_dst, rho_src, cfg: OpticalConfig) -> np.ndarray:
@@ -188,8 +198,17 @@ class LatticePropagator:
     amplitudes A placed on the lattice.  This is the Fresnel kernel
     itself, factored exactly, not an approximation of it.  Positions
     farther than LATTICE_TOLERANCE pitches from a node, or two on one
-    node, raise ConfigurationError.  Buffers for max_frames frames are
-    allocated once; a call takes at most that many.
+    node, raise ConfigurationError.
+
+    The factors c Ky and Kx are kept as real block matrices
+    [[Re K, -Im K], [Im K, Re K]], which act on planar (re, im) blocks.
+    Frames are the fastest axis of every buffer: a batch's lattice is
+    (Ly, 2, Lx, n), the x contraction gives (2, Ly, nx, n), and the
+    large y contraction is one real GEMM over all n frames that gives
+    the planar fields (2, ny, nx, n).  Buffers for max_frames frames
+    are allocated once; a call takes at most that many, in a prefix of
+    each flat buffer, so a short batch runs the same GEMMs on
+    contiguous blocks.
     """
 
     def __init__(self, positions, pitch: float, grid: Grid2D, cfg: OpticalConfig,
@@ -206,38 +225,64 @@ class LatticePropagator:
                 f"subsource positions are off the square lattice of pitch {pitch:.6g} m; "
                 "the frame pipeline needs every subsource on a lattice node"
             )
-        if np.unique(idx, axis=0).shape[0] != idx.shape[0]:
-            raise ConfigurationError(
-                f"two subsources share a node of the square lattice of pitch {pitch:.6g} m"
-            )
         lo = idx.min(axis=0)
         self._ix = (idx[:, 0] - lo[0]).astype(int)
         self._iy = (idx[:, 1] - lo[1]).astype(int)
         xs = np.arange(lo[0], idx[:, 0].max() + 1.0) * pitch
         ys = np.arange(lo[1], idx[:, 1].max() + 1.0) * pitch
+        if np.unique(self._iy * xs.size + self._ix).size != pos.shape[0]:
+            raise ConfigurationError(
+                f"two subsources share a node of the square lattice of pitch {pitch:.6g} m"
+            )
         q = cfg.wavenumber / (2.0 * cfg.path_length)
-        self.ky = path_prefactor(cfg) * np.exp(1j * q * (grid.y()[:, None] - ys[None, :]) ** 2)
-        self.kx_t = np.exp(1j * q * (xs[:, None] - grid.x()[None, :]) ** 2)
-        # Nodes without a subsource stay zero for good, so the lattice
-        # buffer is filled once here and only written at subsources later.
-        (ny, lat_y), (lat_x, nx) = self.ky.shape, self.kx_t.shape
-        self._lattice = np.zeros((max_frames, lat_y, lat_x), dtype=complex)
-        self._half = np.empty((max_frames, ny, lat_x), dtype=complex)
-        self._field = np.empty((max_frames, ny, nx), dtype=complex)
+        ky = path_prefactor(cfg) * np.exp(1j * q * (grid.y()[:, None] - ys[None, :]) ** 2)
+        kx = np.exp(1j * q * (grid.x()[:, None] - xs[None, :]) ** 2)
+        self._dims = (grid.ny, grid.nx, ys.size, xs.size)
+        self.ky = _real_block(ky)
+        # Rows (re/im, x) of the x factor, broadcast over the lattice rows.
+        self.kx = _real_block(kx).reshape(2, 1, grid.nx, 2 * xs.size)
+        self.max_frames = max_frames
+        self._lattice = np.empty(2 * ys.size * xs.size * max_frames)
+        self._half = np.empty(2 * ys.size * grid.nx * max_frames)
+        self._fields = np.empty(2 * grid.ny * grid.nx * max_frames)
+        # Frame count the lattice prefix is laid out for: nodes without
+        # a subsource stay zero until the count, and so the layout, changes.
+        self._lattice_frames = 0
 
     def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Fields (n, ny, nx) of n <= max_frames frames of subsource amplitudes (n, M).
+        """Planar fields (2, ny, nx, n) of n <= max_frames frames of amplitudes (n, M).
 
-        The fields are a view of a buffer that the next call overwrites:
-        a frame loop reuses its buffers instead of allocating, and so
-        page-faulting, megabytes per batch.
+        [0] is the real and [1] the imaginary plane; the frame is the last
+        axis.  The fields are a view of a buffer that the next call
+        overwrites: a frame loop reuses its buffers instead of
+        allocating, and so page-faulting, megabytes per batch.
         """
         amps = np.asarray(amplitudes)
         n = amps.shape[0]
-        lattice = self._lattice[:n]
-        lattice[:, self._iy, self._ix] = amps
-        np.matmul(self.ky, lattice, out=self._half[:n])
-        return np.matmul(self._half[:n], self.kx_t, out=self._field[:n])
+        if not 1 <= n <= self.max_frames:
+            raise ValidationError(f"a call takes 1 to {self.max_frames} frames, got {n}")
+        ny, nx, lat_y, lat_x = self._dims
+        lattice = self._lattice[:2 * lat_y * lat_x * n].reshape(lat_y, 2, lat_x, n)
+        if n != self._lattice_frames:
+            lattice.fill(0.0)
+            self._lattice_frames = n
+        lattice[self._iy, 0, self._ix] = amps.real.T
+        lattice[self._iy, 1, self._ix] = amps.imag.T
+        half = self._half[:2 * lat_y * nx * n].reshape(2, lat_y, nx, n)
+        np.matmul(self.kx, lattice.reshape(1, lat_y, 2 * lat_x, n), out=half)
+        fields = self._fields[:2 * ny * nx * n].reshape(2 * ny, nx * n)
+        np.matmul(self.ky, half.reshape(2 * lat_y, nx * n), out=fields)
+        return fields.reshape(2, ny, nx, n)
+
+
+def _real_block(k: np.ndarray) -> np.ndarray:
+    """Real (2r, 2c) matrix [[Re k, -Im k], [Im k, Re k]] of a complex (r, c) k."""
+    r, c = k.shape
+    out = np.empty((2 * r, 2 * c))
+    out[:r, :c] = out[r:, c:] = k.real
+    np.negative(k.imag, out=out[:r, c:])
+    out[r:, :c] = k.imag
+    return out
 
 
 def _check_positions(positions) -> np.ndarray:

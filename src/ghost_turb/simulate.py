@@ -4,9 +4,13 @@ Frames run in fixed batches of BATCH_FRAMES.  A batch draws its
 subsource amplitudes and, when independent source-plane screens are
 on, one relative screen's mode coefficients per frame, as frame-major
 blocks, each from one generator keyed (seed, batch_index, stream).  It
-propagates to the object and reference planes with the separable
-lattice form of the Fresnel kernel (the only propagation path) and
-folds its frames into the bucket/reference moment sums at once.
+propagates with the separable lattice form of the Fresnel kernel (the
+only propagation path) in real arithmetic on planar (re, im) fields
+with the frame as the fastest axis: to the bounding box of the mask's
+transmissive pixels for the bucket, and to the reference grid.  The
+reference intensities I and their squares overwrite the two planes of
+the field buffer, and the batch's moment sums are one matrix product
+of that [I; I^2] block with the bucket powers [1, b, b^2].
 
 The ghost image sees source-plane turbulence only through the phase
 difference of the two paths.  For iid circular Gaussian amplitudes a,
@@ -42,7 +46,8 @@ import numpy as np
 
 from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask, bucket_signals
 from .errors import ValidationError
-from .optics import Grid2D, LatticePropagator, OpticalConfig, check_paraxial, intensity
+from .optics import (Grid2D, LatticePropagator, OpticalConfig, check_paraxial,
+                     intensity_moments)
 from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                      draw_amplitudes)
 from .turbulence import ScreenSampler, TurbulenceModel
@@ -121,21 +126,21 @@ class FramePipeline:
 
     A batch is processed as matrices: its (n, M) amplitude block, one
     GEMM for the relative screen phases at the subsources, the separable
-    lattice propagation to both detector planes, and one batched moment
-    update.
+    lattice propagation to both detector planes in real arithmetic, and
+    one GEMM of the reference moments [I; I^2] for the running sums.
+    The bucket path propagates only to the bounding box of the mask's
+    transmissive pixels (one pixel for a point mask).
     """
 
     def __init__(self, setup: RunSetup):
         self.setup = setup
         cfg = setup.cfg
         sources = setup.sources
-        mask = setup.mask
-        self.obj = LatticePropagator(sources.positions, sources.pitch, mask.grid, cfg,
-                                     BATCH_FRAMES)
+        self.bucket_mask = setup.mask.support()
+        self.obj = LatticePropagator(sources.positions, sources.pitch, self.bucket_mask.grid,
+                                     cfg, BATCH_FRAMES)
         self.ref = LatticePropagator(sources.positions, sources.pitch, setup.ref_grid, cfg,
                                      BATCH_FRAMES)
-        self._obj_maps = np.empty((BATCH_FRAMES, mask.grid.ny, mask.grid.nx))
-        self._ref_maps = np.empty((BATCH_FRAMES, setup.ref_grid.ny, setup.ref_grid.nx))
         # Only independent source-plane screens change the law of the
         # intensities; their difference has the configured pair rho0.
         self.screen_sampler = None
@@ -145,30 +150,38 @@ class FramePipeline:
                 and model.paths_independent):
             self.screen_sampler = ScreenSampler(source_screen_grid(sources, model), model)
             self.mode_table = self.screen_sampler.mode_table(sources.positions)
+            self._factor = np.empty((BATCH_FRAMES, sources.count), dtype=complex)
 
     def _fields(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """Planar bucket-box and reference fields (2, ny, nx, count) of one batch."""
         setup = self.setup
         rng = batch_generator(setup.seed, batch_index, RNG_DOMAIN_SOURCE)
         amps = draw_amplitudes(setup.sources, rng, count)
+        obj = self.obj(amps)
         if self.screen_sampler is None:
-            return self.obj(amps), self.ref(amps)
+            return obj, self.ref(amps)
         draws = self.screen_sampler.draw(
             batch_generator(setup.seed, batch_index, RNG_DOMAIN_SCREEN), count)
-        return self.obj(amps), self.ref(amps * np.exp(1j * (draws @ self.mode_table)))
+        phase = draws @ self.mode_table
+        factor = self._factor[:count]
+        np.cos(phase, out=factor.real)
+        np.sin(phase, out=factor.imag)
+        return obj, self.ref(np.multiply(amps, factor, out=factor))
 
     def frames(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Buckets (n,) and reference intensity maps (n, ny, nx) of frames start..stop-1.
+        """Buckets (n,) and reference moments [I; I^2] (2, ny, nx, n) of frames start..stop-1.
 
-        start must begin a batch and stop may not pass its end.  The maps
-        are a view of a buffer that the next call overwrites.
+        start must begin a batch and stop may not pass its end.  Frame i
+        of the batch is the last index i; the moments are a view of a
+        buffer that the next call overwrites.
         """
         batch_index, offset = divmod(start, BATCH_FRAMES)
         if start < 0 or offset or not start < stop <= start + BATCH_FRAMES:
             raise ValidationError(f"frames [{start}, {stop}) are not the head of one batch")
-        count = stop - start
-        obj, ref = self._fields(batch_index, count)
-        buckets = bucket_signals(intensity(obj, self._obj_maps[:count]), self.setup.mask)
-        return buckets, intensity(ref, self._ref_maps[:count])
+        obj, ref = self._fields(batch_index, stop - start)
+        box = intensity_moments(obj)[0]
+        buckets = bucket_signals(np.moveaxis(box, -1, 0), self.bucket_mask)
+        return buckets, intensity_moments(ref)
 
     def batch(self, start: int, stop: int) -> GhostImageEstimate:
         return GhostImageEstimate(self.setup.ref_grid).add(*self.frames(start, stop))

@@ -108,7 +108,9 @@ def draw_amplitudes(sources: SubsourceSet, rng: np.random.Generator,
     """Amplitudes (frames, M) of consecutive frames, drawn frame-major.
 
     Row r depends only on the generator state and r, not on `frames`.
+    Each subsource's pair of standard normals is read in place as one
+    complex number (real part first) and scaled once.
     """
     g = rng.standard_normal((frames, sources.count, 2))
     scale = math.sqrt(sources.mean_power / 2.0)
-    return scale * (g[..., 0] + 1j * g[..., 1])
+    return scale * g.view(complex)[..., 0]

@@ -3,7 +3,8 @@
 Everything here is computed by a different route than the library code:
 arbitrary-precision quadrature for the coherence length, scipy adaptive
 quadrature for path integrals, direct Monte Carlo of the two-mode
-amplitude for the pair term, and brute-force loops for lattice counts.
+amplitude for the pair term, brute-force loops for lattice counts, and
+|u|^2 of complex fields for the planar intensities of the frame pipeline.
 """
 
 from __future__ import annotations
@@ -99,6 +100,12 @@ def pair_term_mc_screens(rho_m, rho_mp, wavelength: float, path_length: float,
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(draws))
     return mean, se
+
+
+def intensity(values) -> np.ndarray:
+    """|u|^2 of complex values as re^2 + im^2."""
+    values = np.asarray(values)
+    return values.real**2 + values.imag**2
 
 
 def lattice_count_bruteforce(diameter: float, pitch: float) -> int:

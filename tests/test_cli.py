@@ -133,6 +133,19 @@ def test_invalid_grid_exits_2_without_output_directory(tmp_path, capsys, command
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
+def test_mask_that_transmits_nothing_exits_2_without_output_directory(tmp_path, capsys,
+                                                                      command):
+    # Slits narrower than a pixel cover no pixel center: the bucket is
+    # identically zero, which no number of frames can help.
+    outdir = tmp_path / "out"
+    argv = [command, "--set", "mask=double_slit:1e-9,50e-6,1e-9", "--frames", "64",
+            "--out", str(outdir)]
+    assert main(argv) == 2
+    assert "mask transmits nothing" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("argv", [["simulate", "--workers", "1"], ["simulate", "--workers", "2"],
                                   ["analytic"], ["compare"]],
                          ids=["simulate-1", "simulate-2", "analytic", "compare"])
@@ -362,8 +375,12 @@ def test_parse_mask_forms(tmp_path):
     with pytest.raises(ConfigurationError, match="bad mask"):
         parse_mask("point:1,2,3", grid)
     pgm = tmp_path / "m.pgm"
-    pgm.write_bytes(b"P5\n9 9\n255\n" + bytes(81))
-    assert parse_mask(f"pgm:{pgm}", grid).transmissivity.sum() == 0.0
+    pgm.write_bytes(b"P5\n9 9\n255\n" + bytes(40) + b"\xff" + bytes(40))
+    assert parse_mask(f"pgm:{pgm}", grid).transmissivity.sum() == 1.0
+    black = tmp_path / "black.pgm"
+    black.write_bytes(b"P5\n9 9\n255\n" + bytes(81))
+    with pytest.raises(ConfigurationError, match="transmits nothing"):
+        parse_mask(f"pgm:{black}", grid)
     small = tmp_path / "small.pgm"
     small.write_bytes(b"P5\n3 3\n255\n" + bytes(9))
     with pytest.raises(ConfigurationError, match="object"):

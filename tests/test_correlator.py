@@ -8,7 +8,8 @@ from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signal
                                    double_slit_mask, point_mask, psf_metrics, three_bar_mask)
 from ghost_turb.errors import (InsufficientDataError, NoDetectionError,
                                ValidationError)
-from ghost_turb.optics import Grid2D, intensity
+from ghost_turb.optics import Grid2D
+from oracles import intensity
 
 
 def test_object_mask_validation():
@@ -19,6 +20,24 @@ def test_object_mask_validation():
         ObjectMask(grid=g, transmissivity=np.full((4, 4), 1.5))
     with pytest.raises(ValidationError):
         ObjectMask(grid=g, transmissivity=np.full((4, 4), math.nan))
+    with pytest.raises(ValidationError, match="transmits nothing"):
+        ObjectMask(grid=g, transmissivity=np.zeros((4, 4)))
+
+
+def test_mask_support_is_the_transmissive_bounding_box():
+    g = Grid2D.centered(9, 7, 12e-6)
+    t = np.zeros((7, 9))
+    t[2, 3] = 0.25
+    t[4, 6] = 1.0
+    support = ObjectMask(grid=g, transmissivity=t).support()
+    assert (support.grid.ny, support.grid.nx) == (3, 4)
+    assert support.grid.pitch == g.pitch
+    assert np.array_equal(support.transmissivity, t[2:5, 3:7])
+    assert np.allclose(support.grid.x(), g.x()[3:7], rtol=0, atol=1e-20)
+    assert np.allclose(support.grid.y(), g.y()[2:5], rtol=0, atol=1e-20)
+    point = point_mask(g).support()
+    assert (point.grid.nx, point.grid.ny) == (1, 1)
+    assert point.grid.x()[0] == 0.0 and point.grid.y()[0] == 0.0
 
 
 def test_point_mask_picks_nearest_pixel():
@@ -132,18 +151,44 @@ def test_estimate_rejects_bad_frames():
         est.add(1.0, np.full((3, 3), math.inf))
 
 
+def _moments(frames):
+    """The (2, ny, nx, n) batch block [I; I^2] of (n, ny, nx) maps."""
+    return np.moveaxis(np.stack([frames, frames * frames]), 1, -1)
+
+
 def test_batched_add_equals_frame_by_frame(rng):
     g = Grid2D.centered(5, 4, 1e-5)
     buckets, frames = _random_series(rng, 40, (4, 5))
     single = GhostImageEstimate(g)
     for b, im in zip(buckets, frames):
         single.add(b, im)
-    batched = GhostImageEstimate(g).add(buckets[:32], frames[:32]).add(buckets[32:], frames[32:])
+    batched = GhostImageEstimate(g).add(buckets[:32], _moments(frames[:32]))
+    batched.add(buckets[32:], _moments(frames[32:]))
     assert batched.n == single.n == 40
     for name in ("s_b", "s_b2", "s_i", "s_i2", "s_bi", "s_b2i", "s_bi2", "s_b2i2"):
         assert np.allclose(getattr(batched, name), getattr(single, name), rtol=1e-13, atol=0)
     with pytest.raises(ValidationError, match="shape"):
-        GhostImageEstimate(g).add(buckets[:3], frames[:2])
+        GhostImageEstimate(g).add(buckets[:3], _moments(frames[:2]))
+    with pytest.raises(ValidationError, match="shape"):
+        GhostImageEstimate(g).add(buckets[:3], frames[:3])
+
+
+@pytest.mark.parametrize("where", ["bucket", "map", "square"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_batch_with_one_bad_frame_is_rejected(rng, where, bad):
+    g = Grid2D.centered(5, 4, 1e-5)
+    buckets, frames = _random_series(rng, 32, (4, 5))
+    block = _moments(frames)
+    if where == "bucket":
+        buckets[17] = bad
+    elif where == "map":
+        block[0, 2, 3, 17] = bad
+    else:
+        block[1, 0, 4, 17] = bad
+    est = GhostImageEstimate(g)
+    with pytest.raises(ValidationError, match="finite"):
+        est.add(buckets, block)
+    assert est.n == 0 and not np.any(est.s_i2)
 
 
 def test_merge_equals_single_pass(rng):

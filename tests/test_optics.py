@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import (PARAXIAL_PHASE_LIMIT, Grid2D, LatticePropagator,
                                OpticalConfig, check_paraxial, fresnel_kernel,
-                               greens_function, intensity, propagate_subsources)
+                               greens_function, intensity_moments, propagate_subsources)
 from ghost_turb.source import make_source_grid
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -92,10 +93,38 @@ def test_lattice_propagator_matches_dense_kernel(rng, diameter, pitch, ref_n):
     sources = make_source_grid(diameter, pitch)
     grid = Grid2D.centered(ref_n, ref_n, 12e-6)
     amps = rng.normal(size=(3, sources.count)) + 1j * rng.normal(size=(3, sources.count))
-    dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).T.reshape(3, ref_n, ref_n)
-    separable = LatticePropagator(sources.positions, sources.pitch, grid, CFG, 3)(amps)
-    assert separable.shape == (3, ref_n, ref_n)
+    dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(ref_n, ref_n, 3)
+    planar = LatticePropagator(sources.positions, sources.pitch, grid, CFG, 3)(amps)
+    assert planar.shape == (2, ref_n, ref_n, 3)
+    separable = planar[0] + 1j * planar[1]
     assert np.max(np.abs(separable - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_lattice_propagator_short_call_uses_a_prefix(rng):
+    # A call with fewer frames than the buffers hold lays the prefix out
+    # anew; the lattice nodes without a subsource must read zero again.
+    sources = make_source_grid(2e-3, 0.5e-3)
+    grid = Grid2D.centered(5, 4, 12e-6)
+    prop = LatticePropagator(sources.positions, sources.pitch, grid, CFG, 8)
+    amps = rng.normal(size=(8, sources.count)) + 1j * rng.normal(size=(8, sources.count))
+    kernel = fresnel_kernel(sources.positions, grid, CFG)
+    for n in (8, 3, 8, 1):
+        planar = prop(amps[:n])
+        assert planar.shape == (2, 4, 5, n)
+        dense = (kernel @ amps[:n].T).reshape(4, 5, n)
+        error = np.max(np.abs(planar[0] + 1j * planar[1] - dense))
+        assert error <= 1e-12 * np.max(np.abs(dense))
+    with pytest.raises(ValidationError, match="1 to 8 frames"):
+        prop(np.ones((9, sources.count), dtype=complex))
+
+
+def test_intensity_moments_in_place(rng):
+    fields = rng.normal(size=(2, 3, 4, 5))
+    expected = fields[0] ** 2 + fields[1] ** 2
+    out = intensity_moments(fields)
+    assert out is fields
+    assert np.allclose(fields[0], expected, rtol=1e-15, atol=0)
+    assert np.allclose(fields[1], expected**2, rtol=1e-15, atol=0)
 
 
 def test_lattice_propagator_rejects_off_lattice_positions():
@@ -146,7 +175,7 @@ def test_propagate_detector_plane_screen_preserves_intensity(rng):
     vac = propagate_subsources(amps, pos, grid, CFG)
     turb = vac * np.exp(1j * screen)
     assert not np.allclose(turb, vac)
-    assert np.allclose(intensity(turb), intensity(vac), rtol=1e-12)
+    assert np.allclose(oracles.intensity(turb), oracles.intensity(vac), rtol=1e-12)
 
 
 def test_paraxial_check_uses_the_largest_source_to_pixel_offset():

@@ -6,9 +6,11 @@ import pytest
 
 from ghost_turb import simulate
 from ghost_turb.config import config_to_setup, load_config
-from ghost_turb.correlator import GhostImageEstimate, bucket_signals, point_mask
+from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signals, point_mask,
+                                   three_bar_mask)
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import Grid2D, OpticalConfig, intensity, propagate_subsources
+from ghost_turb.optics import Grid2D, OpticalConfig, propagate_subsources
+from oracles import intensity
 from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR, RNG_DOMAIN_SCREEN,
                                  FramePipeline, RunSetup, _openblas, batch_ranges,
                                  one_blas_thread, per_path_screen_model, run_simulation,
@@ -21,14 +23,14 @@ CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
 
 
 def _setup(rho0=math.inf, fraction=0.0, frames=8, seed=99, workers=1,
-           paths_independent=True, diameter=11e-3, pitch=2e-3, ref_n=16):
+           paths_independent=True, diameter=11e-3, pitch=2e-3, ref_n=16, mask=None):
     sources = make_source_grid(diameter, pitch)
     model = TurbulenceModel(rho0=rho0, screen_position_fraction=fraction,
                             paths_independent=paths_independent)
     obj_grid = Grid2D.centered(5, 5, 12e-6)
     ref_grid = Grid2D.centered(ref_n, ref_n, 12e-6)
     return RunSetup(cfg=CFG, sources=sources, model=model,
-                    mask=point_mask(obj_grid), ref_grid=ref_grid,
+                    mask=mask or point_mask(obj_grid), ref_grid=ref_grid,
                     frames=frames, seed=seed, workers=workers)
 
 
@@ -85,29 +87,88 @@ def test_vacuum_engine_matches_direct_propagation():
     # of propagate_subsources are two exact factorisations of the same
     # Fresnel sum, so they agree to rounding.
     setup = _setup(frames=6)
-    buckets, maps = FramePipeline(setup).frames(0, setup.frames)
-    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
-                           setup.frames)
-    est = GhostImageEstimate(setup.ref_grid)
+    buckets, moments = FramePipeline(setup).frames(0, setup.frames)
+    assert moments.shape == (2, 16, 16, 6)
+    amps, direct_buckets, direct = _manual_run(setup)
     for i in range(setup.frames):
-        obj = propagate_subsources(amps[i], setup.sources.positions, setup.mask.grid, CFG)
         ref = propagate_subsources(amps[i], setup.sources.positions, setup.ref_grid, CFG)
-        bucket = float(bucket_signals(intensity(obj), setup.mask))
-        assert buckets[i] == pytest.approx(bucket, rel=1e-12)
-        assert _close(maps[i], intensity(ref))
-        est.add(bucket, intensity(ref))
-    direct = est.finalize()
+        assert buckets[i] == pytest.approx(direct_buckets[i], rel=1e-12)
+        assert _close(moments[0, ..., i], intensity(ref))
+        assert _close(moments[1, ..., i], intensity(ref) ** 2)
     out = run_simulation(setup)
     assert _close(out.result.ghost, direct.ghost)
     assert _close(out.result.stderr, direct.stderr)
     assert out.result.frames == 6
 
 
+def _manual_run(setup):
+    """Amplitudes, buckets and result of a vacuum run, frame by frame, dense kernel."""
+    pos = setup.sources.positions
+    amps = np.concatenate([
+        draw_amplitudes(setup.sources, batch_generator(setup.seed, b, RNG_DOMAIN_SOURCE),
+                        stop - start)
+        for b, (start, stop) in enumerate(batch_ranges(setup.frames))])
+    est = GhostImageEstimate(setup.ref_grid)
+    buckets = np.empty(setup.frames)
+    for i in range(setup.frames):
+        obj = propagate_subsources(amps[i], pos, setup.mask.grid, CFG)
+        buckets[i] = float(bucket_signals(intensity(obj), setup.mask))
+        ref = propagate_subsources(amps[i], pos, setup.ref_grid, CFG)
+        est.add(buckets[i], intensity(ref))
+    return amps, buckets, est.finalize()
+
+
+def test_run_ending_in_a_short_batch_matches_a_manual_loop():
+    # Two full batches and a short one: the short batch runs the same
+    # GEMMs on a prefix of the buffers.
+    setup = _setup(frames=2 * BATCH_FRAMES + 5, seed=31, pitch=3e-3, ref_n=8)
+    _, direct_buckets, direct = _manual_run(setup)
+    out = run_simulation(setup)
+    assert out.result.frames == 2 * BATCH_FRAMES + 5
+    assert _close(out.result.ghost, direct.ghost)
+    assert _close(out.result.stderr, direct.stderr)
+    assert _close(out.result.background, direct.background)
+    pipeline = FramePipeline(setup)
+    for start, stop in batch_ranges(setup.frames):
+        buckets, _ = pipeline.frames(start, stop)
+        assert np.allclose(buckets, direct_buckets[start:stop], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ["point", "three_bar", "gray", "edge"])
+def test_cropped_support_buckets_equal_full_grid_buckets(name):
+    grid = Grid2D.centered(9, 9, 12e-6)
+    if name == "point":
+        mask = point_mask(grid)
+    elif name == "three_bar":
+        mask = three_bar_mask(grid, bar_width=24e-6, height=60e-6)
+    elif name == "gray":
+        t = np.zeros((9, 9))
+        t[3, 2], t[4, 4], t[6, 5] = 0.25, 0.5, 1.0
+        mask = ObjectMask(grid=grid, transmissivity=t)
+    else:
+        t = np.zeros((9, 9))
+        t[0, 6:9] = 1.0
+        t[1, 8] = 0.5
+        mask = ObjectMask(grid=grid, transmissivity=t)
+    setup = _setup(rho0=5e-3, frames=BATCH_FRAMES, mask=mask)
+    pipeline = FramePipeline(setup)
+    support = pipeline.bucket_mask
+    assert support.grid.nx * support.grid.ny == {"point": 1, "three_bar": 45, "gray": 16,
+                                                 "edge": 6}[name]
+    buckets, _ = pipeline.frames(0, BATCH_FRAMES)
+    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
+                           BATCH_FRAMES)
+    for i in range(BATCH_FRAMES):
+        obj = propagate_subsources(amps[i], setup.sources.positions, grid, CFG)
+        assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), mask)),
+                                           rel=1e-12)
+
+
 def test_turbulent_engine_matches_manual_screen_loop():
     # The bucket path propagates the drawn amplitudes as they are; the
     # reference path carries one relative screen at the configured rho0.
     setup = _setup(rho0=5e-3, fraction=0.0, frames=5)
-    buckets, maps = FramePipeline(setup).frames(0, setup.frames)
+    buckets, moments = FramePipeline(setup).frames(0, setup.frames)
     sampler = ScreenSampler(source_screen_grid(setup.sources, setup.model), setup.model)
     pos = setup.sources.positions
     amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
@@ -119,7 +180,7 @@ def test_turbulent_engine_matches_manual_screen_loop():
         ref = propagate_subsources(amps[i] * np.exp(1j * screen), pos, setup.ref_grid, CFG)
         assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), setup.mask)),
                                            rel=1e-12)
-        assert _close(maps[i], intensity(ref))
+        assert _close(moments[0, ..., i], intensity(ref))
 
 
 def test_pool_has_no_more_workers_than_batches(monkeypatch):
@@ -175,11 +236,11 @@ def test_relative_screen_has_twice_the_per_path_covariance():
 
 def test_frames_of_a_batch_do_not_depend_on_its_length():
     pipeline = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES))
-    buckets, maps = pipeline.frames(BATCH_FRAMES, 2 * BATCH_FRAMES)
-    maps = maps.copy()
-    head_buckets, head_maps = pipeline.frames(BATCH_FRAMES, BATCH_FRAMES + 4)
+    buckets, moments = pipeline.frames(BATCH_FRAMES, 2 * BATCH_FRAMES)
+    moments = moments.copy()
+    head_buckets, head_moments = pipeline.frames(BATCH_FRAMES, BATCH_FRAMES + 4)
     assert head_buckets[3] == pytest.approx(buckets[3], rel=1e-12)
-    assert _close(head_maps[3], maps[3])
+    assert _close(head_moments[..., 3], moments[..., 3])
     with pytest.raises(ValidationError, match="head of one batch"):
         pipeline.frames(1, 3)
     with pytest.raises(ValidationError, match="head of one batch"):
@@ -191,11 +252,12 @@ def test_shared_screen_when_paths_coupled():
     # so none is drawn and the frames are the vacuum frames.
     coupled = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES, paths_independent=False))
     assert coupled.screen_sampler is None
-    buckets, maps = coupled.frames(0, BATCH_FRAMES)
-    maps = maps.copy()
-    vac_buckets, vac_maps = FramePipeline(_setup(frames=BATCH_FRAMES)).frames(0, BATCH_FRAMES)
+    buckets, moments = coupled.frames(0, BATCH_FRAMES)
+    moments = moments.copy()
+    vacuum = FramePipeline(_setup(frames=BATCH_FRAMES))
+    vac_buckets, vac_moments = vacuum.frames(0, BATCH_FRAMES)
     assert np.array_equal(buckets, vac_buckets)
-    assert np.array_equal(maps, vac_maps)
+    assert np.array_equal(moments, vac_moments)
 
 
 def test_off_lattice_sources_are_rejected():

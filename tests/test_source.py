@@ -108,3 +108,14 @@ def test_sample_frame_is_a_row_of_its_batch_block():
     for row in (0, 5, BATCH_FRAMES - 1):
         assert np.array_equal(_block(s, 42, 1, row + 1)[row], block[row])
     assert np.array_equal(_block(s, 42, 1, 3), block[:3])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_amplitudes_are_the_pairs_of_normals_scaled(seed):
+    # The draw reads each (re, im) pair of normals in place as a complex
+    # number; pin it bit for bit against the explicit re + 1j im form.
+    s = make_source_grid(11e-3, 1e-3, mean_power=0.7)
+    rng = batch_generator(seed, 3, RNG_DOMAIN_SOURCE)
+    g = batch_generator(seed, 3, RNG_DOMAIN_SOURCE).standard_normal((BATCH_FRAMES, s.count, 2))
+    expected = math.sqrt(0.7 / 2.0) * (g[..., 0] + 1j * g[..., 1])
+    assert np.array_equal(draw_amplitudes(s, rng, BATCH_FRAMES), expected)
