@@ -282,7 +282,12 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
     """
     raw: dict[str, str] = {}
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except IsADirectoryError:
+            raise ConfigurationError(f"config file {path} is a directory") from None
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"config file {path} is not UTF-8 text") from None
         raw.update(parse_config_text(text, source=str(path)))
     overrides = {k.lower(): v for k, v in (overrides or {}).items()}
     if any(key in overrides for key in _RHO0_FAMILY):

@@ -2,7 +2,7 @@
 
 Frames run in fixed batches of BATCH_FRAMES.  A batch draws its
 subsource amplitudes and, when independent source-plane screens are
-on, one relative screen's mode coefficients per frame, as frame-major
+on, one relative screen's two tilt normals per frame, as frame-major
 blocks, each from one generator keyed (seed, batch_index, stream).  It
 propagates with the separable lattice form of the Fresnel kernel (the
 only propagation path) in real arithmetic on planar (re, im) fields
@@ -18,9 +18,11 @@ the pair (a e^{i phi_b}, a e^{i phi_r}) has the law of
 (a', a' e^{i (phi_r - phi_b)}), where a' = a e^{i phi_b} is again iid
 circular Gaussian and independent of the screens.  So the bucket path
 takes the drawn amplitudes, and only the reference path gets one
-relative screen phi_r - phi_b, evaluated exactly at the subsources
-through its mode table: twice the per-path covariance, which is a
-screen at the configured pair rho0.  Coupled paths (phi_r = phi_b) and a
+relative screen phi_r - phi_b: twice the per-path structure function,
+which is a screen at the configured pair rho0.  Its structure function
+is the square law 2 r^2 / rho0^2 exactly, so it is a random tilt: two
+standard normals per frame, whose (2, M) mode table gives the phase at
+the subsources exactly.  Coupled paths (phi_r = phi_b) and a
 detector-plane screen leave the law of every intensity as in vacuum, so
 nothing is drawn for them and such a run equals the vacuum run frame by
 frame.
@@ -109,18 +111,6 @@ def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:
                            paths_independent=model.paths_independent)
 
 
-def source_screen_grid(sources: SubsourceSet, model: TurbulenceModel) -> Grid2D:
-    """Source-plane screen grid covering every subsource with margin."""
-    pos = sources.positions
-    reach = float(np.max(np.abs(pos))) if pos.size else 0.0
-    pitch = min(model.rho0 / 5.0, sources.pitch / 2.0)
-    if not (math.isfinite(pitch) and pitch > 0):
-        pitch = sources.pitch / 2.0
-    half_px = int(math.ceil((reach + 2.0 * pitch) / pitch))
-    n = 2 * half_px + 1
-    return Grid2D(nx=n, ny=n, pitch=pitch, center=(0.0, 0.0))
-
-
 class FramePipeline:
     """Propagation factors and screen modes for a run's frame loop.
 
@@ -143,13 +133,13 @@ class FramePipeline:
                                      BATCH_FRAMES)
         # Only independent source-plane screens change the law of the
         # intensities; their difference has the configured pair rho0.
-        self.screen_sampler = None
+        self.sampler = None
         self.mode_table = None
         model = setup.model
         if (model.turbulent and model.screen_position_fraction == 0.0
                 and model.paths_independent):
-            self.screen_sampler = ScreenSampler(source_screen_grid(sources, model), model)
-            self.mode_table = self.screen_sampler.mode_table(sources.positions)
+            self.sampler = ScreenSampler(model)
+            self.mode_table = self.sampler.mode_table(sources.positions)
             self._factor = np.empty((BATCH_FRAMES, sources.count), dtype=complex)
 
     def _fields(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,9 +148,9 @@ class FramePipeline:
         rng = batch_generator(setup.seed, batch_index, RNG_DOMAIN_SOURCE)
         amps = draw_amplitudes(setup.sources, rng, count)
         obj = self.obj(amps)
-        if self.screen_sampler is None:
+        if self.sampler is None:
             return obj, self.ref(amps)
-        draws = self.screen_sampler.draw(
+        draws = self.sampler.draw(
             batch_generator(setup.seed, batch_index, RNG_DOMAIN_SCREEN), count)
         phase = draws @ self.mode_table
         factor = self._factor[:count]

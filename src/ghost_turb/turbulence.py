@@ -5,15 +5,13 @@ at z = L through refractive-index turbulence Cn2(z) is
 
     rho0 = (2.91 k^2 integral_0^L Cn2(z) (1 - z/L)^(5/3) dz)^(-3/5)
 
-with k the optical wavenumber.  Phase screens are Gaussian random fields
-whose phase structure function follows the square law
-D_phi(r) = 2 r^2 / rho0_target^2 for separations in the quadratic regime
-(|r| up to about a third of the covariance scale ell).  They are drawn
-from the half plane of a truncated wavenumber grid: modes k and -k
-carry the same weight, so a real screen needs one cosine and one sine
-coefficient per half-plane mode, K normals for K wavenumbers.  A screen
-is never synthesized on a grid: its mode table gives its phase exactly
-at the points where it acts.
+with k the optical wavenumber.  A phase screen is a Gaussian random
+field whose phase structure function is exactly the square law
+D_phi(r) = 2 r^2 / rho0^2, the one behind the closed form's pair weight
+exp(-r^2 / rho0^2).  Such a field is affine: a piston, which cancels in
+every intensity, plus a random tilt g . rho with g ~ N(0, (2 / rho0^2) I_2).
+So a screen is two standard normals, and its mode table gives its phase
+exactly at the points where it acts.
 """
 
 from __future__ import annotations
@@ -25,19 +23,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
-from .optics import Grid2D
 
 # Path-weighting coefficient of the spherical-wave phase structure
 # function for Kolmogorov-strength turbulence.
 PHASE_STRUCTURE_COEFF = 2.91
-
-# Spectral synthesis controls: the mode grid spans wavenumbers up to
-# KMAX_FACTOR / ell (the Gaussian spectrum is negligible beyond), with
-# spacing set by the grid extent plus EMBED_MARGIN_FACTOR * ell of
-# padding so the discrete covariance has no wraparound at on-grid
-# separations.
-KMAX_FACTOR = 9.0
-EMBED_MARGIN_FACTOR = 3.5
 
 
 @dataclass(frozen=True)
@@ -117,8 +106,14 @@ class CnSquaredProfile:
 
     @classmethod
     def from_file(cls, path) -> "CnSquaredProfile":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_lines(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except IsADirectoryError:
+            raise ConfigurationError(f"profile file {path} is a directory") from None
+        except UnicodeDecodeError:
+            raise ConfigurationError(f"profile file {path} is not UTF-8 text") from None
+        return cls.from_lines(lines)
 
 
 def weighted_path_integral(profile: CnSquaredProfile) -> float:
@@ -185,94 +180,29 @@ class TurbulenceModel:
         return math.isfinite(self.rho0)
 
 
-def default_covariance_scale(grid: Grid2D) -> float:
-    """Covariance scale ell for a screen covering this grid.
-
-    ell = max(4 * grid extent, 8 * pitch) keeps every on-grid separation
-    inside the quadratic regime of the structure function.
-    """
-    extent = max(grid.nx - 1, grid.ny - 1) * grid.pitch
-    return max(4.0 * extent, 8.0 * grid.pitch)
-
-
 class ScreenSampler:
-    """Spectral screen sampler for a source-plane region and a model.
+    """Exact square-law phase screen of a turbulent model.
 
-    The screen is a band-limited Fourier sum of a real field on a
-    truncated wavenumber grid, weighted by the square root of the
-    Gaussian covariance spectrum.  Modes k and -k carry the same weight,
-    so only the half plane is drawn: one standard normal for the cosine
-    of k = 0, and one each for the cosine and the sine of every other
-    half-plane mode with sqrt(2) times its weight.  That is K normals
-    for K wavenumbers, with the covariance of the full grid.  The grid
-    argument only fixes the covariance scale ell (default_covariance_scale)
-    and the mode spacing dk from its extent; no screen is synthesized on
-    it.  Phases are evaluated at any points through mode_table, exactly.
-    Construction is deterministic, so equal draws give equal phases.
+    A Gaussian phase whose structure function is exactly
+    D(r) = 2 r^2 / rho0^2 has vanishing second differences, so it is a
+    piston plus a tilt g . rho with g ~ N(0, (2 / rho0^2) I_2).  The
+    piston cancels in every intensity and is not drawn: a screen is two
+    standard normals, scaled by slope = sqrt(2) / rho0, and its phase is
+    exact at any point, at any separation.
     """
 
-    def __init__(self, grid: Grid2D, model: TurbulenceModel):
-        self.grid = grid
-        self.model = model
-        self.ell = default_covariance_scale(grid)
+    def __init__(self, model: TurbulenceModel):
         if not model.turbulent:
-            self.sigma2 = 0.0
-            self._amp = None
-            return
-        self.sigma2 = (self.ell / model.rho0) ** 2
-        extent = max(grid.nx - 1, grid.ny - 1) * grid.pitch
-        domain = extent + EMBED_MARGIN_FACTOR * self.ell
-        dk = 2.0 * math.pi / domain
-        n_half = int(math.ceil(KMAX_FACTOR / self.ell / dk))
-        k1d = dk * np.arange(-n_half, n_half + 1)
-        k2 = k1d[:, None] ** 2 + k1d[None, :] ** 2
-        # Continuous spectrum of sigma2 * exp(-r^2/ell^2) is
-        # sigma2 * pi * ell^2 * exp(-k^2 ell^2 / 4); each mode carries
-        # amp^2 = S(k) dk^2 / (2 pi)^2 of covariance.
-        spectrum = self.sigma2 * math.pi * self.ell**2 * np.exp(-k2 * self.ell**2 / 4.0)
-        self._amp = np.sqrt(spectrum) * (dk / (2.0 * math.pi))
-        self._k1d = k1d
-        # Row r of a draw multiplies Re(weight_r exp(i k_r . rho)).  With
-        # the flat mode index j = iy * n + ix, -k is mode K - 1 - j, so
-        # the half plane is j > K // 2 (and K // 2 is k = 0).  Rows: the
-        # cosines of k = 0 and the half plane, then the half-plane sines,
-        # whose weight is -i sqrt(2) amp_k since Re(-i e^{it}) = sin t.
-        count = self._amp.size
-        half = np.arange(count // 2 + 1, count)
-        self._row_mode = np.concatenate([[count // 2], half, half])
-        weight = np.full(count, math.sqrt(2.0), dtype=complex)
-        weight[0] = 1.0
-        weight[half.size + 1:] *= -1j
-        self._row_weight = weight * self._amp.reshape(-1)[self._row_mode]
-
-    def mode_covariance(self, separations) -> np.ndarray:
-        """Covariance the mode table realizes at (..., 2) separations."""
-        r = np.asarray(separations, dtype=float)
-        if self._amp is None:
-            return np.zeros(r.shape[:-1])
-        phase = (r[..., None, None, 0] * self._k1d[None, :]
-                 + r[..., None, None, 1] * self._k1d[:, None])
-        return np.sum(self._amp**2 * np.cos(phase), axis=(-2, -1))
+            raise ValidationError("a turbulence-free model has no screen to draw")
+        self.slope = math.sqrt(2.0) / model.rho0
 
     def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Mode coefficients of count screens as standard normals, shape (count, K).
+        """Tilts of count screens as standard normals, shape (count, 2).
 
-        Drawn screen-major, so row i does not depend on count.
+        Drawn frame-major, so row i does not depend on count.
         """
-        if self._amp is None:
-            raise ValidationError("a turbulence-free sampler has no modes to draw")
-        return rng.standard_normal((count, self._row_mode.size))
+        return rng.standard_normal((count, 2))
 
     def mode_table(self, points) -> np.ndarray:
-        """Real (K, P) table that maps draw() rows to screen phases at P points.
-
-        The screen's phase at rho is sum_r g_r Re(weight_r exp(i k_r . rho)),
-        so it is (g @ table)[p]: exact at any point, with no interpolation.
-        """
-        if self._amp is None:
-            raise ValidationError("a turbulence-free sampler has no modes")
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        ey = np.exp(1j * np.outer(self._k1d, pts[:, 1]))
-        ex = np.exp(1j * np.outer(self._k1d, pts[:, 0]))
-        iy, ix = np.divmod(self._row_mode, self._k1d.size)
-        return (self._row_weight[:, None] * ey[iy] * ex[ix]).real
+        """Real (2, P) table slope * points^T that maps draw() rows to phases at P points."""
+        return self.slope * np.asarray(points, dtype=float).reshape(-1, 2).T

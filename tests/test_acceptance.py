@@ -147,10 +147,7 @@ def test_criterion_3_pair_term_vs_monte_carlo(capsys, rho0_nominal):
         rho_m, rho_mp, params, analytic = geometries[j]
         model = per_path_screen_model(
             TurbulenceModel(rho0=params.rho0, screen_position_fraction=0.0))
-        pitch = min(2e-3, model.rho0 / 5.0)
-        half_px = int(math.ceil(6.5e-3 / pitch))
-        screen_grid = Grid2D.centered(2 * half_px + 1, 2 * half_px + 1, pitch)
-        sampler = ScreenSampler(screen_grid, model)
+        sampler = ScreenSampler(model)
         coincident = CoherenceParams(wavelength=WAVELENGTH, path_length=PATH_LENGTH,
                                      rho0=params.rho0,
                                      prefactor_radius=prefactor_radius,

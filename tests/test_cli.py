@@ -92,6 +92,23 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, message", [("directory", "is a directory"),
+                                           ("latin1", "is not UTF-8 text")])
+@pytest.mark.parametrize("option", ["config", "cn2_profile"])
+def test_unreadable_config_or_profile_exits_2(tmp_path, capsys, kind, message, option):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes("uniform 1.4 1.5e-12  # Cn\xb2\n".encode("latin-1"))
+    argv = (["--config", str(path)] if option == "config"
+            else ["--set", f"cn2_profile={path}"])
+    assert main(["rho0", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{path} {message}" in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("wavelength", "nan"), ("path_length", "inf"), ("compare_tolerance", "nan"),
     ("rho0", "nan"), ("source_diameter", "-inf"),

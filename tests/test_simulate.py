@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ghost_turb import simulate
+from ghost_turb.analytic import predicted_ghost_image
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signals, point_mask,
                                    three_bar_mask)
@@ -13,8 +14,7 @@ from ghost_turb.optics import Grid2D, OpticalConfig, propagate_subsources
 from oracles import intensity
 from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR, RNG_DOMAIN_SCREEN,
                                  FramePipeline, RunSetup, _openblas, batch_ranges,
-                                 one_blas_thread, per_path_screen_model, run_simulation,
-                                 source_screen_grid)
+                                 one_blas_thread, per_path_screen_model, run_simulation)
 from ghost_turb.source import (RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                                draw_amplitudes, make_source_grid)
 from ghost_turb.turbulence import ScreenSampler, TurbulenceModel
@@ -42,21 +42,6 @@ def test_per_path_screen_model_scaling():
     assert per_path.screen_position_fraction == 0.0
     vacuum = TurbulenceModel(rho0=math.inf)
     assert per_path_screen_model(vacuum) is vacuum
-
-
-def test_source_screen_grid_covers_sources():
-    sources = make_source_grid(11e-3, 1e-3)
-    model = TurbulenceModel(rho0=2e-3, screen_position_fraction=0.0)
-    grid = source_screen_grid(sources, model)
-    assert grid.pitch <= 2e-3 / 5.0
-    (xmin, xmax), (ymin, ymax) = grid.span()
-    pos = sources.positions
-    assert xmin < pos[:, 0].min() and xmax > pos[:, 0].max()
-    assert ymin < pos[:, 1].min() and ymax > pos[:, 1].max()
-    # Coarse turbulence: the subsource pitch limits the screen pitch.
-    mild = source_screen_grid(sources, TurbulenceModel(rho0=1.0,
-                                                       screen_position_fraction=0.0))
-    assert mild.pitch == pytest.approx(0.5e-3)
 
 
 def test_batch_ranges_layout():
@@ -169,7 +154,7 @@ def test_turbulent_engine_matches_manual_screen_loop():
     # reference path carries one relative screen at the configured rho0.
     setup = _setup(rho0=5e-3, fraction=0.0, frames=5)
     buckets, moments = FramePipeline(setup).frames(0, setup.frames)
-    sampler = ScreenSampler(source_screen_grid(setup.sources, setup.model), setup.model)
+    sampler = ScreenSampler(setup.model)
     pos = setup.sources.positions
     amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
                            setup.frames)
@@ -215,20 +200,37 @@ def _default_turbulent_pipeline():
     return FramePipeline(config_to_setup(load_config(None, {"cn2": "1.5e-12"})))
 
 
-def test_mode_table_gram_is_the_full_grid_covariance():
+def test_relative_screen_weights_are_the_closed_form_weights():
+    # A pair of subsources keeps exp(-D/2) of its interference, with D the
+    # variance of the relative screen's phase difference: for mode-table
+    # columns t, exp(-|t_m - t_m'|^2 / 2).  That must be the closed
+    # form's pair weight exp(-|rho_m - rho_m'|^2 / rho0^2).
     pipeline = _default_turbulent_pipeline()
-    pos = pipeline.setup.sources.positions
+    setup = pipeline.setup
+    pos = setup.sources.positions
     table = pipeline.mode_table
-    assert table.shape == (pipeline.screen_sampler._amp.size, 197)
-    full = pipeline.screen_sampler.mode_covariance(pos[:, None, :] - pos[None, :, :])
-    assert _close(table.T @ table, full)
+    assert table.shape == (2, 197)
+    t2 = np.sum((table[:, :, None] - table[:, None, :]) ** 2, axis=0)
+    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
+    weights = np.exp(-0.5 * t2)
+    assert np.max(np.abs(weights - np.exp(-d2 / setup.model.rho0**2))) <= 1e-12
+    # The same weights in predicted_ghost_image's product give its image.
+    params = load_config(None, {"cn2": "1.5e-12"}).coherence_params()
+    assert params.rho0 == setup.model.rho0
+    q = params.wavenumber / params.path_length
+    t = setup.mask.transmissivity.ravel()
+    e = np.exp(1j * q * (setup.mask.grid.points().reshape(-1, 2) @ pos.T))
+    mutual = (t[:, None] * e).T @ e.conj()
+    r = np.exp(1j * q * (setup.ref_grid.points().reshape(-1, 2) @ pos.T))
+    image = np.einsum("pm,pm->p", r.conj() @ (weights * mutual), r).real
+    want = predicted_ghost_image(setup.ref_grid, setup.mask, setup.sources, params)
+    assert _close(image, want.ravel())
 
 
 def test_relative_screen_has_twice_the_per_path_covariance():
     pipeline = _default_turbulent_pipeline()
     pos = pipeline.setup.sources.positions
-    per_path = ScreenSampler(pipeline.screen_sampler.grid,
-                             per_path_screen_model(pipeline.setup.model))
+    per_path = ScreenSampler(per_path_screen_model(pipeline.setup.model))
     one_path = per_path.mode_table(pos)
     relative = pipeline.mode_table
     assert _close(relative.T @ relative, 2.0 * one_path.T @ one_path)
@@ -251,7 +253,7 @@ def test_shared_screen_when_paths_coupled():
     # A screen shared by both paths cannot change the law of the fields,
     # so none is drawn and the frames are the vacuum frames.
     coupled = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES, paths_independent=False))
-    assert coupled.screen_sampler is None
+    assert coupled.sampler is None
     buckets, moments = coupled.frames(0, BATCH_FRAMES)
     moments = moments.copy()
     vacuum = FramePipeline(_setup(frames=BATCH_FRAMES))

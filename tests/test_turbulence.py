@@ -6,8 +6,7 @@ import pytest
 from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import Grid2D
 from ghost_turb.turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
-                                   coherence_length, default_covariance_scale,
-                                   weighted_path_integral)
+                                   coherence_length, weighted_path_integral)
 
 import oracles
 
@@ -139,135 +138,64 @@ def test_turbulence_model_validation():
     assert TurbulenceModel(rho0=0.01).turbulent is True
 
 
-def grid_for_screens(n=33, pitch=2.5e-4):
-    return Grid2D.centered(n, n, pitch)
-
-
-def test_default_covariance_scale():
-    g = grid_for_screens(n=33, pitch=2.5e-4)
-    assert default_covariance_scale(g) == pytest.approx(4.0 * 32 * 2.5e-4)
-    tiny = Grid2D.centered(2, 2, 1e-3)
-    assert default_covariance_scale(tiny) == pytest.approx(8e-3)
-
-
 def phases(sampler, seed, count, points):
     """Screen phases (count, P) at points: draw() rows through the mode table."""
     return sampler.draw(np.random.default_rng(seed), count) @ sampler.mode_table(points)
 
 
-def test_screen_zero_for_infinite_rho0():
-    g = grid_for_screens()
-    sampler = ScreenSampler(g, TurbulenceModel(rho0=math.inf))
-    assert sampler.sigma2 == 0.0
-    assert np.all(sampler.mode_covariance(np.ones((3, 2))) == 0.0)
+def test_turbulence_free_model_has_no_screen():
     with pytest.raises(ValidationError, match="turbulence-free"):
-        sampler.draw(np.random.default_rng(4), 1)
-    with pytest.raises(ValidationError, match="turbulence-free"):
-        sampler.mode_table(np.zeros((1, 2)))
+        ScreenSampler(TurbulenceModel(rho0=math.inf))
+
+
+def test_screen_is_a_tilt_of_two_normals():
+    # draw() is the generator's standard normals, two per screen, and the
+    # mode table is slope * points^T: the phase at rho is slope * g . rho.
+    model = TurbulenceModel(rho0=5e-3)
+    sampler = ScreenSampler(model)
+    assert sampler.slope == math.sqrt(2.0) / 5e-3
+    pts = np.array([[0.0, 0.0], [1e-3, -2e-3], [-4e-3, 3e-3]])
+    assert np.array_equal(sampler.mode_table(pts), sampler.slope * pts.T)
+    normals = np.random.default_rng((9, 3, 2)).standard_normal((4, 2))
+    block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
+    assert np.array_equal(block, normals)
+    got = phases(sampler, (9, 3, 2), 4, pts)
+    assert np.max(np.abs(got - sampler.slope * normals @ pts.T)) <= 1e-12
+
+
+def test_draw_rows_do_not_depend_on_count():
+    sampler = ScreenSampler(TurbulenceModel(rho0=5e-3))
+    long = sampler.draw(np.random.default_rng((9, 3, 2)), 32)
+    for count in (1, 5, 31):
+        assert np.array_equal(sampler.draw(np.random.default_rng((9, 3, 2)), count),
+                              long[:count])
 
 
 def test_screen_regeneration_is_bit_identical():
-    g = grid_for_screens()
-    sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
-    pts = g.points().reshape(-1, 2)
-    a = phases(sampler, (9, 3, 2), 1, pts)
-    b = phases(ScreenSampler(g, TurbulenceModel(rho0=5e-3)), (9, 3, 2), 1, pts)
-    c = phases(sampler, (9, 3, 3), 1, pts)
+    model = TurbulenceModel(rho0=5e-3)
+    pts = Grid2D.centered(33, 33, 2.5e-4).points()
+    a = phases(ScreenSampler(model), (9, 3, 2), 1, pts)
+    b = phases(ScreenSampler(TurbulenceModel(rho0=5e-3)), (9, 3, 2), 1, pts)
+    c = phases(ScreenSampler(model), (9, 3, 3), 1, pts)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_mode_covariance_matches_target_gaussian():
-    # The truncated mode table must carry the intended covariance
-    # sigma2 * exp(-r^2/ell^2) with little truncation error.
-    g = grid_for_screens()
-    model = TurbulenceModel(rho0=5e-3)
-    sampler = ScreenSampler(g, model)
-    rs = np.array([0.0, 0.5e-3, 1e-3, 2e-3, 4e-3, 8e-3])
-    seps = np.stack([rs, np.zeros_like(rs)], axis=-1)
-    got = sampler.mode_covariance(seps)
-    want = sampler.sigma2 * np.exp(-(rs / sampler.ell) ** 2)
-    assert got == pytest.approx(want, rel=2e-4)
-
-
-def test_screen_structure_function_tracks_square_law():
-    # Ensemble structure function ~= 2 r^2 / rho0^2 in the quadratic
-    # regime, validated against the mode-exact value and the square law.
-    # Each screen contributes the mean squared phase increment over every
-    # node pair of the grid at one offset; the standard error is over
-    # screens, which keeps it honest despite correlated pairs in a screen.
-    g = grid_for_screens(n=33, pitch=2.5e-4)
-    model = TurbulenceModel(rho0=4e-3)
-    sampler = ScreenSampler(g, model)
+@pytest.mark.parametrize("rho0", [2e-3, 49.73e-3])
+def test_screen_structure_function_is_the_square_law(rho0):
+    # Ensemble structure function over seeded screens equals
+    # 2 r^2 / rho0^2 at every separation up to the 11 mm source
+    # diameter, in every direction.  Each screen gives one squared phase
+    # increment per separation; the standard error is over screens.
+    sampler = ScreenSampler(TurbulenceModel(rho0=rho0))
+    screens = 4000
     draws = np.concatenate([sampler.draw(np.random.default_rng((11, i)), 1)
-                            for i in range(400)])
-    nodes = (draws @ sampler.mode_table(g.points())).reshape(-1, g.ny, g.nx)
-    for dx, dy in ((1, 0), (0, 2), (3, 3)):
-        diff = nodes[:, dy:, dx:] - nodes[:, :g.ny - dy, :g.nx - dx]
-        per_screen = np.mean(diff**2, axis=(1, 2))
-        est = float(np.mean(per_screen))
-        se = float(np.std(per_screen, ddof=1) / math.sqrt(per_screen.size))
-        r = g.pitch * math.hypot(dx, dy)
-        sep = np.array([dx * g.pitch, dy * g.pitch])
-        exact = 2.0 * (sampler.mode_covariance(np.zeros(2))
-                       - sampler.mode_covariance(sep))
-        assert est == pytest.approx(float(exact), abs=4.0 * se)
-        assert float(exact) == pytest.approx(2.0 * r**2 / model.rho0**2, rel=0.01)
-
-
-def _full_plane_phases(sampler, normals, points):
-    """Phases of one screen as a Hermitian sum over the full mode plane.
-
-    Coefficient c_k = amp_k (g_cos - i g_sin) / sqrt(2) on a half-plane
-    mode and conj(c_k) on its mirror -k, amp_0 g_0 at k = 0, summed with
-    no real part taken: an independent route to the mode table's phases.
-    """
-    amp = sampler._amp.reshape(-1)
-    center = amp.size // 2
-    half = np.arange(center + 1, amp.size)
-    coeff = np.zeros(amp.size, dtype=complex)
-    coeff[center] = normals[0] * amp[center]
-    coeff[half] = amp[half] * (normals[1:half.size + 1] - 1j * normals[half.size + 1:])
-    coeff[half] /= math.sqrt(2.0)
-    coeff[amp.size - 1 - half] = np.conj(coeff[half])
-    ky, kx = np.meshgrid(sampler._k1d, sampler._k1d, indexing="ij")
-    arg = np.outer(points[:, 0], kx.reshape(-1)) + np.outer(points[:, 1], ky.reshape(-1))
-    return np.exp(1j * arg) @ coeff
-
-
-def test_sample_keeps_its_draw_order():
-    # A screen draws K standard normals from its generator: the cosine
-    # coefficient of k = 0, the cosine coefficients of the half plane
-    # (flat mode index j > K // 2, ky-major), then their sine
-    # coefficients; a half-plane mode carries sqrt(2) times its weight.
-    g = grid_for_screens()
-    sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
-    pts = g.points().reshape(-1, 2)
-    amp = sampler._amp.reshape(-1)
-    center = amp.size // 2
-    normals = np.random.default_rng((9, 3, 2)).standard_normal(amp.size)
-    expected = normals[0] * amp[center] * np.ones(pts.shape[0])
-    ky, kx = np.meshgrid(sampler._k1d, sampler._k1d, indexing="ij")
-    kx, ky = kx.reshape(-1), ky.reshape(-1)
-    for r, j in enumerate(range(center + 1, amp.size)):
-        cos, sin = normals[1 + r], normals[center + 1 + r]
-        arg = kx[j] * pts[:, 0] + ky[j] * pts[:, 1]
-        expected += math.sqrt(2.0) * amp[j] * (cos * np.cos(arg) + sin * np.sin(arg))
-    got = phases(sampler, (9, 3, 2), 1, pts)[0]
-    assert np.max(np.abs(got - expected)) <= 1e-12
-    block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
-    assert block.shape == (4, amp.size)
-    assert np.array_equal(block[0], normals)
-
-
-def test_mode_table_matches_screen_at_nodes():
-    g = grid_for_screens()
-    sampler = ScreenSampler(g, TurbulenceModel(rho0=5e-3))
-    pts = g.points().reshape(-1, 2)[::7]
-    draws = sampler.draw(np.random.default_rng(17), 3)
-    got = draws @ sampler.mode_table(pts)
-    for i in range(3):
-        screen = _full_plane_phases(sampler, draws[i], pts)
-        assert np.max(np.abs(screen.imag)) <= 1e-12
-        assert np.max(np.abs(got[i] - screen.real)) <= 1e-12
-    assert np.max(np.abs(got)) > 0.1
+                            for i in range(screens)])
+    for r in (0.25e-3, 1e-3, 2e-3, 5.5e-3, 11e-3):
+        for angle in (0.0, 0.7, 1.9, 3.0):
+            half = 0.5 * r * np.array([math.cos(angle), math.sin(angle)])
+            diff = draws @ sampler.mode_table(np.stack([half, -half]))
+            increments = (diff[:, 0] - diff[:, 1]) ** 2
+            est = float(np.mean(increments))
+            se = float(np.std(increments, ddof=1) / math.sqrt(screens))
+            assert est == pytest.approx(2.0 * r**2 / rho0**2, abs=4.0 * se)
