@@ -200,6 +200,18 @@ def _default_turbulent_pipeline():
     return FramePipeline(config_to_setup(load_config(None, {"cn2": "1.5e-12"})))
 
 
+def test_mode_table_gram_is_the_full_grid_covariance():
+    # The relative screen's phases at all 197 subsources have covariance
+    # (2 / rho0^2) rho_m . rho_m', the tilt's covariance over the full
+    # source grid, and the table's Gram matrix carries all of it.
+    pipeline = _default_turbulent_pipeline()
+    pos = pipeline.setup.sources.positions
+    table = pipeline.mode_table
+    assert table.shape == (2, 197)
+    full = 2.0 / pipeline.setup.model.rho0**2 * (pos @ pos.T)
+    assert _close(table.T @ table, full)
+
+
 def test_relative_screen_weights_are_the_closed_form_weights():
     # A pair of subsources keeps exp(-D/2) of its interference, with D the
     # variance of the relative screen's phase difference: for mode-table

@@ -143,24 +143,37 @@ def phases(sampler, seed, count, points):
     return sampler.draw(np.random.default_rng(seed), count) @ sampler.mode_table(points)
 
 
-def test_turbulence_free_model_has_no_screen():
+def test_screen_zero_for_infinite_rho0():
     with pytest.raises(ValidationError, match="turbulence-free"):
         ScreenSampler(TurbulenceModel(rho0=math.inf))
 
 
-def test_screen_is_a_tilt_of_two_normals():
-    # draw() is the generator's standard normals, two per screen, and the
-    # mode table is slope * points^T: the phase at rho is slope * g . rho.
+def test_sample_keeps_its_draw_order():
+    # A screen is the generator's next two standard normals, in order,
+    # one frame after another; the mode table scales them by slope.
     model = TurbulenceModel(rho0=5e-3)
     sampler = ScreenSampler(model)
     assert sampler.slope == math.sqrt(2.0) / 5e-3
+    normals = np.random.default_rng((9, 3, 2)).standard_normal(8)
+    block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
+    assert block.shape == (4, 2)
+    assert np.array_equal(block.reshape(-1), normals)
     pts = np.array([[0.0, 0.0], [1e-3, -2e-3], [-4e-3, 3e-3]])
     assert np.array_equal(sampler.mode_table(pts), sampler.slope * pts.T)
-    normals = np.random.default_rng((9, 3, 2)).standard_normal((4, 2))
-    block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
-    assert np.array_equal(block, normals)
-    got = phases(sampler, (9, 3, 2), 4, pts)
-    assert np.max(np.abs(got - sampler.slope * normals @ pts.T)) <= 1e-12
+
+
+def test_mode_table_matches_screen_at_nodes():
+    # draw() rows through the mode table give the tilt screen
+    # slope * (g_x x + g_y y) at every grid node, evaluated node by node.
+    g = Grid2D.centered(33, 33, 2.5e-4)
+    sampler = ScreenSampler(TurbulenceModel(rho0=5e-3))
+    pts = g.points().reshape(-1, 2)[::7]
+    draws = sampler.draw(np.random.default_rng(17), 3)
+    got = draws @ sampler.mode_table(pts)
+    for i in range(3):
+        screen = [sampler.slope * (draws[i, 0] * x + draws[i, 1] * y) for x, y in pts]
+        assert np.max(np.abs(got[i] - np.array(screen))) <= 1e-12
+    assert np.max(np.abs(got)) > 0.1
 
 
 def test_draw_rows_do_not_depend_on_count():
@@ -181,21 +194,22 @@ def test_screen_regeneration_is_bit_identical():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("rho0", [2e-3, 49.73e-3])
-def test_screen_structure_function_is_the_square_law(rho0):
+def test_screen_structure_function_tracks_square_law():
     # Ensemble structure function over seeded screens equals
     # 2 r^2 / rho0^2 at every separation up to the 11 mm source
-    # diameter, in every direction.  Each screen gives one squared phase
-    # increment per separation; the standard error is over screens.
-    sampler = ScreenSampler(TurbulenceModel(rho0=rho0))
+    # diameter, in every direction, for strong and nominal turbulence.
+    # Each screen gives one squared phase increment per separation; the
+    # standard error is over screens.
     screens = 4000
-    draws = np.concatenate([sampler.draw(np.random.default_rng((11, i)), 1)
-                            for i in range(screens)])
-    for r in (0.25e-3, 1e-3, 2e-3, 5.5e-3, 11e-3):
-        for angle in (0.0, 0.7, 1.9, 3.0):
-            half = 0.5 * r * np.array([math.cos(angle), math.sin(angle)])
-            diff = draws @ sampler.mode_table(np.stack([half, -half]))
-            increments = (diff[:, 0] - diff[:, 1]) ** 2
-            est = float(np.mean(increments))
-            se = float(np.std(increments, ddof=1) / math.sqrt(screens))
-            assert est == pytest.approx(2.0 * r**2 / rho0**2, abs=4.0 * se)
+    for rho0 in (2e-3, 49.73e-3):
+        sampler = ScreenSampler(TurbulenceModel(rho0=rho0))
+        draws = np.concatenate([sampler.draw(np.random.default_rng((11, i)), 1)
+                                for i in range(screens)])
+        for r in (0.25e-3, 1e-3, 2e-3, 5.5e-3, 11e-3):
+            for angle in (0.0, 0.7, 1.9, 3.0):
+                half = 0.5 * r * np.array([math.cos(angle), math.sin(angle)])
+                diff = draws @ sampler.mode_table(np.stack([half, -half]))
+                increments = (diff[:, 0] - diff[:, 1]) ** 2
+                est = float(np.mean(increments))
+                se = float(np.std(increments, ddof=1) / math.sqrt(screens))
+                assert est == pytest.approx(2.0 * r**2 / rho0**2, abs=4.0 * se)
