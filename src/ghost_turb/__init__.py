@@ -6,10 +6,9 @@ paths, and bucket/reference covariance estimation, and evaluates the
 matching closed-form second-order coherence prediction.
 """
 
-from .analytic import (CoherenceParams, ImmunityVerdict, TwoPhotonPhases,
-                       corrected_mds_lhs, glauber_pair_term, immunity_criterion,
-                       pair_coherence_factor, predicted_ghost_image,
-                       turbulence_free_lhs)
+from .analytic import (CoherenceParams, ImmunityVerdict, corrected_mds_lhs,
+                       glauber_pair_term, immunity_criterion, pair_coherence_factor,
+                       predicted_ghost_image)
 from .config import RunConfig, build_config, config_to_setup, load_config, parse_mask
 from .correlator import (GhostImageEstimate, GhostImageResult, ObjectMask, PsfMetrics,
                          double_slit_mask, point_mask, psf_metrics, three_bar_mask)
@@ -30,11 +29,11 @@ __all__ = [
     "GhostImageEstimate", "GhostImageResult", "Grid2D", "ImmunityVerdict",
     "InsufficientDataError", "NoDetectionError", "ObjectMask", "OpticalConfig",
     "PsfMetrics", "RunConfig", "RunSetup", "ScreenSampler", "SimulationOutput",
-    "SubsourceSet", "TurbulenceModel", "TwoPhotonPhases", "ValidationError",
-    "build_config", "coherence_length", "config_to_setup", "corrected_mds_lhs",
-    "double_slit_mask", "fresnel_kernel", "glauber_pair_term", "greens_function",
-    "immunity_criterion", "load_config", "make_source_grid", "pair_coherence_factor",
-    "parse_mask", "per_path_screen_model", "point_mask", "predicted_ghost_image",
-    "propagate_subsources", "psf_metrics", "run_simulation", "three_bar_mask",
-    "turbulence_free_lhs", "weighted_path_integral", "__version__",
+    "SubsourceSet", "TurbulenceModel", "ValidationError", "build_config",
+    "coherence_length", "config_to_setup", "corrected_mds_lhs", "double_slit_mask",
+    "fresnel_kernel", "glauber_pair_term", "greens_function", "immunity_criterion",
+    "load_config", "make_source_grid", "pair_coherence_factor", "parse_mask",
+    "per_path_screen_model", "point_mask", "predicted_ghost_image", "propagate_subsources",
+    "psf_metrics", "run_simulation", "three_bar_mask", "weighted_path_integral",
+    "__version__",
 ]

@@ -18,6 +18,12 @@ cos(q (rho_b - rho_p) . (rho_m - rho_m')) with q = k / L; the mask folds
 into the object's mutual-intensity matrix
 C[m,m'] = sum_b T_b exp(i q rho_b . (rho_m - rho_m')), so the image is the
 single product of predicted_ghost_image.
+
+The paper's phase-correction argument is the two-detector, two-mode sum
+of corrected_mds_lhs, evaluated on (4, ...) arrays of magnitudes,
+propagation phases and turbulence phases ordered (1a, 1b, 2a, 2b):
+turbulence phases that do not depend on the mode cancel in it, and
+mode-dependent ones do not.
 """
 
 from __future__ import annotations
@@ -132,71 +138,35 @@ def predicted_ghost_image(ref_grid: Grid2D, mask: ObjectMask, sources: Subsource
     return image.reshape(ref_grid.ny, ref_grid.nx)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoPhotonPhases:
-    """Magnitudes and phases of the two-detector, two-mode amplitude.
-
-    Detector 1 and 2 each receive both source modes a and b.  mag*_ are
-    the propagator magnitudes, geo*_ their propagation phases, turb*_
-    the turbulence phases picked up on the corresponding detector path
-    for the corresponding mode.  All twelve entries broadcast, so random
-    draws can be evaluated in one vectorized call.
-    """
-
-    mag1_a: np.ndarray
-    mag1_b: np.ndarray
-    mag2_a: np.ndarray
-    mag2_b: np.ndarray
-    geo1_a: np.ndarray
-    geo1_b: np.ndarray
-    geo2_a: np.ndarray
-    geo2_b: np.ndarray
-    turb1_a: np.ndarray
-    turb1_b: np.ndarray
-    turb2_a: np.ndarray
-    turb2_b: np.ndarray
-
-    def __post_init__(self):
-        for name in ("mag1_a", "mag1_b", "mag2_a", "mag2_b"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if np.any(arr < 0):
-                raise ValidationError(f"{name} must be non-negative")
-            object.__setattr__(self, name, arr)
-        for name in ("geo1_a", "geo1_b", "geo2_a", "geo2_b",
-                     "turb1_a", "turb1_b", "turb2_a", "turb2_b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-
-def corrected_mds_lhs(phases: TwoPhotonPhases) -> np.ndarray:
+def corrected_mds_lhs(mag, geo, turb) -> np.ndarray:
     """Two-mode interference intensity with per-mode turbulence phases.
+
+    Detectors 1 and 2 each receive both source modes a and b.  mag, geo
+    and turb are array_likes with a leading axis of 4 ordered
+    (1a, 1b, 2a, 2b): the propagator magnitudes, their propagation
+    phases, and the turbulence phases picked up on that detector path
+    for that mode.  The trailing axes broadcast, so random draws are
+    evaluated in one vectorized call.
 
     |m2a e^{i(geo2a+turb2a)} m1b e^{i(geo1b+turb1b)}
        + m2b e^{i(geo2b+turb2b)} m1a e^{i(geo1a+turb1a)}|^2
 
     When the turbulence phase on each detector path is the same for both
     modes it factors out of the sum and the result equals the
-    turbulence-free value; mode-dependent phases break the cancellation.
+    turbulence-free value, the one with turb = 0; mode-dependent phases
+    break the cancellation.
     """
-    p = phases
-    term1 = (p.mag2_a * p.mag1_b
-             * np.exp(1j * (p.geo2_a + p.turb2_a + p.geo1_b + p.turb1_b)))
-    term2 = (p.mag2_b * p.mag1_a
-             * np.exp(1j * (p.geo2_b + p.turb2_b + p.geo1_a + p.turb1_a)))
+    mag, geo, turb = (np.asarray(a, dtype=float) for a in (mag, geo, turb))
+    for name, arr in (("mag", mag), ("geo", geo), ("turb", turb)):
+        if arr.ndim == 0 or arr.shape[0] != 4:
+            raise ValidationError(
+                f"{name} needs a leading axis of 4 (1a, 1b, 2a, 2b), got shape {arr.shape}")
+    if np.any(mag < 0):
+        raise ValidationError("magnitudes must be non-negative")
+    term1 = mag[2] * mag[1] * np.exp(1j * (geo[2] + turb[2] + geo[1] + turb[1]))
+    term2 = mag[3] * mag[0] * np.exp(1j * (geo[3] + turb[3] + geo[0] + turb[0]))
     total = term1 + term2
     return total.real**2 + total.imag**2
-
-
-def turbulence_free_lhs(phases: TwoPhotonPhases) -> np.ndarray:
-    """Same two-mode intensity with every turbulence phase set to zero."""
-    p = phases
-    zeros = np.zeros(np.broadcast_shapes(np.shape(p.turb1_a), np.shape(p.turb1_b),
-                                         np.shape(p.turb2_a), np.shape(p.turb2_b)))
-    clean = TwoPhotonPhases(
-        mag1_a=p.mag1_a, mag1_b=p.mag1_b, mag2_a=p.mag2_a, mag2_b=p.mag2_b,
-        geo1_a=p.geo1_a, geo1_b=p.geo1_b, geo2_a=p.geo2_a, geo2_b=p.geo2_b,
-        turb1_a=zeros, turb1_b=zeros, turb2_a=zeros, turb2_b=zeros,
-    )
-    return corrected_mds_lhs(clean)
 
 
 def mds_demo_rows(seed: int = 20260815, matched_draws: int = 10_000,
@@ -212,23 +182,14 @@ def mds_demo_rows(seed: int = 20260815, matched_draws: int = 10_000,
     rng = np.random.default_rng(seed)
     mags = rng.uniform(0.1, 2.0, size=(4, matched_draws))
     geos = rng.uniform(0.0, 2.0 * math.pi, size=(4, matched_draws))
-    common1, common2 = rng.uniform(0.0, 2.0 * math.pi, size=(2, matched_draws))
-    matched = TwoPhotonPhases(
-        mag1_a=mags[0], mag1_b=mags[1], mag2_a=mags[2], mag2_b=mags[3],
-        geo1_a=geos[0], geo1_b=geos[1], geo2_a=geos[2], geo2_b=geos[3],
-        turb1_a=common1, turb1_b=common1, turb2_a=common2, turb2_b=common2)
-    corrected = corrected_mds_lhs(matched)
-    clean = turbulence_free_lhs(matched)
+    # One phase per detector path, shared by both modes: (1a, 1b, 2a, 2b) = (t1, t1, t2, t2).
+    common = rng.uniform(0.0, 2.0 * math.pi, size=(2, matched_draws))[[0, 0, 1, 1]]
+    corrected = corrected_mds_lhs(mags, geos, common)
+    clean = corrected_mds_lhs(mags, geos, np.zeros(4))
     worst = float(np.max(np.abs(corrected - clean) / clean))
 
-    ones = np.ones(random_draws)
-    zeros = np.zeros(random_draws)
     turb = rng.uniform(0.0, 2.0 * math.pi, size=(4, random_draws))
-    scrambled = TwoPhotonPhases(
-        mag1_a=ones, mag1_b=ones, mag2_a=ones, mag2_b=ones,
-        geo1_a=zeros, geo1_b=zeros, geo2_a=zeros, geo2_b=zeros,
-        turb1_a=turb[0], turb1_b=turb[1], turb2_a=turb[2], turb2_b=turb[3])
-    mean_scrambled = float(np.mean(corrected_mds_lhs(scrambled)))
+    mean_scrambled = float(np.mean(corrected_mds_lhs(np.ones(4), np.zeros(4), turb)))
 
     return [
         {"case": "mode_independent", "draws": matched_draws,

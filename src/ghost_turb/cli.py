@@ -14,7 +14,6 @@ not enough frames).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import platform
 import sys
@@ -30,7 +29,8 @@ from .config import RunConfig, config_to_setup, load_config, parse_mask
 from .correlator import PsfMetrics, psf_metrics
 from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError,
                      ValidationError)
-from .io_formats import FLOAT_FMT, write_map_csv, write_pgm16, write_psf_csv, write_run_json
+from .io_formats import (write_map_csv, write_pgm16, write_psf_csv, write_rows_csv,
+                         write_run_json)
 from .simulate import BATCH_FRAMES, run_simulation
 from .turbulence import PHASE_STRUCTURE_COEFF
 
@@ -117,7 +117,8 @@ def cmd_rho0(args) -> int:
         integral = 0.0
     else:
         integral = rc.rho0 ** (-5.0 / 3.0) / (PHASE_STRUCTURE_COEFF * k * k)
-    verdict = immunity_criterion(rc.source_diameter, rc.rho0)
+    # Coupled paths and a detector-plane screen leave the image as in vacuum.
+    verdict = immunity_criterion(rc.source_diameter, rc.turbulence().image_rho0)
     print(f"coherence length rho0 = {_fmt_len(rc.rho0)}  [{rc.rho0_origin}]")
     print(f"wavenumber k          = {k:.6g} rad/m")
     print(f"weighted path integral= {integral:.6g} m^(1/3)")
@@ -184,28 +185,11 @@ def cmd_simulate(args) -> int:
 def _write_bracket_curve(path: Path, rc: RunConfig) -> None:
     """Pair coherence factor vs subsource separation, coincident detectors."""
     params = rc.coherence_params()
-    top = 3.0 * rc.rho0 if math.isfinite(rc.rho0) else rc.source_diameter
+    top = 3.0 * params.rho0 if math.isfinite(params.rho0) else rc.source_diameter
     seps = np.linspace(0.0, top, 121)
-    zero = (0.0, 0.0)
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["separation_m", "pair_factor"])
-        for r in seps:
-            value = pair_coherence_factor(zero, zero, (r / 2.0, 0.0),
-                                          (-r / 2.0, 0.0), params)
-            writer.writerow([FLOAT_FMT % r, FLOAT_FMT % float(value)])
-
-
-def _write_mds_demo(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case", "draws", "max_rel_diff_vs_clean", "mean_lhs",
-                         "clean_mean_lhs"])
-        for row in rows:
-            writer.writerow([row["case"], row["draws"],
-                             FLOAT_FMT % row["max_rel_diff_vs_clean"],
-                             FLOAT_FMT % row["mean_lhs"],
-                             FLOAT_FMT % row["clean_mean_lhs"]])
+    half = np.stack([seps / 2.0, np.zeros_like(seps)], axis=-1)
+    values = pair_coherence_factor((0.0, 0.0), (0.0, 0.0), half, -half, params)
+    write_rows_csv(path, ["separation_m", "pair_factor"], zip(seps.tolist(), values.tolist()))
 
 
 def cmd_analytic(args) -> int:
@@ -219,7 +203,9 @@ def cmd_analytic(args) -> int:
     record = _base_record("analytic", rc)
     record.update(_image_products(outdir, "analytic", ref_grid, image, None))
     _write_bracket_curve(outdir / "bracket_curve.csv", rc)
-    _write_mds_demo(outdir / "mds_demo.csv", rows)
+    demo_header = ["case", "draws", "max_rel_diff_vs_clean", "mean_lhs", "clean_mean_lhs"]
+    write_rows_csv(outdir / "mds_demo.csv", demo_header,
+                   [[row[key] for key in demo_header] for row in rows])
     record["mds_demo"] = rows
     write_run_json(outdir / "run.json", record)
     print(f"outputs written to {outdir}")
@@ -275,21 +261,10 @@ def cmd_compare(args) -> int:
             status = EXIT_TOLERANCE
         rows.append(row)
     outdir = _outdir(rc)
-    with open(outdir / "compare.csv", "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rho0_mm", "status", "fwhm_sim_x_m", "fwhm_sim_y_m",
-                         "fwhm_ana_x_m", "fwhm_ana_y_m", "rel_err_x", "rel_err_y",
-                         "within_tolerance"])
-        for row in rows:
-            if row["status"] != "ok":
-                writer.writerow([row["rho0_mm"], row["status"], "", "", "", "", "", "", ""])
-                continue
-            writer.writerow([
-                row["rho0_mm"], row["status"],
-                FLOAT_FMT % row["fwhm_sim_x_m"], FLOAT_FMT % row["fwhm_sim_y_m"],
-                FLOAT_FMT % row["fwhm_ana_x_m"], FLOAT_FMT % row["fwhm_ana_y_m"],
-                FLOAT_FMT % row["rel_err_x"], FLOAT_FMT % row["rel_err_y"],
-                str(row["within_tolerance"]).lower()])
+    header = ["rho0_mm", "status", "fwhm_sim_x_m", "fwhm_sim_y_m", "fwhm_ana_x_m",
+              "fwhm_ana_y_m", "rel_err_x", "rel_err_y", "within_tolerance"]
+    write_rows_csv(outdir / "compare.csv", header,
+                   [[row.get(key) for key in header] for row in rows])
     record["comparison"] = {"tolerance": rc.compare_tolerance, "rows": rows}
     write_run_json(outdir / "run.json", record)
     if status == EXIT_TOLERANCE:

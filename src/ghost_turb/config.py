@@ -176,8 +176,11 @@ class RunConfig:
                                 mean_power=self.source_power)
 
     def coherence_params(self) -> CoherenceParams:
+        """Closed-form inputs at the rho0 the image sees (inf for coupled or
+        detector-plane screens, as the simulator treats them)."""
         return CoherenceParams(wavelength=self.wavelength, path_length=self.path_length,
-                               rho0=self.rho0, prefactor_radius=self.source_pitch / 2.0,
+                               rho0=self.turbulence().image_rho0,
+                               prefactor_radius=self.source_pitch / 2.0,
                                power_m=self.source_power, power_mp=self.source_power)
 
     def to_record(self) -> dict:

@@ -2,8 +2,9 @@
 
 The ghost image is the per-pixel covariance between the bucket signal
 (object-plane intensity integrated over a transmissive mask) and the
-reference-plane intensity, accumulated over frames with running sums so
-partial results merge exactly.
+reference-plane intensity, accumulated over frames as running sums: the
+frame count, two bucket sums and one array of map moments, so partial
+results merge by adding them.
 """
 
 from __future__ import annotations
@@ -131,7 +132,10 @@ class GhostImageEstimate:
     Accumulation keeps raw first and second moments (through the fourth
     mixed moment needed for the covariance standard error), so two
     partial estimates merge by adding sums; merged and single-pass
-    results agree to floating-point reassociation.
+    results agree to floating-point reassociation.  Besides the frame
+    count n and the bucket sums s_b and s_b2, the map sums are one
+    (2, ny, nx, 3) array, sums[k, ..., j] = sum over frames of
+    I^(k+1) b^j: the layout of the product [I; I^2] @ [1, b, b^2].
     """
 
     def __init__(self, grid: Grid2D):
@@ -139,13 +143,7 @@ class GhostImageEstimate:
         self.n = 0
         self.s_b = 0.0
         self.s_b2 = 0.0
-        shape = (grid.ny, grid.nx)
-        self.s_i = np.zeros(shape)
-        self.s_i2 = np.zeros(shape)
-        self.s_bi = np.zeros(shape)
-        self.s_b2i = np.zeros(shape)
-        self.s_bi2 = np.zeros(shape)
-        self.s_b2i2 = np.zeros(shape)
+        self.sums = np.zeros((2, grid.ny, grid.nx, 3))
 
     def add(self, bucket, intensity) -> "GhostImageEstimate":
         """Fold in one frame, or a batch of n frames at once.
@@ -153,8 +151,8 @@ class GhostImageEstimate:
         One frame is a scalar bucket and its (ny, nx) intensity map.  A
         batch is (n,) buckets and the (2, ny, nx, n) block [I; I^2] of
         its maps and their squares, frames last, as intensity_moments
-        leaves it.  A batch's six map sums are one matrix product of
-        that block, as (2 ny nx, n), with [1, b, b^2] (n, 3).
+        leaves it.  A batch's map sums are one matrix product of that
+        block, as (2 ny nx, n), with [1, b, b^2] (n, 3).
         """
         b = np.asarray(bucket, dtype=float)
         block = np.asarray(intensity, dtype=float)
@@ -175,16 +173,10 @@ class GhostImageEstimate:
         # checks the inputs without another pass over the block.
         if not np.all(np.isfinite(sums)):
             raise ValidationError("bucket and intensity must be finite")
-        first, second = sums.reshape((2,) + shape + (3,))
         self.n += b.size
         self.s_b += float(np.sum(b))
         self.s_b2 += float(np.sum(powers[:, 2]))
-        self.s_i += first[..., 0]
-        self.s_bi += first[..., 1]
-        self.s_b2i += first[..., 2]
-        self.s_i2 += second[..., 0]
-        self.s_bi2 += second[..., 1]
-        self.s_b2i2 += second[..., 2]
+        self.sums += sums.reshape(self.sums.shape)
         return self
 
     def merge(self, other: "GhostImageEstimate") -> "GhostImageEstimate":
@@ -193,12 +185,7 @@ class GhostImageEstimate:
         self.n += other.n
         self.s_b += other.s_b
         self.s_b2 += other.s_b2
-        self.s_i += other.s_i
-        self.s_i2 += other.s_i2
-        self.s_bi += other.s_bi
-        self.s_b2i += other.s_b2i
-        self.s_bi2 += other.s_bi2
-        self.s_b2i2 += other.s_b2i2
+        self.sums += other.sums
         return self
 
     def finalize(self) -> GhostImageResult:
@@ -208,18 +195,19 @@ class GhostImageEstimate:
                 f"need at least 2 frames to form a covariance, have {self.n}"
             )
         n = float(self.n)
+        (s_i, s_bi, s_b2i), (s_i2, s_bi2, s_b2i2) = np.moveaxis(self.sums, -1, 1)
         mean_b = self.s_b / n
-        mean_i = self.s_i / n
-        ghost = self.s_bi / n - mean_b * mean_i
+        mean_i = s_i / n
+        ghost = s_bi / n - mean_b * mean_i
         background = mean_b * mean_i
         # Var of the covariance estimator from the centered fourth moment:
         # sum((B - mB)^2 (I - mI)^2) expanded over the raw sums.
-        central4 = (self.s_b2i2
-                    - 2.0 * mean_i * self.s_b2i
-                    - 2.0 * mean_b * self.s_bi2
+        central4 = (s_b2i2
+                    - 2.0 * mean_i * s_b2i
+                    - 2.0 * mean_b * s_bi2
                     + mean_i**2 * self.s_b2
-                    + mean_b**2 * self.s_i2
-                    + 4.0 * mean_b * mean_i * self.s_bi
+                    + mean_b**2 * s_i2
+                    + 4.0 * mean_b * mean_i * s_bi
                     - 3.0 * n * mean_b**2 * mean_i**2)
         var_hat = np.maximum(central4 / n - ghost**2, 0.0)
         stderr = np.sqrt(var_hat / n)

@@ -118,24 +118,40 @@ def write_map_csv(path, grid: Grid2D, values: np.ndarray,
             fh.write("".join(x + tail + FLOAT_FMT % v + "\r\n" for x, v in zip(xs, row)))
 
 
-def write_psf_csv(path, metrics: PsfMetrics | None, note: str = "") -> None:
-    """Write peak metrics as metric,value rows; a status row comes first."""
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return FLOAT_FMT % value
+    return value
+
+
+def write_rows_csv(path, header, rows) -> None:
+    """Write a header and rows through csv.writer.
+
+    Floats are written with FLOAT_FMT, bools in lower case, and None as
+    an empty cell; other cells as csv.writer writes them.
+    """
     with open(path, "w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        if metrics is None:
-            writer.writerow(["status", note or "no_detection"])
-            return
-        writer.writerow(["status", "ok"])
-        writer.writerow(["peak_x_m", FLOAT_FMT % metrics.peak_x])
-        writer.writerow(["peak_y_m", FLOAT_FMT % metrics.peak_y])
-        writer.writerow(["peak_value", FLOAT_FMT % metrics.peak_value])
-        writer.writerow(["baseline", FLOAT_FMT % metrics.baseline])
-        writer.writerow(["fwhm_x_m", FLOAT_FMT % metrics.fwhm_x])
-        writer.writerow(["fwhm_y_m", FLOAT_FMT % metrics.fwhm_y])
-        writer.writerow(["second_moment_width_m", FLOAT_FMT % metrics.second_moment_width])
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_psf_csv(path, metrics: PsfMetrics | None, note: str = "") -> None:
+    """Write peak metrics as metric,value rows; a status row comes first."""
+    if metrics is None:
+        rows = [("status", note or "no_detection")]
+    else:
+        rows = [("status", "ok"), ("peak_x_m", metrics.peak_x), ("peak_y_m", metrics.peak_y),
+                ("peak_value", metrics.peak_value), ("baseline", metrics.baseline),
+                ("fwhm_x_m", metrics.fwhm_x), ("fwhm_y_m", metrics.fwhm_y),
+                ("second_moment_width_m", metrics.second_moment_width)]
         if metrics.peak_stderr is not None:
-            writer.writerow(["peak_stderr", FLOAT_FMT % metrics.peak_stderr])
+            rows.append(("peak_stderr", metrics.peak_stderr))
+    write_rows_csv(path, ["metric", "value"], rows)
 
 
 def write_run_json(path, record: dict) -> None:

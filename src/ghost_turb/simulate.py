@@ -135,10 +135,8 @@ class FramePipeline:
         # intensities; their difference has the configured pair rho0.
         self.sampler = None
         self.mode_table = None
-        model = setup.model
-        if (model.turbulent and model.screen_position_fraction == 0.0
-                and model.paths_independent):
-            self.sampler = ScreenSampler(model)
+        if math.isfinite(setup.model.image_rho0):
+            self.sampler = ScreenSampler(setup.model)
             self.mode_table = self.sampler.mode_table(sources.positions)
             self._factor = np.empty((BATCH_FRAMES, sources.count), dtype=complex)
 

@@ -179,6 +179,18 @@ class TurbulenceModel:
     def turbulent(self) -> bool:
         return math.isfinite(self.rho0)
 
+    @property
+    def image_rho0(self) -> float:
+        """The coherence length the ghost image sees.
+
+        rho0 for independent source-plane screens; math.inf for a shared
+        source-plane screen or a detector-plane one, which leave the law
+        of every intensity as in vacuum.
+        """
+        if self.screen_position_fraction == 0.0 and self.paths_independent:
+            return self.rho0
+        return math.inf
+
 
 class ScreenSampler:
     """Exact square-law phase screen of a turbulent model.

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.analytic import (CoherenceParams, TwoPhotonPhases, corrected_mds_lhs,
-                                 glauber_pair_term, immunity_criterion,
-                                 pair_coherence_factor, predicted_ghost_image,
-                                 turbulence_free_lhs)
+from ghost_turb.analytic import (CoherenceParams, corrected_mds_lhs, glauber_pair_term,
+                                 immunity_criterion, pair_coherence_factor,
+                                 predicted_ghost_image)
 from ghost_turb.correlator import ObjectMask, three_bar_mask
 from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D
@@ -179,47 +178,39 @@ def test_masked_prediction_is_transmissivity_weighted_pair_sum(make_mask, rho0):
     assert np.allclose(img, expected, rtol=1e-10, atol=0)
 
 
-def _unit_phases(**overrides):
-    base = {name: 1.0 for name in ("mag1_a", "mag1_b", "mag2_a", "mag2_b")}
-    base.update({name: 0.0 for name in ("geo1_a", "geo1_b", "geo2_a", "geo2_b",
-                                        "turb1_a", "turb1_b", "turb2_a", "turb2_b")})
-    base.update(overrides)
-    return TwoPhotonPhases(**base)
+# Unit magnitudes and zero phases, ordered (1a, 1b, 2a, 2b).
+UNIT_MAG = np.ones(4)
+ZERO = np.zeros(4)
 
 
 def test_mds_hand_values():
-    assert float(corrected_mds_lhs(_unit_phases())) == pytest.approx(4.0, rel=1e-15)
+    assert float(corrected_mds_lhs(UNIT_MAG, ZERO, ZERO)) == pytest.approx(4.0, rel=1e-15)
     # A mode-dependent pi shift on one detector path flips the sign of
     # one term: |e^{i pi} + 1|^2 = 0.
-    flipped = _unit_phases(turb2_a=math.pi)
-    assert float(corrected_mds_lhs(flipped)) == pytest.approx(0.0, abs=1e-25)
+    flipped = [0.0, 0.0, math.pi, 0.0]
+    assert float(corrected_mds_lhs(UNIT_MAG, ZERO, flipped)) == pytest.approx(0.0, abs=1e-25)
     # A mode-independent shift on detector 2 leaves the value at 4.
-    common = _unit_phases(turb2_a=1.3, turb2_b=1.3)
-    assert float(corrected_mds_lhs(common)) == pytest.approx(4.0, rel=1e-12)
+    common = [0.0, 0.0, 1.3, 1.3]
+    assert float(corrected_mds_lhs(UNIT_MAG, ZERO, common)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_mds_mode_independent_phase_cancels(rng):
     n = 4000
-    mags = {name: rng.uniform(0.1, 2.0, n)
-            for name in ("mag1_a", "mag1_b", "mag2_a", "mag2_b")}
-    geos = {name: rng.uniform(0, 2 * math.pi, n)
-            for name in ("geo1_a", "geo1_b", "geo2_a", "geo2_b")}
+    mags = rng.uniform(0.1, 2.0, (4, n))
+    geos = rng.uniform(0, 2 * math.pi, (4, n))
     t1 = rng.uniform(0, 2 * math.pi, n)
     t2 = rng.uniform(0, 2 * math.pi, n)
-    phases = TwoPhotonPhases(**mags, **geos, turb1_a=t1, turb1_b=t1,
-                             turb2_a=t2, turb2_b=t2)
-    corrected = corrected_mds_lhs(phases)
-    clean = turbulence_free_lhs(phases)
+    corrected = corrected_mds_lhs(mags, geos, [t1, t1, t2, t2])
+    clean = corrected_mds_lhs(mags, geos, ZERO)
+    assert corrected.shape == clean.shape == (n,)
     assert np.allclose(corrected, clean, rtol=1e-11)
 
 
 def test_mds_mode_dependent_phase_average(rng):
     n = 200_000
-    turb = {name: rng.uniform(0, 2 * math.pi, n)
-            for name in ("turb1_a", "turb1_b", "turb2_a", "turb2_b")}
-    phases = _unit_phases(**turb)
-    vals = corrected_mds_lhs(phases)
-    clean = turbulence_free_lhs(phases)
+    turb = rng.uniform(0, 2 * math.pi, (4, n))
+    vals = corrected_mds_lhs(UNIT_MAG, ZERO, turb)
+    clean = corrected_mds_lhs(UNIT_MAG, ZERO, np.zeros((4, n)))
     assert np.all(clean == 4.0)
     # Independent phases average the cross term away: mean 2, SE ~ sqrt(2/n).
     assert float(np.mean(vals)) == pytest.approx(2.0, abs=5 * math.sqrt(2.0 / n))
@@ -227,7 +218,20 @@ def test_mds_mode_dependent_phase_average(rng):
 
 def test_two_photon_phases_rejects_negative_magnitudes():
     with pytest.raises(ValidationError, match="non-negative"):
-        _unit_phases(mag1_a=-0.5)
+        corrected_mds_lhs([-0.5, 1.0, 1.0, 1.0], ZERO, ZERO)
+    mags = np.ones((4, 3))
+    mags[3, 1] = -1e-300
+    with pytest.raises(ValidationError, match="non-negative"):
+        corrected_mds_lhs(mags, ZERO, ZERO)
+
+
+@pytest.mark.parametrize("which", ["mag", "geo", "turb"])
+@pytest.mark.parametrize("shape", [(), (3,), (5, 2)])
+def test_mds_rejects_a_leading_axis_other_than_4(which, shape):
+    args = {"mag": UNIT_MAG, "geo": ZERO, "turb": ZERO}
+    args[which] = np.ones(shape)
+    with pytest.raises(ValidationError, match="leading axis of 4"):
+        corrected_mds_lhs(**args)
 
 
 def test_immunity_criterion_boundary():

@@ -247,6 +247,30 @@ def test_coupled_source_plane_paths_give_the_vacuum_outputs(tmp_path, workers):
         assert (coupled / name).read_bytes() == (vacuum / name).read_bytes(), name
 
 
+# Both leave the law of every intensity as in vacuum.
+VACUUM_LIKE = pytest.mark.parametrize("setting", ["paths_independent=false", "screen_fraction=1"],
+                                      ids=["coupled", "detector_plane"])
+
+
+@VACUUM_LIKE
+def test_analytic_treats_coupled_and_detector_plane_screens_as_vacuum(tmp_path, setting):
+    base = ["analytic", "--set", "ref_pixels=32", "--set", "object_pixels=5",
+            "--set", "source_pitch=1e-3"]
+    vacuum, screened = tmp_path / "vacuum", tmp_path / "screened"
+    assert main([*base, "--set", "rho0=inf", "--out", str(vacuum)]) == 0
+    assert main([*base, "--rho0-mm", "2", "--set", setting, "--out", str(screened)]) == 0
+    for name in ("analytic.csv", "analytic_psf.csv", "bracket_curve.csv"):
+        assert (screened / name).read_bytes() == (vacuum / name).read_bytes(), name
+
+
+@VACUUM_LIKE
+def test_rho0_verdict_of_coupled_and_detector_plane_screens_is_immune(capsys, setting):
+    assert main(["rho0", "--set", "cn2=1e-10"]) == 0
+    assert "degraded" in capsys.readouterr().out
+    assert main(["rho0", "--set", "cn2=1e-10", "--set", setting]) == 0
+    assert "= immune" in capsys.readouterr().out
+
+
 def test_simulate_undecidable_exits_3(tmp_path, capsys):
     outdir = tmp_path / "out"
     # Two frames satisfy the config check but cannot yield a significant
@@ -327,6 +351,19 @@ def test_compare_sweep_and_tight_tolerance_exits_1(tmp_path, capsys):
     assert rows[0]["within_tolerance"] == "false"
 
 
+@VACUUM_LIKE
+def test_compare_of_coupled_and_detector_plane_screens_predicts_vacuum(tmp_path, setting):
+    outdir = tmp_path / "out"
+    assert main(_compare_args(outdir, extra=("--set", "rho0_sweep_mm=2",
+                                              "--set", setting))) == 0
+    (row,) = _read_csv(outdir / "compare.csv")
+    assert row["rho0_mm"] == "2" and row["within_tolerance"] == "true"
+    vacuum = tmp_path / "vacuum"
+    assert main(_compare_args(vacuum)) == 0
+    (expected,) = _read_csv(vacuum / "compare.csv")
+    assert {**row, "rho0_mm": "inf"} == expected
+
+
 def test_compare_insufficient_frames_exits_3(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(_compare_args(outdir, frames=2)) == 3
@@ -360,6 +397,14 @@ def test_load_config_defaults():
     assert rc.source_pitch == pytest.approx(11e-3 / 16.0)
     assert rc.frames == 10000
     assert rc.out_dir == "ghost_out"
+
+
+@pytest.mark.parametrize("setting, rho0", [({}, 2e-3), ({"paths_independent": "false"}, math.inf),
+                                            ({"screen_fraction": "1"}, math.inf)])
+def test_coherence_params_take_the_rho0_the_image_sees(setting, rho0):
+    rc = load_config(None, {"rho0": "2e-3", **setting})
+    assert rc.rho0 == 2e-3
+    assert rc.coherence_params().rho0 == rho0
 
 
 def test_config_record_keeps_its_run_json_names():

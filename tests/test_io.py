@@ -8,7 +8,7 @@ import pytest
 from ghost_turb.correlator import PsfMetrics
 from ghost_turb.errors import ValidationError
 from ghost_turb.io_formats import (FLOAT_FMT, read_pgm8, write_map_csv, write_pgm16,
-                                   write_psf_csv, write_run_json)
+                                   write_psf_csv, write_rows_csv, write_run_json)
 from ghost_turb.optics import Grid2D
 
 
@@ -122,6 +122,20 @@ def test_map_csv_matches_csv_writer_byte_for_byte(tmp_path, rng):
                 writer.writerow([FLOAT_FMT % grid.x()[ix], FLOAT_FMT % grid.y()[iy],
                                  FLOAT_FMT % values[iy, ix]])
     assert path.read_bytes() == oracle.read_bytes()
+
+
+def test_rows_csv_cells_match_csv_writer(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [["a, b", 3, -1.0 / 3.0, True, None], ["x", 0, np.float64(1e-300), False, "y"]]
+    write_rows_csv(path, ["name", "count", "value", "flag", "note"], iter(rows))
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["name", "count", "value", "flag", "note"])
+        writer.writerow(["a, b", "3", FLOAT_FMT % (-1.0 / 3.0), "true", ""])
+        writer.writerow(["x", "0", FLOAT_FMT % 1e-300, "false", "y"])
+    assert path.read_bytes() == oracle.read_bytes()
+    assert path.read_text().splitlines()[1].startswith('"a, b",3,')
 
 
 def test_psf_csv_rows(tmp_path):

@@ -138,6 +138,13 @@ def test_turbulence_model_validation():
     assert TurbulenceModel(rho0=0.01).turbulent is True
 
 
+def test_image_rho0_is_rho0_only_for_independent_source_plane_screens():
+    assert TurbulenceModel(rho0=0.01).image_rho0 == 0.01
+    assert TurbulenceModel(rho0=0.01, paths_independent=False).image_rho0 == math.inf
+    assert TurbulenceModel(rho0=0.01, screen_position_fraction=1.0).image_rho0 == math.inf
+    assert TurbulenceModel(rho0=math.inf).image_rho0 == math.inf
+
+
 def phases(sampler, seed, count, points):
     """Screen phases (count, P) at points: draw() rows through the mode table."""
     return sampler.draw(np.random.default_rng(seed), count) @ sampler.mode_table(points)
