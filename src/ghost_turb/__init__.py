@@ -6,9 +6,8 @@ paths, and bucket/reference covariance estimation, and evaluates the
 matching closed-form second-order coherence prediction.
 """
 
-from .analytic import (CoherenceParams, ImmunityVerdict, corrected_mds_lhs,
-                       glauber_pair_term, immunity_criterion, pair_coherence_factor,
-                       predicted_ghost_image)
+from .analytic import (ImmunityVerdict, corrected_mds_lhs, glauber_pair_term,
+                       immunity_criterion, pair_coherence_factor, predicted_ghost_image)
 from .config import RunConfig, build_config, config_to_setup, load_config, parse_mask
 from .correlator import (GhostImageEstimate, GhostImageResult, ObjectMask, PsfMetrics,
                          double_slit_mask, point_mask, psf_metrics, three_bar_mask)
@@ -25,7 +24,7 @@ from .turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CnSquaredProfile", "CoherenceParams", "ConfigurationError", "FramePipeline",
+    "CnSquaredProfile", "ConfigurationError", "FramePipeline",
     "GhostImageEstimate", "GhostImageResult", "Grid2D", "ImmunityVerdict",
     "InsufficientDataError", "NoDetectionError", "ObjectMask", "OpticalConfig",
     "PsfMetrics", "RunConfig", "RunSetup", "ScreenSampler", "SimulationOutput",

@@ -17,7 +17,9 @@ sum_b T_b sum_{m,m'} exp(-|rho_m - rho_m'|^2 / rho0^2)
 cos(q (rho_b - rho_p) . (rho_m - rho_m')) with q = k / L; the mask folds
 into the object's mutual-intensity matrix
 C[m,m'] = sum_b T_b exp(i q rho_b . (rho_m - rho_m')), so the image is the
-single product of predicted_ghost_image.
+single product of predicted_ghost_image, which reads every input from
+the run's RunSetup: the optics, the subsources, the mask, the reference
+grid and the rho0 the image sees.
 
 The paper's phase-correction argument is the two-detector, two-mode sum
 of corrected_mds_lhs, evaluated on (4, ...) arrays of magnitudes,
@@ -30,53 +32,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .correlator import ObjectMask
 from .errors import ValidationError
-from .optics import Grid2D, check_paraxial
-from .source import SubsourceSet
+from .optics import OpticalConfig
+from .turbulence import TurbulenceModel
+
+if TYPE_CHECKING:
+    from .simulate import RunSetup
 
 
-@dataclass(frozen=True)
-class CoherenceParams:
-    """Inputs of the closed-form coherence expressions.
-
-    prefactor_radius is the effective subsource radius entering the
-    overall amplitude scale; it is distinct from the turbulence
-    coherence length rho0 and cancels in every normalized comparison.
-    """
-
-    wavelength: float
-    path_length: float
-    rho0: float
-    prefactor_radius: float
-    power_m: float = 1.0
-    power_mp: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValidationError(f"wavelength must be finite and > 0, got {self.wavelength}")
-        if not (math.isfinite(self.path_length) and self.path_length > 0):
-            raise ValidationError(f"path_length must be finite and > 0, got {self.path_length}")
-        if math.isnan(self.rho0) or self.rho0 <= 0:
-            raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {self.rho0}")
-        if not (math.isfinite(self.prefactor_radius) and self.prefactor_radius > 0):
-            raise ValidationError(
-                f"prefactor_radius must be finite and > 0, got {self.prefactor_radius}"
-            )
-        if self.power_m <= 0 or self.power_mp <= 0:
-            raise ValidationError("subsource powers must be > 0")
-
-    @property
-    def wavenumber(self) -> float:
-        return 2.0 * math.pi / self.wavelength
-
-
-def pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, params: CoherenceParams) -> np.ndarray:
+def pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg: OpticalConfig,
+                          model: TurbulenceModel) -> np.ndarray:
     """Bracket factor in [0, 2]: 1 + cos(geometric) * exp(-r^2/rho0^2).
 
+    rho0 is model.image_rho0, the coherence length the image sees.
     Broadcasts over leading axes of the four (..., 2) coordinates.
     """
     rb = np.asarray(rho_b, dtype=float)
@@ -86,53 +58,61 @@ def pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, params: CoherenceParams) 
     for name, arr in (("rho_b", rb), ("rho_p", rp), ("rho_m", rm), ("rho_mp", rmp)):
         if arr.shape[-1] != 2:
             raise ValidationError(f"{name} must have a trailing axis of size 2 (x, y)")
-    k = params.wavenumber
     d_det = rb - rp
     d_src = rm - rmp
-    geometric = k * np.sum(d_det * d_src, axis=-1) / params.path_length
+    geometric = cfg.wavenumber * np.sum(d_det * d_src, axis=-1) / cfg.path_length
     r2 = np.sum(d_src**2, axis=-1)
-    if math.isinf(params.rho0):
-        gauss = np.ones_like(r2)
-    else:
-        gauss = np.exp(-r2 / params.rho0**2)
+    rho0 = model.image_rho0
+    gauss = np.ones_like(r2) if math.isinf(rho0) else np.exp(-r2 / rho0**2)
     return 1.0 + np.cos(geometric) * gauss
 
 
-def glauber_pair_term(rho_b, rho_p, rho_m, rho_mp, params: CoherenceParams) -> np.ndarray:
-    """Ensemble-averaged two-photon coherence for one subsource pair."""
-    lam_l = params.wavelength * params.path_length
-    prefactor = 2.0 * (math.pi * params.prefactor_radius**2 / lam_l) ** 4
-    prefactor *= params.power_m * params.power_mp
-    return prefactor * pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, params)
+def glauber_pair_term(rho_b, rho_p, rho_m, rho_mp, cfg: OpticalConfig,
+                      model: TurbulenceModel, prefactor_radius: float,
+                      power_m: float = 1.0, power_mp: float = 1.0) -> np.ndarray:
+    """Ensemble-averaged two-photon coherence for one subsource pair.
+
+    prefactor_radius is the effective subsource radius entering the
+    overall amplitude scale; it is distinct from the turbulence
+    coherence length rho0 and cancels in every normalized comparison.
+    """
+    for name, value in (("prefactor_radius", prefactor_radius), ("power_m", power_m),
+                        ("power_mp", power_mp)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
+    lam_l = cfg.wavelength * cfg.path_length
+    prefactor = 2.0 * (math.pi * prefactor_radius**2 / lam_l) ** 4 * (power_m * power_mp)
+    return prefactor * pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg, model)
 
 
-def predicted_ghost_image(ref_grid: Grid2D, mask: ObjectMask, sources: SubsourceSet,
-                          params: CoherenceParams) -> np.ndarray:
-    """Ghost image predicted on a reference grid for a bucket behind a mask.
+def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
+    """Ghost image the closed form predicts for a run, on its reference grid.
 
     Per unit squared subsource power, constant background omitted, with
-    q = k / L, pair weights w = exp(-|rho_m - rho_m'|^2 / rho0^2) (ones in
-    vacuum), R[p,m] = exp(i q rho_p . rho_m) and the object's mutual
-    intensity C[m,m'] = sum_b T_b exp(i q rho_b . (rho_m - rho_m')):
+    q = k / L, rho0 = setup.model.image_rho0, pair weights
+    w = exp(-|rho_m - rho_m'|^2 / rho0^2) (ones in vacuum),
+    R[p,m] = exp(i q rho_p . rho_m) and the object's mutual intensity
+    C[m,m'] = sum_b T_b exp(i q rho_b . (rho_m - rho_m')):
 
         image(rho_p) = sum_b T_b sum_{m,m'} w cos(q (rho_b - rho_p) . (rho_m - rho_m'))
                      = Re sum_{m,m'} conj(R[p,m]) (w * C)[m,m'] R[p,m'].
 
     A point bucket is a one-pixel mask.  The m = m' terms give a flat
     pedestal M sum_b T_b, the one the simulated frame covariance carries.
-    Non-paraxial geometry raises ConfigurationError.
+    RunSetup has already checked that the geometry is paraxial.
     """
-    pos = sources.positions
-    check_paraxial(pos, (mask.grid, ref_grid), params.wavenumber, params.path_length)
-    q = params.wavenumber / params.path_length
+    pos = setup.sources.positions
+    mask, ref_grid = setup.mask, setup.ref_grid
+    q = setup.cfg.wavenumber / setup.cfg.path_length
     t = mask.transmissivity.ravel()
     lit = np.flatnonzero(t)
     bucket = mask.grid.points().reshape(-1, 2)[lit]
     e = np.exp(1j * q * (bucket @ pos.T))
     mutual = (t[lit, None] * e).T @ e.conj()
-    if not math.isinf(params.rho0):
+    rho0 = setup.model.image_rho0
+    if not math.isinf(rho0):
         d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-        mutual *= np.exp(-d2 / params.rho0**2)
+        mutual *= np.exp(-d2 / rho0**2)
     r = np.exp(1j * q * (ref_grid.points().reshape(-1, 2) @ pos.T))
     image = np.einsum("pm,pm->p", r.conj() @ mutual, r).real
     return image.reshape(ref_grid.ny, ref_grid.nx)

@@ -25,13 +25,13 @@ import numpy as np
 from . import __version__
 from .analytic import (immunity_criterion, mds_demo_rows, pair_coherence_factor,
                        predicted_ghost_image)
-from .config import RunConfig, config_to_setup, load_config, parse_mask
+from .config import RunConfig, config_to_setup, load_config
 from .correlator import PsfMetrics, psf_metrics
 from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError,
                      ValidationError)
 from .io_formats import (write_map_csv, write_pgm16, write_psf_csv, write_rows_csv,
                          write_run_json)
-from .simulate import BATCH_FRAMES, run_simulation
+from .simulate import BATCH_FRAMES, RunSetup, run_simulation
 from .turbulence import PHASE_STRUCTURE_COEFF
 
 EXIT_OK = 0
@@ -182,27 +182,27 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _write_bracket_curve(path: Path, rc: RunConfig) -> None:
+def _write_bracket_curve(path: Path, rc: RunConfig, setup: RunSetup) -> None:
     """Pair coherence factor vs subsource separation, coincident detectors."""
-    params = rc.coherence_params()
-    top = 3.0 * params.rho0 if math.isfinite(params.rho0) else rc.source_diameter
+    rho0 = setup.model.image_rho0
+    top = 3.0 * rho0 if math.isfinite(rho0) else rc.source_diameter
     seps = np.linspace(0.0, top, 121)
     half = np.stack([seps / 2.0, np.zeros_like(seps)], axis=-1)
-    values = pair_coherence_factor((0.0, 0.0), (0.0, 0.0), half, -half, params)
+    values = pair_coherence_factor((0.0, 0.0), (0.0, 0.0), half, -half, setup.cfg,
+                                   setup.model)
     write_rows_csv(path, ["separation_m", "pair_factor"], zip(seps.tolist(), values.tolist()))
 
 
 def cmd_analytic(args) -> int:
     rc = _load(args)
     _check_outdir(rc)
-    ref_grid = rc.reference_grid()
-    mask = parse_mask(rc.mask, rc.object_grid())
-    image = predicted_ghost_image(ref_grid, mask, rc.subsources(), rc.coherence_params())
+    setup = config_to_setup(rc)
+    image = predicted_ghost_image(setup)
     rows = mds_demo_rows(seed=rc.seed)
     outdir = _outdir(rc)
     record = _base_record("analytic", rc)
-    record.update(_image_products(outdir, "analytic", ref_grid, image, None))
-    _write_bracket_curve(outdir / "bracket_curve.csv", rc)
+    record.update(_image_products(outdir, "analytic", setup.ref_grid, image, None))
+    _write_bracket_curve(outdir / "bracket_curve.csv", rc, setup)
     demo_header = ["case", "draws", "max_rel_diff_vs_clean", "mean_lhs", "clean_mean_lhs"]
     write_rows_csv(outdir / "mds_demo.csv", demo_header,
                    [[row[key] for key in demo_header] for row in rows])
@@ -239,8 +239,7 @@ def cmd_compare(args) -> int:
             output = run_simulation(setup)
             sim = psf_metrics(output.result.ghost, output.result.grid,
                               stderr=output.result.stderr)
-            image = predicted_ghost_image(setup.ref_grid, setup.mask, setup.sources,
-                                          rc_point.coherence_params())
+            image = predicted_ghost_image(setup)
             ana = psf_metrics(image, setup.ref_grid)
         except (NoDetectionError, InsufficientDataError) as exc:
             row.update(status="undecidable", detail=str(exc))

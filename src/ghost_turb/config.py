@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .analytic import CoherenceParams
 from .correlator import ObjectMask, double_slit_mask, point_mask, three_bar_mask
 from .errors import ConfigurationError
 from .optics import Grid2D, OpticalConfig
@@ -174,14 +173,6 @@ class RunConfig:
     def subsources(self) -> SubsourceSet:
         return make_source_grid(self.source_diameter, self.source_pitch,
                                 mean_power=self.source_power)
-
-    def coherence_params(self) -> CoherenceParams:
-        """Closed-form inputs at the rho0 the image sees (inf for coupled or
-        detector-plane screens, as the simulator treats them)."""
-        return CoherenceParams(wavelength=self.wavelength, path_length=self.path_length,
-                               rho0=self.turbulence().image_rho0,
-                               prefactor_radius=self.source_pitch / 2.0,
-                               power_m=self.source_power, power_mp=self.source_power)
 
     def to_record(self) -> dict:
         return {f.metadata["record"]: _record_value(getattr(self, f.name))

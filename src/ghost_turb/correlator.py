@@ -180,7 +180,7 @@ class GhostImageEstimate:
         return self
 
     def merge(self, other: "GhostImageEstimate") -> "GhostImageEstimate":
-        if not self.grid.same_layout(other.grid):
+        if self.grid != other.grid:
             raise ValidationError("cannot merge estimates on different grids")
         self.n += other.n
         self.s_b += other.s_b

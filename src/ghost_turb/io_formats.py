@@ -20,22 +20,20 @@ from .optics import Grid2D
 FLOAT_FMT = "%.17g"
 
 
-def write_pgm16(path, values: np.ndarray, lo: float | None = None,
-                hi: float | None = None) -> tuple[float, float]:
+def write_pgm16(path, values: np.ndarray) -> tuple[float, float]:
     """Write a 2-D map as binary 16-bit PGM plus a .scale.txt sidecar.
 
-    Values are mapped affinely so lo -> 0 and hi -> 65535 (defaults:
-    data min and max).  Returns the (lo, hi) actually used; the sidecar
-    stores them so the map can be reconstructed exactly to 16-bit
-    resolution.
+    Values are mapped affinely so the data min lo -> 0 and the max
+    hi -> 65535.  Returns (lo, hi); the sidecar stores them so the map
+    can be reconstructed exactly to 16-bit resolution.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValidationError(f"expected a 2-D map, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("map contains non-finite values")
-    vlo = float(np.min(arr)) if lo is None else float(lo)
-    vhi = float(np.max(arr)) if hi is None else float(hi)
+    vlo = float(np.min(arr))
+    vhi = float(np.max(arr))
     if vhi > vlo:
         scaled = (arr - vlo) * (65535.0 / (vhi - vlo))
     else:

@@ -73,14 +73,14 @@ class Grid2D:
             raise ValidationError(f"grid center must be finite, got {self.center}")
 
     @classmethod
-    def centered(cls, nx: int, ny: int, pitch: float, on_pixel: bool = True) -> "Grid2D":
-        """Grid around the origin; with on_pixel, the origin is a pixel center.
+    def centered(cls, nx: int, ny: int, pitch: float) -> "Grid2D":
+        """Grid around the origin, with the origin at a pixel center.
 
         Even pixel counts get a half-pixel center offset so that (0, 0)
         is sampled exactly instead of falling on a four-pixel corner.
         """
-        cx = 0.5 * pitch if (on_pixel and nx % 2 == 0) else 0.0
-        cy = 0.5 * pitch if (on_pixel and ny % 2 == 0) else 0.0
+        cx = 0.5 * pitch if nx % 2 == 0 else 0.0
+        cy = 0.5 * pitch if ny % 2 == 0 else 0.0
         return cls(nx=nx, ny=ny, pitch=pitch, center=(cx, cy))
 
     def x(self) -> np.ndarray:
@@ -103,14 +103,6 @@ class Grid2D:
         xs = self.x()
         ys = self.y()
         return (float(xs[0]), float(xs[-1])), (float(ys[0]), float(ys[-1]))
-
-    def same_layout(self, other: "Grid2D") -> bool:
-        return (
-            self.nx == other.nx
-            and self.ny == other.ny
-            and self.pitch == other.pitch
-            and self.center == other.center
-        )
 
 
 def intensity_moments(fields: np.ndarray) -> np.ndarray:

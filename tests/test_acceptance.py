@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.analytic import (CoherenceParams, glauber_pair_term, immunity_criterion,
-                                 mds_demo_rows, pair_coherence_factor)
+from ghost_turb.analytic import (glauber_pair_term, immunity_criterion, mds_demo_rows,
+                                 pair_coherence_factor)
 from ghost_turb.correlator import GhostImageEstimate, point_mask, psf_metrics
 from ghost_turb.io_formats import write_pgm16
 from ghost_turb.optics import Grid2D, OpticalConfig
@@ -125,16 +125,15 @@ def test_criterion_3_pair_term_vs_monte_carlo(capsys, rho0_nominal):
         rho_mp = rng.uniform(-5.5e-3, 5.5e-3, size=2)
         power_m, power_mp = rng.uniform(0.5, 2.0, size=2)
         rho0 = rho0_cases[i % len(rho0_cases)]
-        params = CoherenceParams(wavelength=WAVELENGTH, path_length=PATH_LENGTH,
-                                 rho0=rho0, prefactor_radius=prefactor_radius,
-                                 power_m=power_m, power_mp=power_mp)
-        analytic = float(glauber_pair_term(rho_b, rho_p, rho_m, rho_mp, params))
+        model = TurbulenceModel(rho0=rho0)
+        analytic = float(glauber_pair_term(rho_b, rho_p, rho_m, rho_mp, CFG, model,
+                                           prefactor_radius, power_m, power_mp))
         mc, se = oracles.pair_term_mc(rho_b, rho_p, rho_m, rho_mp, WAVELENGTH,
                                       PATH_LENGTH, rho0, prefactor_radius,
                                       power_m, power_mp, draws, seed=1000 + i)
         if se > 0:
             worst_pull = max(worst_pull, abs(analytic - mc) / se)
-        geometries.append((rho_m, rho_mp, params, analytic))
+        geometries.append((rho_m, rho_mp, rho0, power_m, power_mp))
         assert abs(analytic - mc) <= 3.0 * se, (
             f"geometry {i}: analytic {analytic:.6g} vs MC {mc:.6g} +- {se:.2g}")
 
@@ -144,19 +143,13 @@ def test_criterion_3_pair_term_vs_monte_carlo(capsys, rho0_nominal):
     # the closed form.
     screen_draws = 2000
     for j in (0, 1, 2):
-        rho_m, rho_mp, params, analytic = geometries[j]
-        model = per_path_screen_model(
-            TurbulenceModel(rho0=params.rho0, screen_position_fraction=0.0))
-        sampler = ScreenSampler(model)
-        coincident = CoherenceParams(wavelength=WAVELENGTH, path_length=PATH_LENGTH,
-                                     rho0=params.rho0,
-                                     prefactor_radius=prefactor_radius,
-                                     power_m=params.power_m, power_mp=params.power_mp)
-        target = float(glauber_pair_term((0.0, 0.0), (0.0, 0.0), rho_m, rho_mp,
-                                         coincident))
+        rho_m, rho_mp, rho0, power_m, power_mp = geometries[j]
+        model = TurbulenceModel(rho0=rho0, screen_position_fraction=0.0)
+        sampler = ScreenSampler(per_path_screen_model(model))
+        target = float(glauber_pair_term((0.0, 0.0), (0.0, 0.0), rho_m, rho_mp, CFG, model,
+                                         prefactor_radius, power_m, power_mp))
         mc, se = oracles.pair_term_mc_screens(rho_m, rho_mp, WAVELENGTH, PATH_LENGTH,
-                                              params.rho0, prefactor_radius,
-                                              params.power_m, params.power_mp,
+                                              rho0, prefactor_radius, power_m, power_mp,
                                               sampler, seed=7000 + j,
                                               draws=screen_draws)
         assert abs(target - mc) <= 4.0 * se, (
@@ -333,12 +326,11 @@ def test_criterion_8_property_suites(capsys, rho0_nominal):
 
     # Bracket factor stays inside [0, 2] everywhere.
     m = 100_000
-    params = CoherenceParams(wavelength=WAVELENGTH, path_length=PATH_LENGTH,
-                             rho0=rho0_nominal, prefactor_radius=1e-3)
     vals = pair_coherence_factor(rng.uniform(-1e-3, 1e-3, (m, 2)),
                                  rng.uniform(-1e-3, 1e-3, (m, 2)),
                                  rng.uniform(-6e-3, 6e-3, (m, 2)),
-                                 rng.uniform(-6e-3, 6e-3, (m, 2)), params)
+                                 rng.uniform(-6e-3, 6e-3, (m, 2)), CFG,
+                                 TurbulenceModel(rho0=rho0_nominal))
     assert np.all(vals >= 0.0) and np.all(vals <= 2.0)
     notes.append(f"bracket in [0, 2] over {m} draws")
 

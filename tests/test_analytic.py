@@ -4,38 +4,31 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.analytic import (CoherenceParams, corrected_mds_lhs, glauber_pair_term,
-                                 immunity_criterion, pair_coherence_factor,
-                                 predicted_ghost_image)
+from ghost_turb.analytic import (corrected_mds_lhs, glauber_pair_term, immunity_criterion,
+                                 pair_coherence_factor, predicted_ghost_image)
 from ghost_turb.correlator import ObjectMask, three_bar_mask
 from ghost_turb.errors import ValidationError
-from ghost_turb.optics import Grid2D
+from ghost_turb.optics import Grid2D, OpticalConfig
+from ghost_turb.simulate import RunSetup
 from ghost_turb.source import make_source_grid
+from ghost_turb.turbulence import TurbulenceModel
 
-PARAMS = CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=0.0497,
-                         prefactor_radius=0.5e-3)
+CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
+RHO0 = 0.0497
+MODEL = TurbulenceModel(rho0=RHO0)
 
 
-def test_coherence_params_validation():
-    with pytest.raises(ValidationError):
-        CoherenceParams(wavelength=0.0, path_length=1.4, rho0=0.05,
-                        prefactor_radius=1e-3)
-    with pytest.raises(ValidationError):
-        CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=-1.0,
-                        prefactor_radius=1e-3)
-    with pytest.raises(ValidationError):
-        CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=0.05,
-                        prefactor_radius=1e-3, power_m=0.0)
-    inf_ok = CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=math.inf,
-                             prefactor_radius=1e-3)
-    assert math.isinf(inf_ok.rho0)
+def _setup(ref_grid, mask, sources, rho0=RHO0):
+    """The closed form's inputs: a run of the module's optics at rho0."""
+    return RunSetup(cfg=CFG, sources=sources, model=TurbulenceModel(rho0=rho0), mask=mask,
+                    ref_grid=ref_grid, frames=1, seed=0)
 
 
 def test_bracket_is_two_at_coincident_subsources(rng):
     rb = rng.uniform(-1e-3, 1e-3, size=(8, 2))
     rp = rng.uniform(-1e-3, 1e-3, size=(8, 2))
     rm = rng.uniform(-5e-3, 5e-3, size=(8, 2))
-    val = pair_coherence_factor(rb, rp, rm, rm, PARAMS)
+    val = pair_coherence_factor(rb, rp, rm, rm, CFG, MODEL)
     assert np.allclose(val, 2.0, rtol=0, atol=1e-12)
 
 
@@ -44,8 +37,8 @@ def test_bracket_at_one_coherence_length():
     # coherence length apart leave 1 + exp(-1).
     rb = np.array([3e-4, -2e-4])
     rm = np.array([0.0, 0.0])
-    rmp = np.array([PARAMS.rho0, 0.0])
-    val = pair_coherence_factor(rb, rb, rm, rmp, PARAMS)
+    rmp = np.array([RHO0, 0.0])
+    val = pair_coherence_factor(rb, rb, rm, rmp, CFG, MODEL)
     assert float(val) == pytest.approx(1.0 + math.exp(-1.0), rel=1e-12)
 
 
@@ -55,21 +48,20 @@ def test_bracket_bounds_battery(rng):
     rp = rng.uniform(-2e-3, 2e-3, size=(n, 2))
     rm = rng.uniform(-6e-3, 6e-3, size=(n, 2))
     rmp = rng.uniform(-6e-3, 6e-3, size=(n, 2))
-    val = pair_coherence_factor(rb, rp, rm, rmp, PARAMS)
+    val = pair_coherence_factor(rb, rp, rm, rmp, CFG, MODEL)
     assert val.shape == (n,)
     assert np.all(val >= 0.0) and np.all(val <= 2.0)
 
 
 def test_bracket_without_turbulence_keeps_full_fringe(rng):
-    params = CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=math.inf,
-                             prefactor_radius=0.5e-3)
+    vacuum = TurbulenceModel(rho0=math.inf)
     rb = rng.uniform(-1e-3, 1e-3, size=(6, 2))
     rp = rng.uniform(-1e-3, 1e-3, size=(6, 2))
     rm = rng.uniform(-5e-3, 5e-3, size=(6, 2))
     rmp = rng.uniform(-5e-3, 5e-3, size=(6, 2))
-    k = params.wavenumber
-    geo = k / params.path_length * np.sum((rb - rp) * (rm - rmp), axis=-1)
-    assert np.allclose(pair_coherence_factor(rb, rp, rm, rmp, params),
+    k = CFG.wavenumber
+    geo = k / CFG.path_length * np.sum((rb - rp) * (rm - rmp), axis=-1)
+    assert np.allclose(pair_coherence_factor(rb, rp, rm, rmp, CFG, vacuum),
                        1.0 + np.cos(geo), rtol=1e-12)
 
 
@@ -78,11 +70,11 @@ def test_bracket_manual_value():
     rp = np.array([-1e-3, 0.0])
     rm = np.array([2e-3, 1e-3])
     rmp = np.array([-1e-3, -1e-3])
-    k = PARAMS.wavenumber
+    k = CFG.wavenumber
     geo = k / 1.4 * ((rb - rp) @ (rm - rmp))
-    gauss = math.exp(-float(np.sum((rm - rmp) ** 2)) / PARAMS.rho0**2)
+    gauss = math.exp(-float(np.sum((rm - rmp) ** 2)) / RHO0**2)
     expected = 1.0 + math.cos(geo) * gauss
-    assert float(pair_coherence_factor(rb, rp, rm, rmp, PARAMS)) == pytest.approx(
+    assert float(pair_coherence_factor(rb, rp, rm, rmp, CFG, MODEL)) == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -91,23 +83,29 @@ def test_bracket_broadcasting_and_validation():
     rp = np.zeros((1, 3, 2))
     rm = np.array([1e-3, 0.0])
     rmp = np.array([0.0, 0.0])
-    assert pair_coherence_factor(rb, rp, rm, rmp, PARAMS).shape == (4, 3)
+    assert pair_coherence_factor(rb, rp, rm, rmp, CFG, MODEL).shape == (4, 3)
     with pytest.raises(ValidationError):
-        pair_coherence_factor(np.zeros(3), rp, rm, rmp, PARAMS)
+        pair_coherence_factor(np.zeros(3), rp, rm, rmp, CFG, MODEL)
 
 
 def test_glauber_prefactor():
-    params = CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=0.0497,
-                             prefactor_radius=0.5e-3, power_m=2.0, power_mp=3.0)
     rb = np.array([0.0, 0.0])
     rm = np.array([0.0, 0.0])
     beta = math.pi * (0.5e-3) ** 2 / (780e-9 * 1.4)
     expected = 2.0 * beta**4 * 2.0 * 3.0 * 2.0
-    assert float(glauber_pair_term(rb, rb, rm, rm, params)) == pytest.approx(
-        expected, rel=1e-12)
-    bracket = pair_coherence_factor(rb, rb, rm, rm, params)
-    term = glauber_pair_term(rb, rb, rm, rm, params)
+    term = glauber_pair_term(rb, rb, rm, rm, CFG, MODEL, 0.5e-3, power_m=2.0, power_mp=3.0)
+    assert float(term) == pytest.approx(expected, rel=1e-12)
+    bracket = pair_coherence_factor(rb, rb, rm, rm, CFG, MODEL)
     assert float(term / bracket) == pytest.approx(2.0 * beta**4 * 2.0 * 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("which", ["prefactor_radius", "power_m", "power_mp"])
+def test_glauber_pair_term_rejects_scales_that_are_not_finite_and_positive(which, bad):
+    scales = {"prefactor_radius": 0.5e-3, "power_m": 1.0, "power_mp": 1.0, which: bad}
+    origin = np.zeros(2)
+    with pytest.raises(ValidationError, match=f"{which} must be finite and > 0"):
+        glauber_pair_term(origin, origin, origin, origin, CFG, MODEL, **scales)
 
 
 def _point_bucket(rho_b, pitch=12e-6):
@@ -120,10 +118,9 @@ def test_predicted_ghost_image_matches_pair_sum_oracle():
     sources = make_source_grid(3e-3, 1e-3)
     grid = Grid2D.centered(16, 16, 12e-6)
     rb = np.array([36e-6, -24e-6])
-    img = predicted_ghost_image(grid, _point_bucket(rb), sources, PARAMS)
-    ref = oracles.pair_sum_reference(grid, rb, sources.positions,
-                                     PARAMS.wavelength, PARAMS.path_length,
-                                     PARAMS.rho0)
+    img = predicted_ghost_image(_setup(grid, _point_bucket(rb), sources))
+    ref = oracles.pair_sum_reference(grid, rb, sources.positions, CFG.wavelength,
+                                     CFG.path_length, RHO0)
     assert img.shape == (16, 16)
     assert np.allclose(img, ref, rtol=1e-10)
 
@@ -132,7 +129,7 @@ def test_predicted_ghost_image_peak_and_pedestal():
     sources = make_source_grid(11e-3, 1e-3)
     grid = Grid2D.centered(33, 33, 12e-6)
     rb = np.array([60e-6, -36e-6])
-    img = predicted_ghost_image(grid, _point_bucket(rb), sources, PARAMS)
+    img = predicted_ghost_image(_setup(grid, _point_bucket(rb), sources))
     pts = grid.points().reshape(-1, 2)
     peak_idx = np.argmax(img)
     assert np.allclose(pts[peak_idx], rb)
@@ -140,7 +137,7 @@ def test_predicted_ghost_image_peak_and_pedestal():
     # pair weight: M diagonal terms plus the Gaussian-damped cross terms.
     pos = sources.positions
     d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-    total_weight = float(np.sum(np.exp(-d2 / PARAMS.rho0**2)))
+    total_weight = float(np.sum(np.exp(-d2 / RHO0**2)))
     assert img.flat[peak_idx] == pytest.approx(total_weight, rel=1e-9)
     # The pair-weight matrix is positive semidefinite, so the image never
     # goes negative anywhere on the grid.
@@ -159,22 +156,20 @@ def _gray_mask(grid):
     lambda grid: three_bar_mask(grid, bar_width=12e-6, height=36e-6),
     _gray_mask,
 ], ids=["three_bar", "gray"])
-@pytest.mark.parametrize("rho0", [PARAMS.rho0, 2e-3, math.inf], ids=["nominal", "2mm", "vacuum"])
+@pytest.mark.parametrize("rho0", [RHO0, 2e-3, math.inf], ids=["nominal", "2mm", "vacuum"])
 def test_masked_prediction_is_transmissivity_weighted_pair_sum(make_mask, rho0):
     sources = make_source_grid(3e-3, 1e-3)
     ref_grid = Grid2D.centered(12, 12, 12e-6)
     mask = make_mask(Grid2D.centered(5, 5, 12e-6))
-    params = CoherenceParams(wavelength=780e-9, path_length=1.4, rho0=rho0,
-                             prefactor_radius=0.5e-3)
     points = mask.grid.points()
     expected = np.zeros((ref_grid.ny, ref_grid.nx))
     lit = list(zip(*np.nonzero(mask.transmissivity)))
     assert len(lit) > 1
     for iy, ix in lit:
         expected += mask.transmissivity[iy, ix] * oracles.pair_sum_reference(
-            ref_grid, points[iy, ix], sources.positions, params.wavelength,
-            params.path_length, params.rho0)
-    img = predicted_ghost_image(ref_grid, mask, sources, params)
+            ref_grid, points[iy, ix], sources.positions, CFG.wavelength,
+            CFG.path_length, rho0)
+    img = predicted_ghost_image(_setup(ref_grid, mask, sources, rho0))
     assert np.allclose(img, expected, rtol=1e-10, atol=0)
 
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ghost_turb import cli
-from ghost_turb.analytic import mds_demo_rows
+from ghost_turb.analytic import mds_demo_rows, predicted_ghost_image
 from ghost_turb.cli import main
-from ghost_turb.config import build_config, load_config, parse_config_text, parse_mask
+from ghost_turb.config import (build_config, config_to_setup, load_config,
+                               parse_config_text, parse_mask)
 from ghost_turb.errors import ConfigurationError
 from ghost_turb.io_formats import read_pgm8
 from ghost_turb.optics import Grid2D
@@ -402,9 +403,14 @@ def test_load_config_defaults():
 @pytest.mark.parametrize("setting, rho0", [({}, 2e-3), ({"paths_independent": "false"}, math.inf),
                                             ({"screen_fraction": "1"}, math.inf)])
 def test_coherence_params_take_the_rho0_the_image_sees(setting, rho0):
-    rc = load_config(None, {"rho0": "2e-3", **setting})
-    assert rc.rho0 == 2e-3
-    assert rc.coherence_params().rho0 == rho0
+    # The closed form of a run at rho0 = 2 mm is the vacuum image exactly
+    # when the screens leave the image as in vacuum.
+    setup = config_to_setup(load_config(None, {"rho0": "2e-3", **setting}))
+    assert setup.model.rho0 == 2e-3
+    assert setup.model.image_rho0 == rho0
+    vacuum = config_to_setup(load_config(None, {"rho0": "inf", **setting}))
+    image = predicted_ghost_image(setup)
+    assert np.array_equal(image, predicted_ghost_image(vacuum)) == math.isinf(rho0)
 
 
 def test_config_record_keeps_its_run_json_names():

@@ -29,16 +29,6 @@ def test_pgm16_roundtrip_scaling(tmp_path, rng):
     assert float(sidecar.split()[3]) == hi
 
 
-def test_pgm16_explicit_range_and_clipping(tmp_path):
-    values = np.array([[0.0, 5.0], [10.0, 20.0]])
-    path = tmp_path / "clip.pgm"
-    write_pgm16(path, values, lo=0.0, hi=10.0)
-    raw = path.read_bytes()
-    pixels = np.frombuffer(raw[raw.index(b"65535\n") + 6:], dtype=">u2")
-    assert pixels[-1] == 65535
-    assert pixels[1] == round(5.0 / 10.0 * 65535)
-
-
 def test_pgm16_constant_map_is_black(tmp_path):
     path = tmp_path / "flat.pgm"
     lo, hi = write_pgm16(path, np.full((3, 3), 4.2))

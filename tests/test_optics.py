@@ -37,9 +37,6 @@ def test_grid_centered_puts_origin_on_a_pixel():
     even = Grid2D.centered(64, 64, 12e-6)
     assert even.center == (6e-6, 6e-6)
     assert np.min(np.abs(even.x())) == 0.0
-    off = Grid2D.centered(64, 64, 12e-6, on_pixel=False)
-    assert off.center == (0.0, 0.0)
-    assert np.min(np.abs(off.x())) == pytest.approx(6e-6)
 
 
 def test_grid_coordinates_and_span():
@@ -54,9 +51,10 @@ def test_grid_coordinates_and_span():
 
 def test_grid_same_layout():
     a = Grid2D.centered(8, 8, 1e-5)
-    assert a.same_layout(Grid2D.centered(8, 8, 1e-5))
-    assert not a.same_layout(Grid2D.centered(8, 8, 2e-5))
-    assert not a.same_layout(Grid2D.centered(8, 9, 1e-5))
+    assert a == Grid2D.centered(8, 8, 1e-5)
+    assert a != Grid2D.centered(8, 8, 2e-5)
+    assert a != Grid2D.centered(8, 9, 1e-5)
+    assert a != Grid2D(8, 8, 1e-5)
 
 
 def test_greens_function_modulus_and_phase(rng):

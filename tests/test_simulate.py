@@ -227,15 +227,14 @@ def test_relative_screen_weights_are_the_closed_form_weights():
     weights = np.exp(-0.5 * t2)
     assert np.max(np.abs(weights - np.exp(-d2 / setup.model.rho0**2))) <= 1e-12
     # The same weights in predicted_ghost_image's product give its image.
-    params = load_config(None, {"cn2": "1.5e-12"}).coherence_params()
-    assert params.rho0 == setup.model.rho0
-    q = params.wavenumber / params.path_length
+    assert setup.model.image_rho0 == setup.model.rho0
+    q = setup.cfg.wavenumber / setup.cfg.path_length
     t = setup.mask.transmissivity.ravel()
     e = np.exp(1j * q * (setup.mask.grid.points().reshape(-1, 2) @ pos.T))
     mutual = (t[:, None] * e).T @ e.conj()
     r = np.exp(1j * q * (setup.ref_grid.points().reshape(-1, 2) @ pos.T))
     image = np.einsum("pm,pm->p", r.conj() @ (weights * mutual), r).real
-    want = predicted_ghost_image(setup.ref_grid, setup.mask, setup.sources, params)
+    want = predicted_ghost_image(setup)
     assert _close(image, want.ravel())
 
 
