@@ -13,8 +13,7 @@ from .correlator import (GhostImageEstimate, GhostImageResult, ObjectMask, PsfMe
                          double_slit_mask, point_mask, psf_metrics, three_bar_mask)
 from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError,
                      ValidationError)
-from .optics import (Grid2D, OpticalConfig, fresnel_kernel, greens_function,
-                     propagate_subsources)
+from .optics import Grid2D, OpticalConfig
 from .simulate import (FramePipeline, RunSetup, SimulationOutput, per_path_screen_model,
                        run_simulation)
 from .source import SubsourceSet, make_source_grid
@@ -30,9 +29,9 @@ __all__ = [
     "PsfMetrics", "RunConfig", "RunSetup", "ScreenSampler", "SimulationOutput",
     "SubsourceSet", "TurbulenceModel", "ValidationError", "build_config",
     "coherence_length", "config_to_setup", "corrected_mds_lhs", "double_slit_mask",
-    "fresnel_kernel", "glauber_pair_term", "greens_function", "immunity_criterion",
-    "load_config", "make_source_grid", "pair_coherence_factor", "parse_mask",
-    "per_path_screen_model", "point_mask", "predicted_ghost_image", "propagate_subsources",
-    "psf_metrics", "run_simulation", "three_bar_mask", "weighted_path_integral",
+    "glauber_pair_term", "immunity_criterion", "load_config", "make_source_grid",
+    "pair_coherence_factor", "parse_mask", "per_path_screen_model", "point_mask",
+    "predicted_ghost_image", "psf_metrics", "run_simulation", "three_bar_mask",
+    "weighted_path_integral",
     "__version__",
 ]

@@ -14,12 +14,16 @@ rho0 loses its interference term, while pairs inside rho0 keep it.
 
 Behind an object mask of transmissivity T_b the ghost image is
 sum_b T_b sum_{m,m'} exp(-|rho_m - rho_m'|^2 / rho0^2)
-cos(q (rho_b - rho_p) . (rho_m - rho_m')) with q = k / L; the mask folds
-into the object's mutual-intensity matrix
-C[m,m'] = sum_b T_b exp(i q rho_b . (rho_m - rho_m')), so the image is the
-single product of predicted_ghost_image, which reads every input from
-the run's RunSetup: the optics, the subsources, the mask, the reference
-grid and the rho0 the image sees.
+cos(q (rho_b - rho_p) . (rho_m - rho_m')) with q = k / L.  Every term
+depends on its pair only through the difference rho_m - rho_m', and on
+the source lattice there are few of those (33 x 33 at the default
+geometry, against 197^2 pairs).  predicted_ghost_image therefore sums
+over the lattice difference spectrum: the number of pairs per
+difference vector, times the pair weight, times the mask's mutual
+intensity at that vector, brought to the reference grid by two small
+separable Fourier factors.  It reads every input from the run's
+RunSetup: the optics, the subsources, the mask, the reference grid and
+the rho0 the image sees.
 
 The paper's phase-correction argument is the two-detector, two-mode sum
 of corrected_mds_lhs, evaluated on (4, ...) arrays of magnitudes,
@@ -37,11 +41,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .optics import OpticalConfig
+from .optics import OpticalConfig, lattice_indices
 from .turbulence import TurbulenceModel
 
 if TYPE_CHECKING:
     from .simulate import RunSetup
+
+# Mode-dependent draws of mds_demo_rows per block: 4 x 2**14 phases
+# (0.5 MiB) stay in cache, where all 1e6 at once take about 90 MiB.
+MDS_CHUNK_DRAWS = 2**14
 
 
 def pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg: OpticalConfig,
@@ -89,33 +97,53 @@ def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
     """Ghost image the closed form predicts for a run, on its reference grid.
 
     Per unit squared subsource power, constant background omitted, with
-    q = k / L, rho0 = setup.model.image_rho0, pair weights
-    w = exp(-|rho_m - rho_m'|^2 / rho0^2) (ones in vacuum),
-    R[p,m] = exp(i q rho_p . rho_m) and the object's mutual intensity
-    C[m,m'] = sum_b T_b exp(i q rho_b . (rho_m - rho_m')):
+    q = k / L and rho0 = setup.model.image_rho0:
 
-        image(rho_p) = sum_b T_b sum_{m,m'} w cos(q (rho_b - rho_p) . (rho_m - rho_m'))
-                     = Re sum_{m,m'} conj(R[p,m]) (w * C)[m,m'] R[p,m'].
+        image(rho_p) = sum_b T_b sum_{m,m'} w(d) cos(q (rho_b - rho_p) . d),
 
-    A point bucket is a one-pixel mask.  The m = m' terms give a flat
+    d = rho_m - rho_m'.  A pair enters only through its difference d, a
+    lattice vector (dx, dy), so the sum runs over the lattice difference
+    spectrum instead of over pairs:
+
+        image = Re(E_y (N * w * C_hat) E_x^T),
+
+    where N(d) is the number of subsource pairs with difference d (the
+    autocorrelation of the lattice occupancy), w(d) = exp(-|d|^2 / rho0^2)
+    the pair weight (ones in vacuum), C_hat = F_y^T T F_x the mask's
+    mutual intensity sum_b T_b exp(i q rho_b . d), and
+    E[p, d] = exp(-i q rho_p d), F[b, d] = exp(i q rho_b d) the Fourier
+    factors of one axis on the reference and object grids.
+
+    A point bucket is a one-pixel mask.  The d = 0 term gives a flat
     pedestal M sum_b T_b, the one the simulated frame covariance carries.
-    RunSetup has already checked that the geometry is paraxial.
+    Subsources off the lattice raise ConfigurationError, as they do in
+    simulate.  RunSetup has already checked that the geometry is paraxial.
     """
-    pos = setup.sources.positions
-    mask, ref_grid = setup.mask, setup.ref_grid
-    q = setup.cfg.wavenumber / setup.cfg.path_length
-    t = mask.transmissivity.ravel()
-    lit = np.flatnonzero(t)
-    bucket = mask.grid.points().reshape(-1, 2)[lit]
-    e = np.exp(1j * q * (bucket @ pos.T))
-    mutual = (t[lit, None] * e).T @ e.conj()
+    sources, mask, ref = setup.sources, setup.mask, setup.ref_grid
+    ix, iy, xs, ys = lattice_indices(sources.positions, sources.pitch)
+    occupancy = np.zeros((ys.size, xs.size))
+    occupancy[iy, ix] = 1.0
+    # Zero-padded to every lag, so the circular autocorrelation is the
+    # linear one; its values are integers up to M, which rint recovers
+    # exactly from the FFT's rounding.
+    lags = (2 * ys.size - 1, 2 * xs.size - 1)
+    spectrum = np.fft.rfft2(occupancy, lags)
+    weights = np.fft.fftshift(np.rint(np.fft.irfft2(spectrum * spectrum.conj(), lags)))
+    dx = np.arange(1 - xs.size, xs.size) * sources.pitch
+    dy = np.arange(1 - ys.size, ys.size) * sources.pitch
     rho0 = setup.model.image_rho0
     if not math.isinf(rho0):
-        d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-        mutual *= np.exp(-d2 / rho0**2)
-    r = np.exp(1j * q * (ref_grid.points().reshape(-1, 2) @ pos.T))
-    image = np.einsum("pm,pm->p", r.conj() @ mutual, r).real
-    return image.reshape(ref_grid.ny, ref_grid.nx)
+        weights *= np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) / rho0**2)
+    q = setup.cfg.wavenumber / setup.cfg.path_length
+    mutual = (_fourier(q, mask.grid.y(), dy).T @ mask.transmissivity
+              @ _fourier(q, mask.grid.x(), dx))
+    image = _fourier(-q, ref.y(), dy) @ (weights * mutual) @ _fourier(-q, ref.x(), dx).T
+    return image.real
+
+
+def _fourier(q: float, coords: np.ndarray, lags: np.ndarray) -> np.ndarray:
+    """exp(i q x d) over coordinates x (rows) and lattice lags d (columns)."""
+    return np.exp(1j * q * np.multiply.outer(coords, lags))
 
 
 def corrected_mds_lhs(mag, geo, turb) -> np.ndarray:
@@ -157,7 +185,8 @@ def mds_demo_rows(seed: int = 20260815, matched_draws: int = 10_000,
     (mode-independent) cancels, so the corrected value tracks the
     noise-free one draw by draw.  Row two: mode-dependent phase noise
     destroys the interference, pulling the mean from 4 to 2 at unit
-    magnitudes and zero geometric phases.
+    magnitudes and zero geometric phases.  Those draws are made and
+    summed MDS_CHUNK_DRAWS at a time, after the matched ones.
     """
     rng = np.random.default_rng(seed)
     mags = rng.uniform(0.1, 2.0, size=(4, matched_draws))
@@ -168,8 +197,12 @@ def mds_demo_rows(seed: int = 20260815, matched_draws: int = 10_000,
     clean = corrected_mds_lhs(mags, geos, np.zeros(4))
     worst = float(np.max(np.abs(corrected - clean) / clean))
 
-    turb = rng.uniform(0.0, 2.0 * math.pi, size=(4, random_draws))
-    mean_scrambled = float(np.mean(corrected_mds_lhs(np.ones(4), np.zeros(4), turb)))
+    total = 0.0
+    for start in range(0, random_draws, MDS_CHUNK_DRAWS):
+        turb = rng.uniform(0.0, 2.0 * math.pi,
+                           size=(4, min(MDS_CHUNK_DRAWS, random_draws - start)))
+        total += float(np.sum(corrected_mds_lhs(np.ones(4), np.zeros(4), turb)))
+    mean_scrambled = total / random_draws
 
     return [
         {"case": "mode_independent", "draws": matched_draws,

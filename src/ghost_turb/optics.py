@@ -8,8 +8,8 @@ Sources on a square lattice are propagated many frames at a time
 through the exact separable form of the kernel (LatticePropagator), in
 real arithmetic on planar fields: the real and imaginary parts are two
 float planes of one buffer, and each complex factor K is kept as its
-real block matrix [[Re K, -Im K], [Im K, Re K]].  propagate_subsources
-is the dense direct sum it is checked against.
+real block matrix [[Re K, -Im K], [Im K, Re K]].  lattice_indices
+places subsources on the lattice for it and for the closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigurationError, ValidationError
 
 # Largest distance, in lattice pitches, of a subsource from its lattice
-# node; LatticePropagator places it on the node.
+# node; lattice_indices places it on the node.
 LATTICE_TOLERANCE = 1e-9
 
 # Largest phase, in radians, the Fresnel kernel may drop: the quartic
@@ -119,28 +119,6 @@ def intensity_moments(fields: np.ndarray) -> np.ndarray:
     return fields
 
 
-def greens_function(rho_dst, rho_src, cfg: OpticalConfig) -> np.ndarray:
-    """Point-to-point paraxial propagation kernel over cfg.path_length.
-
-    Parameters
-    ----------
-    rho_dst, rho_src : array_like (..., 2)
-        Destination and source transverse coordinates in meters;
-        broadcast against each other.
-
-    Returns
-    -------
-    complex ndarray with the broadcast shape and modulus
-    1 / (wavelength * path_length).
-    """
-    dst = np.asarray(rho_dst, dtype=float)
-    src = np.asarray(rho_src, dtype=float)
-    if dst.shape[-1] != 2 or src.shape[-1] != 2:
-        raise ValidationError("coordinates must have a trailing axis of size 2 (x, y)")
-    d2 = np.sum((dst - src) ** 2, axis=-1)
-    return path_prefactor(cfg) * np.exp(1j * (cfg.wavenumber * d2 / (2.0 * cfg.path_length)))
-
-
 def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> None:
     """Raise ConfigurationError unless every subsource-to-pixel path is paraxial.
 
@@ -170,15 +148,35 @@ def path_prefactor(cfg: OpticalConfig) -> complex:
                    * np.exp(1j * cfg.wavenumber * cfg.path_length))
 
 
-def fresnel_kernel(positions: np.ndarray, grid: Grid2D, cfg: OpticalConfig) -> np.ndarray:
-    """Vacuum kernel matrix from point sources to grid pixels.
+def lattice_indices(positions, pitch: float) -> tuple[np.ndarray, ...]:
+    """Square-lattice nodes (ix, iy, xs, ys) of subsource positions.
 
-    Returns a complex array of shape (ny * nx, M) so a propagated field
-    is ``(kernel @ amplitudes).reshape(ny, nx)``.
+    Subsource m sits on node (xs[ix[m]], ys[iy[m]]); xs and ys are the
+    node coordinates of the lattice's bounding box, (i + lo) * pitch.
+    Positions farther than LATTICE_TOLERANCE pitches from a node, or two
+    on one node, raise ConfigurationError: the frame pipeline and the
+    closed form both need one subsource per node.
     """
     pos = _check_positions(positions)
-    pts = grid.points().reshape(-1, 1, 2)
-    return greens_function(pts, pos[None, :, :], cfg)
+    if not (math.isfinite(pitch) and pitch > 0):
+        raise ValidationError(f"lattice pitch must be finite and > 0, got {pitch}")
+    nodes = pos / pitch
+    idx = np.rint(nodes)
+    if np.any(np.abs(nodes - idx) > LATTICE_TOLERANCE):
+        raise ConfigurationError(
+            f"subsource positions are off the square lattice of pitch {pitch:.6g} m; "
+            "the frame pipeline and the closed form need every subsource on a lattice node"
+        )
+    lo = idx.min(axis=0)
+    ix = (idx[:, 0] - lo[0]).astype(int)
+    iy = (idx[:, 1] - lo[1]).astype(int)
+    xs = np.arange(lo[0], idx[:, 0].max() + 1.0) * pitch
+    ys = np.arange(lo[1], idx[:, 1].max() + 1.0) * pitch
+    if np.unique(iy * xs.size + ix).size != pos.shape[0]:
+        raise ConfigurationError(
+            f"two subsources share a node of the square lattice of pitch {pitch:.6g} m"
+        )
+    return ix, iy, xs, ys
 
 
 class LatticePropagator:
@@ -188,9 +186,8 @@ class LatticePropagator:
     separates by axis, G(p, m) = c Ky[y_p, j_m] Kx[x_p, i_m] with
     c = path_prefactor(cfg), so a frame's field is c Ky A Kx^T for its
     amplitudes A placed on the lattice.  This is the Fresnel kernel
-    itself, factored exactly, not an approximation of it.  Positions
-    farther than LATTICE_TOLERANCE pitches from a node, or two on one
-    node, raise ConfigurationError.
+    itself, factored exactly, not an approximation of it.  The nodes
+    come from lattice_indices, which rejects off-lattice positions.
 
     The factors c Ky and Kx are kept as real block matrices
     [[Re K, -Im K], [Im K, Re K]], which act on planar (re, im) blocks.
@@ -205,27 +202,9 @@ class LatticePropagator:
 
     def __init__(self, positions, pitch: float, grid: Grid2D, cfg: OpticalConfig,
                  max_frames: int):
-        pos = _check_positions(positions)
-        if not (math.isfinite(pitch) and pitch > 0):
-            raise ValidationError(f"lattice pitch must be finite and > 0, got {pitch}")
+        self._ix, self._iy, xs, ys = lattice_indices(positions, pitch)
         if max_frames < 1:
             raise ValidationError(f"max_frames must be >= 1, got {max_frames}")
-        nodes = pos / pitch
-        idx = np.rint(nodes)
-        if np.any(np.abs(nodes - idx) > LATTICE_TOLERANCE):
-            raise ConfigurationError(
-                f"subsource positions are off the square lattice of pitch {pitch:.6g} m; "
-                "the frame pipeline needs every subsource on a lattice node"
-            )
-        lo = idx.min(axis=0)
-        self._ix = (idx[:, 0] - lo[0]).astype(int)
-        self._iy = (idx[:, 1] - lo[1]).astype(int)
-        xs = np.arange(lo[0], idx[:, 0].max() + 1.0) * pitch
-        ys = np.arange(lo[1], idx[:, 1].max() + 1.0) * pitch
-        if np.unique(self._iy * xs.size + self._ix).size != pos.shape[0]:
-            raise ConfigurationError(
-                f"two subsources share a node of the square lattice of pitch {pitch:.6g} m"
-            )
         q = cfg.wavenumber / (2.0 * cfg.path_length)
         ky = path_prefactor(cfg) * np.exp(1j * q * (grid.y()[:, None] - ys[None, :]) ** 2)
         kx = np.exp(1j * q * (grid.x()[:, None] - xs[None, :]) ** 2)
@@ -285,23 +264,3 @@ def _check_positions(positions) -> np.ndarray:
         raise ValidationError("positions must be finite")
     return pos
 
-
-def propagate_subsources(amplitudes, positions, dst_grid: Grid2D,
-                         cfg: OpticalConfig) -> np.ndarray:
-    """Vacuum field (ny, nx) of subsource amplitudes on a destination grid.
-
-    The direct Fresnel sum over subsources through the dense
-    fresnel_kernel: the reference that the separable LatticePropagator
-    is tested against.  A source-plane screen enters as the phase of
-    the amplitudes; a detector-plane screen would only multiply each
-    pixel by a unit-modulus factor.
-    """
-    pos = _check_positions(positions)
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (pos.shape[0],):
-        raise ValidationError(
-            f"amplitudes shape {amps.shape} does not match {pos.shape[0]} subsource positions"
-        )
-    if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-        raise ValidationError("amplitudes must be finite")
-    return (fresnel_kernel(pos, dst_grid, cfg) @ amps).reshape(dst_grid.ny, dst_grid.nx)

@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from ghost_turb.analytic import (corrected_mds_lhs, glauber_pair_term, immunity_criterion,
-                                 pair_coherence_factor, predicted_ghost_image)
-from ghost_turb.correlator import ObjectMask, three_bar_mask
-from ghost_turb.errors import ValidationError
+                                 mds_demo_rows, pair_coherence_factor, predicted_ghost_image)
+from ghost_turb.config import config_to_setup, load_config
+from ghost_turb.correlator import ObjectMask, point_mask, three_bar_mask
+from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
 from ghost_turb.simulate import RunSetup
-from ghost_turb.source import make_source_grid
+from ghost_turb.source import SubsourceSet, make_source_grid, max_pairwise_distance
 from ghost_turb.turbulence import TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -171,6 +173,83 @@ def test_masked_prediction_is_transmissivity_weighted_pair_sum(make_mask, rho0):
             CFG.path_length, rho0)
     img = predicted_ghost_image(_setup(ref_grid, mask, sources, rho0))
     assert np.allclose(img, expected, rtol=1e-10, atol=0)
+
+
+def _open_mask(grid):
+    return ObjectMask(grid=grid, transmissivity=np.ones((grid.ny, grid.nx)))
+
+
+def _cut_disc():
+    """The default 197-node disc less its rows above y = 5 pitches.
+
+    Neither x<->y nor y -> -y symmetric, so a transposed axis or a
+    flipped lag shows against the oracle.
+    """
+    disc = make_source_grid(11e-3, 11e-3 / 16.0)
+    pos = disc.positions[disc.positions[:, 1] <= 5.5 * disc.pitch]
+    return SubsourceSet(positions=pos, mean_power=1.0, pitch=disc.pitch,
+                        diameter=max_pairwise_distance(pos))
+
+
+@pytest.mark.parametrize("make_mask", [
+    lambda grid: point_mask(grid, (24e-6, -12e-6)),
+    lambda grid: three_bar_mask(grid, bar_width=12e-6, height=36e-6),
+    _gray_mask,
+    _open_mask,
+], ids=["point", "three_bar", "gray", "open"])
+@pytest.mark.parametrize("rho0", [RHO0, 2e-3, math.inf], ids=["nominal", "2mm", "vacuum"])
+def test_difference_spectrum_matches_dense_pair_product(make_mask, rho0):
+    # The dense O(P M^2) product over subsource pairs, on a lopsided
+    # lattice, a non-square off-centre reference grid and a non-square
+    # object grid; equal to 1e-12 of the image's peak.
+    ref_grid = Grid2D(nx=31, ny=24, pitch=12e-6, center=(30e-6, -18e-6))
+    mask = make_mask(Grid2D(nx=7, ny=5, pitch=12e-6, center=(6e-6, 0.0)))
+    setup = _setup(ref_grid, mask, _cut_disc(), rho0)
+    want = oracles.dense_ghost_image(setup)
+    img = predicted_ghost_image(setup)
+    assert img.shape == (24, 31)
+    assert np.max(np.abs(img - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_open_mask_image_is_symmetric_at_the_default_geometry():
+    setup = config_to_setup(load_config(None, {"cn2": "1.5e-12", "mask": "open"}))
+    img = predicted_ghost_image(setup)
+    assert img.shape == (64, 64)
+    assert np.max(np.abs(img - img.T)) <= 1e-12 * np.max(np.abs(img))
+
+
+@pytest.mark.parametrize("positions, match", [
+    ([[0.0, 0.0], [1e-3, 0.0], [0.5e-3, 0.25e-3]], "off the square lattice"),
+    ([[0.0, 0.0], [1e-3, 0.0], [1e-3, 0.0]], "share a node"),
+], ids=["off_lattice", "shared_node"])
+def test_predicted_ghost_image_rejects_what_simulate_rejects(positions, match):
+    sources = SubsourceSet(positions=np.array(positions), mean_power=1.0, pitch=0.5e-3,
+                           diameter=1e-3)
+    grid = Grid2D.centered(4, 4, 12e-6)
+    setup = _setup(grid, _point_bucket(np.zeros(2)), sources)
+    with pytest.raises(ConfigurationError, match=match):
+        predicted_ghost_image(setup)
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_predicted_ghost_image_traced_peak_stays_small():
+    # The difference spectrum holds 33 x 33 lags, not the 4096 x 197
+    # exponentials and 197^2 pair matrices of the dense product (38 MiB).
+    setup = config_to_setup(load_config(None, {"cn2": "1.5e-12", "mask": "open"}))
+    assert _traced_peak_mib(lambda: predicted_ghost_image(setup)) < 2.0
+
+
+def test_mds_demo_rows_traced_peak_stays_small():
+    # 1e6 mode-dependent draws in blocks, not one (4, 1e6) array (93 MiB).
+    assert _traced_peak_mib(mds_demo_rows) < 16.0
 
 
 # Unit magnitudes and zero phases, ordered (1a, 1b, 2a, 2b).

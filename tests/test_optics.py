@@ -6,8 +6,8 @@ import pytest
 import oracles
 from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import (PARAXIAL_PHASE_LIMIT, Grid2D, LatticePropagator,
-                               OpticalConfig, check_paraxial, fresnel_kernel,
-                               greens_function, intensity_moments, propagate_subsources)
+                               OpticalConfig, check_paraxial, intensity_moments)
+from oracles import fresnel_kernel, greens_function, propagate_subsources
 from ghost_turb.source import make_source_grid
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)

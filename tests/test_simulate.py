@@ -10,8 +10,8 @@ from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signals, point_mask,
                                    three_bar_mask)
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import Grid2D, OpticalConfig, propagate_subsources
-from oracles import intensity
+from ghost_turb.optics import Grid2D, OpticalConfig
+from oracles import intensity, propagate_subsources
 from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR, RNG_DOMAIN_SCREEN,
                                  FramePipeline, RunSetup, _openblas, batch_ranges,
                                  one_blas_thread, per_path_screen_model, run_simulation)
