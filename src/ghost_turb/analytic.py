@@ -10,7 +10,11 @@ rho_m and rho_mp.  With independently turbulent paths the average is
              * exp(-|rho_m - rho_mp|^2 / rho0^2)]
 
 so every subsource pair separated by more than the coherence length
-rho0 loses its interference term, while pairs inside rho0 keep it.
+rho0 loses its interference term, while pairs inside rho0 keep it.  The
+prefactor cancels in every normalized output, so the law this module
+owns is the bracket, and in it the pair weight exp(-|d|^2 / rho0^2),
+which pair_coherence_factor and predicted_ghost_image both take from
+_pair_weight.
 
 Behind an object mask of transmissivity T_b the ghost image is
 sum_b T_b sum_{m,m'} exp(-|rho_m - rho_m'|^2 / rho0^2)
@@ -69,28 +73,16 @@ def pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg: OpticalConfig,
     d_det = rb - rp
     d_src = rm - rmp
     geometric = cfg.wavenumber * np.sum(d_det * d_src, axis=-1) / cfg.path_length
-    r2 = np.sum(d_src**2, axis=-1)
-    rho0 = model.image_rho0
-    gauss = np.ones_like(r2) if math.isinf(rho0) else np.exp(-r2 / rho0**2)
-    return 1.0 + np.cos(geometric) * gauss
+    return 1.0 + np.cos(geometric) * _pair_weight(np.sum(d_src**2, axis=-1), model)
 
 
-def glauber_pair_term(rho_b, rho_p, rho_m, rho_mp, cfg: OpticalConfig,
-                      model: TurbulenceModel, prefactor_radius: float,
-                      power_m: float = 1.0, power_mp: float = 1.0) -> np.ndarray:
-    """Ensemble-averaged two-photon coherence for one subsource pair.
+def _pair_weight(r2: np.ndarray, model: TurbulenceModel) -> np.ndarray:
+    """exp(-r2 / rho0^2) at rho0 = model.image_rho0, or ones in vacuum.
 
-    prefactor_radius is the effective subsource radius entering the
-    overall amplitude scale; it is distinct from the turbulence
-    coherence length rho0 and cancels in every normalized comparison.
+    r2 holds squared subsource separations |rho_m - rho_m'|^2.
     """
-    for name, value in (("prefactor_radius", prefactor_radius), ("power_m", power_m),
-                        ("power_mp", power_mp)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValidationError(f"{name} must be finite and > 0, got {value}")
-    lam_l = cfg.wavelength * cfg.path_length
-    prefactor = 2.0 * (math.pi * prefactor_radius**2 / lam_l) ** 4 * (power_m * power_mp)
-    return prefactor * pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg, model)
+    rho0 = model.image_rho0
+    return np.ones_like(r2) if math.isinf(rho0) else np.exp(-r2 / rho0**2)
 
 
 def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
@@ -128,12 +120,10 @@ def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
     # exactly from the FFT's rounding.
     lags = (2 * ys.size - 1, 2 * xs.size - 1)
     spectrum = np.fft.rfft2(occupancy, lags)
-    weights = np.fft.fftshift(np.rint(np.fft.irfft2(spectrum * spectrum.conj(), lags)))
+    counts = np.fft.fftshift(np.rint(np.fft.irfft2(spectrum * spectrum.conj(), lags)))
     dx = np.arange(1 - xs.size, xs.size) * sources.pitch
     dy = np.arange(1 - ys.size, ys.size) * sources.pitch
-    rho0 = setup.model.image_rho0
-    if not math.isinf(rho0):
-        weights *= np.exp(-(dy[:, None] ** 2 + dx[None, :] ** 2) / rho0**2)
+    weights = counts * _pair_weight(dy[:, None] ** 2 + dx[None, :] ** 2, setup.model)
     q = setup.cfg.wavenumber / setup.cfg.path_length
     mutual = (_fourier(q, mask.grid.y(), dy).T @ mask.transmissivity
               @ _fourier(q, mask.grid.x(), dx))
@@ -222,14 +212,13 @@ class ImmunityVerdict:
     rho0: float
 
 
-def immunity_criterion(source, rho0: float) -> ImmunityVerdict:
+def immunity_criterion(diameter: float, rho0: float) -> ImmunityVerdict:
     """Whether every subsource pair fits inside one coherence area.
 
-    source is a SubsourceSet or a plain diameter in meters.  The verdict
-    is immune only for diameter strictly below rho0; margin is
-    rho0 / diameter.
+    diameter is the source diameter in meters.  The verdict is immune
+    only for diameter strictly below rho0; margin is rho0 / diameter.
     """
-    diameter = float(getattr(source, "diameter", source))
+    diameter = float(diameter)
     if math.isnan(diameter) or diameter <= 0:
         raise ValidationError(f"source diameter must be > 0, got {diameter}")
     if math.isnan(rho0) or rho0 <= 0:

@@ -31,7 +31,7 @@ from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError
                      ValidationError)
 from .io_formats import (write_map_csv, write_pgm16, write_psf_csv, write_rows_csv,
                          write_run_json)
-from .simulate import BATCH_FRAMES, RunSetup, run_simulation
+from .simulate import BATCH_FRAMES, RunSetup, one_blas_thread, run_simulation
 from .turbulence import PHASE_STRUCTURE_COEFF
 
 EXIT_OK = 0
@@ -294,7 +294,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The closed form's GEMMs are small: on more threads they would
+        # only leave idle BLAS threads spinning.
+        with one_blas_thread():
+            return args.func(args)
     except (ConfigurationError, ValidationError, FileNotFoundError, FileExistsError,
             NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -146,21 +146,16 @@ class GhostImageEstimate:
         self.sums = np.zeros((2, grid.ny, grid.nx, 3))
 
     def add(self, bucket, intensity) -> "GhostImageEstimate":
-        """Fold in one frame, or a batch of n frames at once.
+        """Fold in a batch of n frames.
 
-        One frame is a scalar bucket and its (ny, nx) intensity map.  A
-        batch is (n,) buckets and the (2, ny, nx, n) block [I; I^2] of
+        A batch is (n,) buckets and the (2, ny, nx, n) block [I; I^2] of
         its maps and their squares, frames last, as intensity_moments
-        leaves it.  A batch's map sums are one matrix product of that
-        block, as (2 ny nx, n), with [1, b, b^2] (n, 3).
+        leaves it.  Its map sums are one matrix product of that block,
+        as (2 ny nx, n), with [1, b, b^2] (n, 3).
         """
         b = np.asarray(bucket, dtype=float)
         block = np.asarray(intensity, dtype=float)
-        shape = (self.grid.ny, self.grid.nx)
-        if b.ndim == 0 and block.shape == shape:
-            b = b.reshape(1)
-            block = np.stack([block, block * block])[..., None]
-        elif b.ndim != 1 or block.shape != (2,) + shape + b.shape:
+        if b.ndim != 1 or block.shape != (2, self.grid.ny, self.grid.nx) + b.shape:
             raise ValidationError(
                 f"intensity shape {block.shape} does not match {b.size} bucket value(s) on "
                 f"grid {self.grid.ny} x {self.grid.nx}"

@@ -27,8 +27,10 @@ detector-plane screen leave the law of every intensity as in vacuum, so
 nothing is drawn for them and such a run equals the vacuum run frame by
 frame.
 
-Batches are merged in order and BLAS runs on one thread in every
-process, so results are identical for any worker count.
+Batches are merged in order, and BLAS runs on one thread in every
+process: run_simulation pins it once, around the serial loop and the
+process pool alike, and forked workers inherit the pinned count.  So
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -57,11 +59,6 @@ from .turbulence import ScreenSampler, TurbulenceModel
 # Stream of the per-batch relative screen draws (the source module owns 1).
 RNG_DOMAIN_SCREEN = 2
 
-# Each of two independent path screens carries half of the pair
-# phase-structure variance, so its own target coherence length is
-# sqrt(2) times the configured two-path rho0; the product of the two
-# path coherence factors then reproduces exp(-r^2 / rho0^2).
-PER_PATH_RHO0_FACTOR = math.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class RunSetup:
@@ -91,24 +88,9 @@ class RunSetup:
 @dataclass(frozen=True, eq=False)
 class SimulationOutput:
     setup: RunSetup
-    estimate: GhostImageEstimate
     result: GhostImageResult
     wall_time_s: float
     blas_threads: int | None = None   # OpenBLAS threads per batch; None if not pinned
-
-
-def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:
-    """Screen-generation model for one of two independent path screens.
-
-    The frame pipeline draws no per-path screens, only their difference,
-    which is a screen of `model` itself.  This model serves checks that
-    draw the two paths separately.
-    """
-    if not model.turbulent:
-        return model
-    return TurbulenceModel(rho0=PER_PATH_RHO0_FACTOR * model.rho0,
-                           screen_position_fraction=model.screen_position_fraction,
-                           paths_independent=model.paths_independent)
 
 
 class FramePipeline:
@@ -221,10 +203,6 @@ _WORKER_PIPELINE: FramePipeline | None = None
 
 def _init_worker(setup: RunSetup) -> None:
     global _WORKER_PIPELINE
-    api = _openblas()
-    if api is not None:
-        _, set_threads = api
-        set_threads(1)
     _WORKER_PIPELINE = FramePipeline(setup)
 
 
@@ -239,25 +217,26 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
     Frames are split into fixed BATCH_FRAMES-sized batches and the
     partial estimates merged in batch order whether the batches run
     serially or on a process pool, so any worker count produces
-    bit-identical results.
+    bit-identical results.  BLAS is pinned to one thread around both;
+    forked pool workers inherit the pinned count.
     """
     t0 = time.perf_counter()
     spans = batch_ranges(setup.frames)
     estimate = GhostImageEstimate(setup.ref_grid)
-    if setup.workers == 1:
-        with one_blas_thread() as blas_threads:
+    with one_blas_thread() as blas_threads:
+        if setup.workers == 1:
             pipeline = FramePipeline(setup)
             for span in spans:
                 estimate.merge(pipeline.batch(*span))
-    else:
-        blas_threads = 1 if _openblas() is not None else None
-        ctx = multiprocessing.get_context("fork")
-        # The fork context starts every worker at the first submit, so
-        # there are no more workers than batches.
-        with ProcessPoolExecutor(max_workers=min(setup.workers, len(spans)), mp_context=ctx,
-                                 initializer=_init_worker, initargs=(setup,)) as pool:
-            for part in pool.map(_worker_batch, spans):
-                estimate.merge(part)
+        else:
+            ctx = multiprocessing.get_context("fork")
+            # The fork context starts every worker at the first submit, so
+            # there are no more workers than batches.
+            with ProcessPoolExecutor(max_workers=min(setup.workers, len(spans)),
+                                     mp_context=ctx, initializer=_init_worker,
+                                     initargs=(setup,)) as pool:
+                for part in pool.map(_worker_batch, spans):
+                    estimate.merge(part)
     result = estimate.finalize()
-    return SimulationOutput(setup=setup, estimate=estimate, result=result,
+    return SimulationOutput(setup=setup, result=result,
                             wall_time_s=time.perf_counter() - t0, blas_threads=blas_threads)

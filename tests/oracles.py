@@ -4,6 +4,7 @@ Everything here is computed by a different route than the library code:
 arbitrary-precision quadrature for the coherence length, scipy adaptive
 quadrature for path integrals, direct Monte Carlo of the two-mode
 amplitude for the pair term, brute-force loops for lattice counts,
+per-path screens drawn separately for the relative screen,
 |u|^2 of complex fields for the planar intensities of the frame pipeline,
 the dense Fresnel kernel for the separable lattice propagation, and the
 dense product over subsource pairs for the lattice difference spectrum
@@ -19,8 +20,16 @@ import numpy as np
 import mpmath
 from scipy import integrate
 
+from ghost_turb.analytic import pair_coherence_factor
 from ghost_turb.errors import ValidationError
 from ghost_turb.optics import _check_positions, path_prefactor
+from ghost_turb.turbulence import TurbulenceModel
+
+# Each of two independent path screens carries half of the pair
+# phase-structure variance, so its own target coherence length is
+# sqrt(2) times the configured two-path rho0; the product of the two
+# path coherence factors then reproduces exp(-r^2 / rho0^2).
+PER_PATH_RHO0_FACTOR = math.sqrt(2.0)
 
 
 def rho0_uniform_mp(wavelength: float, path_length: float, cn2: float,
@@ -50,6 +59,46 @@ def path_integral_quad(segments, path_length: float) -> float:
 def ramp_integral_exact(cmax: float, path_length: float) -> float:
     """Closed form for cn2(z) = cmax * z / L: cmax * L * 9 / 88."""
     return cmax * path_length * 9.0 / 88.0
+
+
+def glauber_pair_term(rho_b, rho_p, rho_m, rho_mp, cfg, model, prefactor_radius: float,
+                      power_m: float = 1.0, power_mp: float = 1.0) -> np.ndarray:
+    """Ensemble-averaged two-photon coherence for one subsource pair.
+
+    The library's bracket pair_coherence_factor times the prefactor
+    2 (pi rho_s^2 / (lam L))^4 P_m P_mp.  prefactor_radius is the
+    effective subsource radius rho_s entering that overall amplitude
+    scale; it is distinct from the turbulence coherence length rho0 and
+    cancels in every normalized comparison.
+    """
+    for name, value in (("prefactor_radius", prefactor_radius), ("power_m", power_m),
+                        ("power_mp", power_mp)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name} must be finite and > 0, got {value}")
+    lam_l = cfg.wavelength * cfg.path_length
+    prefactor = 2.0 * (math.pi * prefactor_radius**2 / lam_l) ** 4 * (power_m * power_mp)
+    return prefactor * pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg, model)
+
+
+def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:
+    """Screen-generation model for one of two independent path screens.
+
+    The frame pipeline draws no per-path screens, only their difference,
+    which is a screen of `model` itself.  This model serves checks that
+    draw the two paths separately.
+    """
+    if not model.turbulent:
+        return model
+    return TurbulenceModel(rho0=PER_PATH_RHO0_FACTOR * model.rho0,
+                           screen_position_fraction=model.screen_position_fraction,
+                           paths_independent=model.paths_independent)
+
+
+def add_frame(estimate, bucket, image):
+    """Fold one frame, a bucket value and its (ny, nx) map, into estimate as a batch of one."""
+    im = np.asarray(image, dtype=float)
+    return estimate.add(np.reshape(np.asarray(bucket, dtype=float), 1),
+                        np.stack([im, im * im])[..., None])
 
 
 def pair_term_mc(rho_b, rho_p, rho_m, rho_mp, wavelength: float, path_length: float,

@@ -15,16 +15,16 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.analytic import (glauber_pair_term, immunity_criterion, mds_demo_rows,
-                                 pair_coherence_factor)
+from ghost_turb.analytic import immunity_criterion, mds_demo_rows, pair_coherence_factor
 from ghost_turb.correlator import GhostImageEstimate, point_mask, psf_metrics
 from ghost_turb.io_formats import write_pgm16
 from ghost_turb.optics import Grid2D, OpticalConfig
-from ghost_turb.simulate import RunSetup, per_path_screen_model, run_simulation
+from ghost_turb.simulate import RunSetup, run_simulation
 from ghost_turb.source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, batch_generator,
                                draw_amplitudes, make_source_grid)
 from ghost_turb.turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
                                    coherence_length, weighted_path_integral)
+from oracles import glauber_pair_term, per_path_screen_model
 
 WAVELENGTH = 780e-9
 PATH_LENGTH = 1.4
@@ -99,7 +99,7 @@ def test_criterion_1_coherence_length(capsys):
 
 def test_criterion_2_immunity_verdict(capsys, rho0_nominal):
     sources = make_source_grid(DIAMETER, DIAMETER / 16.0)
-    verdict = immunity_criterion(sources, rho0_nominal)
+    verdict = immunity_criterion(sources.diameter, rho0_nominal)
     nominal = immunity_criterion(DIAMETER, rho0_nominal)
     ok = verdict.immune and nominal.immune and nominal.margin > 4.0
     _report(capsys, 2, ok,
@@ -306,7 +306,7 @@ def test_criterion_8_property_suites(capsys, rho0_nominal):
     for _ in range(3):
         est = GhostImageEstimate(grid)
         for _ in range(20):
-            est.add(float(rng.gamma(2.0)), rng.gamma(1.5, size=(6, 6)))
+            oracles.add_frame(est, float(rng.gamma(2.0)), rng.gamma(1.5, size=(6, 6)))
         parts.append(est)
 
     def merged(order):

