@@ -45,7 +45,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ValidationError
-from .optics import OpticalConfig, lattice_indices
+from .optics import OpticalConfig
 from .turbulence import TurbulenceModel
 
 if TYPE_CHECKING:
@@ -108,11 +108,10 @@ def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
 
     A point bucket is a one-pixel mask.  The d = 0 term gives a flat
     pedestal M sum_b T_b, the one the simulated frame covariance carries.
-    Subsources off the lattice raise ConfigurationError, as they do in
-    simulate.  RunSetup has already checked that the geometry is paraxial.
+    RunSetup has already checked that the geometry is paraxial.
     """
     sources, mask, ref = setup.sources, setup.mask, setup.ref_grid
-    ix, iy, xs, ys = lattice_indices(sources.positions, sources.pitch)
+    ix, iy, xs, ys = sources.lattice()
     occupancy = np.zeros((ys.size, xs.size))
     occupancy[iy, ix] = 1.0
     # Zero-padded to every lag, so the circular autocorrelation is the
@@ -208,8 +207,6 @@ def mds_demo_rows(seed: int = 20260815, matched_draws: int = 10_000,
 class ImmunityVerdict:
     immune: bool
     margin: float
-    source_diameter: float
-    rho0: float
 
 
 def immunity_criterion(diameter: float, rho0: float) -> ImmunityVerdict:
@@ -224,5 +221,4 @@ def immunity_criterion(diameter: float, rho0: float) -> ImmunityVerdict:
     if math.isnan(rho0) or rho0 <= 0:
         raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {rho0}")
     margin = rho0 / diameter
-    return ImmunityVerdict(immune=bool(diameter < rho0), margin=margin,
-                           source_diameter=diameter, rho0=rho0)
+    return ImmunityVerdict(immune=bool(diameter < rho0), margin=margin)

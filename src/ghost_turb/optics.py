@@ -8,22 +8,22 @@ Sources on a square lattice are propagated many frames at a time
 through the exact separable form of the kernel (LatticePropagator), in
 real arithmetic on planar fields: the real and imaginary parts are two
 float planes of one buffer, and each complex factor K is kept as its
-real block matrix [[Re K, -Im K], [Im K, Re K]].  lattice_indices
-places subsources on the lattice for it and for the closed form.
+real block matrix [[Re K, -Im K], [Im K, Re K]].  The lattice is the
+subsources' own: SubsourceSet stores them as its nodes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 
-# Largest distance, in lattice pitches, of a subsource from its lattice
-# node; lattice_indices places it on the node.
-LATTICE_TOLERANCE = 1e-9
+if TYPE_CHECKING:
+    from .source import SubsourceSet
 
 # Largest phase, in radians, the Fresnel kernel may drop: the quartic
 # term k d^4 / (8 L^3) of the path length sqrt(L^2 + d^2) over a
@@ -125,10 +125,9 @@ def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> N
     The farthest pixel of a grid from a subsource is one of the grid's
     corners, so the largest offset d costs O(M) per grid.
     """
-    pos = _check_positions(positions)
     corners = np.array([(x, y) for grid in grids for x in grid.span()[0]
                         for y in grid.span()[1]])
-    d2 = float(np.max(np.sum((pos[:, None, :] - corners[None, :, :]) ** 2, axis=-1)))
+    d2 = float(np.max(np.sum((positions[:, None, :] - corners[None, :, :]) ** 2, axis=-1)))
     phase = wavenumber * d2 * d2 / (8.0 * path_length**3)
     if phase > PARAXIAL_PHASE_LIMIT:
         raise ConfigurationError(
@@ -148,37 +147,6 @@ def path_prefactor(cfg: OpticalConfig) -> complex:
                    * np.exp(1j * cfg.wavenumber * cfg.path_length))
 
 
-def lattice_indices(positions, pitch: float) -> tuple[np.ndarray, ...]:
-    """Square-lattice nodes (ix, iy, xs, ys) of subsource positions.
-
-    Subsource m sits on node (xs[ix[m]], ys[iy[m]]); xs and ys are the
-    node coordinates of the lattice's bounding box, (i + lo) * pitch.
-    Positions farther than LATTICE_TOLERANCE pitches from a node, or two
-    on one node, raise ConfigurationError: the frame pipeline and the
-    closed form both need one subsource per node.
-    """
-    pos = _check_positions(positions)
-    if not (math.isfinite(pitch) and pitch > 0):
-        raise ValidationError(f"lattice pitch must be finite and > 0, got {pitch}")
-    nodes = pos / pitch
-    idx = np.rint(nodes)
-    if np.any(np.abs(nodes - idx) > LATTICE_TOLERANCE):
-        raise ConfigurationError(
-            f"subsource positions are off the square lattice of pitch {pitch:.6g} m; "
-            "the frame pipeline and the closed form need every subsource on a lattice node"
-        )
-    lo = idx.min(axis=0)
-    ix = (idx[:, 0] - lo[0]).astype(int)
-    iy = (idx[:, 1] - lo[1]).astype(int)
-    xs = np.arange(lo[0], idx[:, 0].max() + 1.0) * pitch
-    ys = np.arange(lo[1], idx[:, 1].max() + 1.0) * pitch
-    if np.unique(iy * xs.size + ix).size != pos.shape[0]:
-        raise ConfigurationError(
-            f"two subsources share a node of the square lattice of pitch {pitch:.6g} m"
-        )
-    return ix, iy, xs, ys
-
-
 class LatticePropagator:
     """Fresnel propagation from subsources on a square lattice to a grid.
 
@@ -187,7 +155,7 @@ class LatticePropagator:
     c = path_prefactor(cfg), so a frame's field is c Ky A Kx^T for its
     amplitudes A placed on the lattice.  This is the Fresnel kernel
     itself, factored exactly, not an approximation of it.  The nodes
-    come from lattice_indices, which rejects off-lattice positions.
+    are the subsources' own, from SubsourceSet.lattice().
 
     The factors c Ky and Kx are kept as real block matrices
     [[Re K, -Im K], [Im K, Re K]], which act on planar (re, im) blocks.
@@ -200,9 +168,9 @@ class LatticePropagator:
     contiguous blocks.
     """
 
-    def __init__(self, positions, pitch: float, grid: Grid2D, cfg: OpticalConfig,
+    def __init__(self, sources: SubsourceSet, grid: Grid2D, cfg: OpticalConfig,
                  max_frames: int):
-        self._ix, self._iy, xs, ys = lattice_indices(positions, pitch)
+        self._ix, self._iy, xs, ys = sources.lattice()
         if max_frames < 1:
             raise ValidationError(f"max_frames must be >= 1, got {max_frames}")
         q = cfg.wavenumber / (2.0 * cfg.path_length)
@@ -254,13 +222,3 @@ def _real_block(k: np.ndarray) -> np.ndarray:
     np.negative(k.imag, out=out[:r, c:])
     out[r:, :c] = k.imag
     return out
-
-
-def _check_positions(positions) -> np.ndarray:
-    pos = np.asarray(positions, dtype=float)
-    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-        raise ValidationError(f"positions must have shape (M, 2) with M >= 1, got {pos.shape}")
-    if not np.all(np.isfinite(pos)):
-        raise ValidationError("positions must be finite")
-    return pos
-

@@ -87,7 +87,6 @@ class RunSetup:
 
 @dataclass(frozen=True, eq=False)
 class SimulationOutput:
-    setup: RunSetup
     result: GhostImageResult
     wall_time_s: float
     blas_threads: int | None = None   # OpenBLAS threads per batch; None if not pinned
@@ -109,10 +108,8 @@ class FramePipeline:
         cfg = setup.cfg
         sources = setup.sources
         self.bucket_mask = setup.mask.support()
-        self.obj = LatticePropagator(sources.positions, sources.pitch, self.bucket_mask.grid,
-                                     cfg, BATCH_FRAMES)
-        self.ref = LatticePropagator(sources.positions, sources.pitch, setup.ref_grid, cfg,
-                                     BATCH_FRAMES)
+        self.obj = LatticePropagator(sources, self.bucket_mask.grid, cfg, BATCH_FRAMES)
+        self.ref = LatticePropagator(sources, setup.ref_grid, cfg, BATCH_FRAMES)
         # Only independent source-plane screens change the law of the
         # intensities; their difference has the configured pair rho0.
         self.sampler = None
@@ -238,5 +235,5 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
                 for part in pool.map(_worker_batch, spans):
                     estimate.merge(part)
     result = estimate.finalize()
-    return SimulationOutput(setup=setup, result=result,
+    return SimulationOutput(result=result,
                             wall_time_s=time.perf_counter() - t0, blas_threads=blas_threads)

@@ -12,7 +12,7 @@ count or order of evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,30 +36,55 @@ def batch_generator(seed: int, batch_index: int, stream: int) -> np.random.Gener
 
 @dataclass(frozen=True, eq=False)
 class SubsourceSet:
-    """Subsource positions (M, 2) in meters plus per-subsource power.
+    """Subsources on the nodes of a square lattice, plus per-subsource power.
 
-    diameter is the maximum pairwise distance actually realized by the
-    positions, not the requested disc diameter.
+    nodes (M, 2) holds the integer lattice coordinates (i, j) of each
+    subsource, one subsource per node; positions (M, 2) are its
+    coordinates (i * pitch, j * pitch) in meters, derived from them.
     """
 
-    positions: np.ndarray
-    mean_power: float
+    nodes: np.ndarray
     pitch: float
-    diameter: float
+    mean_power: float
+    positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise ValidationError(f"positions must be (M, 2) with M >= 1, got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValidationError("positions must be finite")
+        nodes = np.asarray(self.nodes)
+        if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 1:
+            raise ValidationError(f"nodes must be (M, 2) with M >= 1, got {nodes.shape}")
+        if not np.issubdtype(nodes.dtype, np.integer):
+            raise ValidationError(f"nodes must be integer lattice coordinates, got {nodes.dtype}")
+        if np.unique(nodes, axis=0).shape[0] != nodes.shape[0]:
+            raise ValidationError("two subsources share a lattice node")
+        if not (math.isfinite(self.pitch) and self.pitch > 0):
+            raise ValidationError(f"pitch must be finite and > 0, got {self.pitch}")
         if not (math.isfinite(self.mean_power) and self.mean_power > 0):
             raise ValidationError(f"mean_power must be finite and > 0, got {self.mean_power}")
-        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "positions", nodes.astype(float) * self.pitch)
 
     @property
     def count(self) -> int:
-        return self.positions.shape[0]
+        return self.nodes.shape[0]
+
+    @property
+    def diameter(self) -> float:
+        """Largest distance between two subsources, not the requested disc diameter."""
+        return max_pairwise_distance(self.positions)
+
+    def lattice(self) -> tuple[np.ndarray, ...]:
+        """Node indices (ix, iy) and node coordinates (xs, ys) of the bounding box.
+
+        Subsource m sits at (xs[ix[m]], ys[iy[m]]); xs and ys are the
+        coordinates (i + lo) * pitch of the nodes of the lattice's
+        bounding box, whose lowest node is lo.
+        """
+        lo = self.nodes.min(axis=0)
+        hi = self.nodes.max(axis=0)
+        ix, iy = (self.nodes - lo).T
+        xs = np.arange(lo[0], hi[0] + 1) * self.pitch
+        ys = np.arange(lo[1], hi[1] + 1) * self.pitch
+        return ix, iy, xs, ys
 
 
 def max_pairwise_distance(positions: np.ndarray) -> float:
@@ -74,9 +99,10 @@ def max_pairwise_distance(positions: np.ndarray) -> float:
 def make_source_grid(diameter: float, pitch: float, mean_power: float = 1.0) -> SubsourceSet:
     """Square lattice of subsources inside a closed disc.
 
-    Lattice points (i * pitch, j * pitch) with i, j integers are kept
-    when they fall inside the disc of the given diameter centered on the
-    origin.  The lattice must yield at least two subsources.
+    Lattice nodes (i, j), at (i * pitch, j * pitch), are kept when they
+    fall inside the disc of the given diameter centered on the origin,
+    ordered by j, then i.  The lattice must yield at least two
+    subsources.
     """
     if not (math.isfinite(diameter) and diameter > 0):
         raise ValidationError(f"diameter must be finite and > 0, got {diameter}")
@@ -89,18 +115,14 @@ def make_source_grid(diameter: float, pitch: float, mean_power: float = 1.0) -> 
     # on the rim are kept regardless of decimal-to-binary rounding.
     r2 = (ii.astype(float) ** 2 + jj.astype(float) ** 2) * pitch * pitch
     keep = r2 <= (diameter / 2.0) ** 2 * (1.0 + 1e-12)
-    xs = ii[keep].astype(float) * pitch
-    ys = jj[keep].astype(float) * pitch
-    positions = np.column_stack([xs, ys])
-    if positions.shape[0] < 2:
+    # Row-major meshgrid order is already sorted by j, then i.
+    nodes = np.column_stack([ii[keep], jj[keep]])
+    if nodes.shape[0] < 2:
         raise ValidationError(
             f"pitch {pitch} is too coarse for a disc of diameter {diameter}: "
-            f"only {positions.shape[0]} lattice point(s) fall inside"
+            f"only {nodes.shape[0]} lattice point(s) fall inside"
         )
-    order = np.lexsort((positions[:, 0], positions[:, 1]))
-    positions = positions[order]
-    return SubsourceSet(positions=positions, mean_power=float(mean_power),
-                        pitch=float(pitch), diameter=max_pairwise_distance(positions))
+    return SubsourceSet(nodes=nodes, pitch=float(pitch), mean_power=float(mean_power))
 
 
 def draw_amplitudes(sources: SubsourceSet, rng: np.random.Generator,

@@ -22,7 +22,7 @@ from scipy import integrate
 
 from ghost_turb.analytic import pair_coherence_factor
 from ghost_turb.errors import ValidationError
-from ghost_turb.optics import _check_positions, path_prefactor
+from ghost_turb.optics import path_prefactor
 from ghost_turb.turbulence import TurbulenceModel
 
 # Each of two independent path screens carries half of the pair
@@ -216,19 +216,31 @@ def greens_function(rho_dst, rho_src, cfg) -> np.ndarray:
     return path_prefactor(cfg) * np.exp(1j * (cfg.wavenumber * d2 / (2.0 * cfg.path_length)))
 
 
+def _positions(positions) -> np.ndarray:
+    pos = np.asarray(positions, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
+        raise ValidationError(f"positions must have shape (M, 2) with M >= 1, got {pos.shape}")
+    return pos
+
+
 def fresnel_kernel(positions, grid, cfg) -> np.ndarray:
     """Dense vacuum kernel (ny * nx, M) from point sources to grid pixels.
 
     A propagated field is ``(kernel @ amplitudes).reshape(ny, nx)``.
+    The squared distances |p - rho|^2 are formed as
+    |p|^2 - 2 p . rho + |rho|^2, the cross term as one matrix product;
+    greens_function keeps the direct difference.
     """
-    pos = _check_positions(positions)
-    pts = grid.points().reshape(-1, 1, 2)
-    return greens_function(pts, pos[None, :, :], cfg)
+    pos = _positions(positions)
+    pts = grid.points().reshape(-1, 2)
+    d2 = (np.sum(pts**2, axis=1)[:, None] - 2.0 * (pts @ pos.T)
+          + np.sum(pos**2, axis=1)[None, :])
+    return path_prefactor(cfg) * np.exp(1j * (cfg.wavenumber * d2 / (2.0 * cfg.path_length)))
 
 
 def propagate_subsources(amplitudes, positions, dst_grid, cfg) -> np.ndarray:
     """Vacuum field (ny, nx) of subsource amplitudes: the direct Fresnel sum."""
-    pos = _check_positions(positions)
+    pos = _positions(positions)
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (pos.shape[0],):
         raise ValidationError(

@@ -9,10 +9,10 @@ from ghost_turb.analytic import (corrected_mds_lhs, immunity_criterion, mds_demo
                                  pair_coherence_factor, predicted_ghost_image)
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import ObjectMask, point_mask, three_bar_mask
-from ghost_turb.errors import ConfigurationError, ValidationError
+from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
 from ghost_turb.simulate import RunSetup
-from ghost_turb.source import SubsourceSet, make_source_grid, max_pairwise_distance
+from ghost_turb.source import SubsourceSet, make_source_grid
 from ghost_turb.turbulence import TurbulenceModel
 from oracles import glauber_pair_term
 
@@ -187,9 +187,8 @@ def _cut_disc():
     flipped lag shows against the oracle.
     """
     disc = make_source_grid(11e-3, 11e-3 / 16.0)
-    pos = disc.positions[disc.positions[:, 1] <= 5.5 * disc.pitch]
-    return SubsourceSet(positions=pos, mean_power=1.0, pitch=disc.pitch,
-                        diameter=max_pairwise_distance(pos))
+    return SubsourceSet(nodes=disc.nodes[disc.nodes[:, 1] <= 5], pitch=disc.pitch,
+                        mean_power=1.0)
 
 
 @pytest.mark.parametrize("make_mask", [
@@ -217,19 +216,6 @@ def test_open_mask_image_is_symmetric_at_the_default_geometry():
     img = predicted_ghost_image(setup)
     assert img.shape == (64, 64)
     assert np.max(np.abs(img - img.T)) <= 1e-12 * np.max(np.abs(img))
-
-
-@pytest.mark.parametrize("positions, match", [
-    ([[0.0, 0.0], [1e-3, 0.0], [0.5e-3, 0.25e-3]], "off the square lattice"),
-    ([[0.0, 0.0], [1e-3, 0.0], [1e-3, 0.0]], "share a node"),
-], ids=["off_lattice", "shared_node"])
-def test_predicted_ghost_image_rejects_what_simulate_rejects(positions, match):
-    sources = SubsourceSet(positions=np.array(positions), mean_power=1.0, pitch=0.5e-3,
-                           diameter=1e-3)
-    grid = Grid2D.centered(4, 4, 12e-6)
-    setup = _setup(grid, _point_bucket(np.zeros(2)), sources)
-    with pytest.raises(ConfigurationError, match=match):
-        predicted_ghost_image(setup)
 
 
 def _traced_peak_mib(fn) -> float:

@@ -83,6 +83,17 @@ def test_fresnel_kernel_matches_greens(rng):
     assert kernel[3, 2] == pytest.approx(complex(manual), rel=1e-12)
 
 
+def test_expanded_kernel_matches_direct_differences_at_the_default_geometry():
+    # fresnel_kernel expands |p - rho|^2 into one matrix product;
+    # greens_function takes the differences directly.
+    sources = make_source_grid(11e-3, 11e-3 / 16.0)
+    grid = Grid2D.centered(64, 64, 12e-6)
+    kernel = fresnel_kernel(sources.positions, grid, CFG)
+    direct = greens_function(grid.points().reshape(-1, 1, 2), sources.positions[None], CFG)
+    assert kernel.shape == direct.shape == (64 * 64, 197)
+    assert np.max(np.abs(kernel - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 @pytest.mark.parametrize("diameter, pitch, ref_n", [
     (11e-3, 11e-3 / 16.0, 64),      # default geometry: 197 subsources, 64^2 reference
     (2e-3, 0.5e-3, 7),
@@ -92,7 +103,7 @@ def test_lattice_propagator_matches_dense_kernel(rng, diameter, pitch, ref_n):
     grid = Grid2D.centered(ref_n, ref_n, 12e-6)
     amps = rng.normal(size=(3, sources.count)) + 1j * rng.normal(size=(3, sources.count))
     dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(ref_n, ref_n, 3)
-    planar = LatticePropagator(sources.positions, sources.pitch, grid, CFG, 3)(amps)
+    planar = LatticePropagator(sources, grid, CFG, 3)(amps)
     assert planar.shape == (2, ref_n, ref_n, 3)
     separable = planar[0] + 1j * planar[1]
     assert np.max(np.abs(separable - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -103,7 +114,7 @@ def test_lattice_propagator_short_call_uses_a_prefix(rng):
     # anew; the lattice nodes without a subsource must read zero again.
     sources = make_source_grid(2e-3, 0.5e-3)
     grid = Grid2D.centered(5, 4, 12e-6)
-    prop = LatticePropagator(sources.positions, sources.pitch, grid, CFG, 8)
+    prop = LatticePropagator(sources, grid, CFG, 8)
     amps = rng.normal(size=(8, sources.count)) + 1j * rng.normal(size=(8, sources.count))
     kernel = fresnel_kernel(sources.positions, grid, CFG)
     for n in (8, 3, 8, 1):
@@ -123,19 +134,6 @@ def test_intensity_moments_in_place(rng):
     assert out is fields
     assert np.allclose(fields[0], expected, rtol=1e-15, atol=0)
     assert np.allclose(fields[1], expected**2, rtol=1e-15, atol=0)
-
-
-def test_lattice_propagator_rejects_off_lattice_positions():
-    grid = Grid2D.centered(4, 4, 1e-5)
-    pos = np.array([[0.0, 0.0], [1e-3, 0.0], [0.5e-3, 0.25e-3]])
-    with pytest.raises(ConfigurationError, match="off the square lattice"):
-        LatticePropagator(pos, 0.5e-3, grid, CFG, 1)
-    # A decimal pitch that is not exact in binary still counts as on the lattice.
-    LatticePropagator(np.array([[0.3e-3, -0.7e-3]]), 0.1e-3, grid, CFG, 1)
-    # Two subsources on one node would overwrite each other on the lattice.
-    pos = np.array([[0.0, 0.0], [1e-3, 0.0], [1e-3, 0.0]])
-    with pytest.raises(ConfigurationError, match="share a node"):
-        LatticePropagator(pos, 0.5e-3, grid, CFG, 1)
 
 
 def test_propagate_direct_sum_and_linearity(rng):

@@ -10,14 +10,14 @@ from ghost_turb.analytic import predicted_ghost_image
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signals, point_mask,
                                    three_bar_mask)
-from ghost_turb.errors import ConfigurationError, ValidationError
+from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
 from oracles import (PER_PATH_RHO0_FACTOR, add_frame, intensity, per_path_screen_model,
                      propagate_subsources)
 from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, FramePipeline, RunSetup,
                                  _openblas, batch_ranges, one_blas_thread, run_simulation)
-from ghost_turb.source import (RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
-                               draw_amplitudes, make_source_grid)
+from ghost_turb.source import (RNG_DOMAIN_SOURCE, batch_generator, draw_amplitudes,
+                               make_source_grid)
 from ghost_turb.turbulence import ScreenSampler, TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -294,15 +294,6 @@ def test_shared_screen_when_paths_coupled():
     vac_buckets, vac_moments = vacuum.frames(0, BATCH_FRAMES)
     assert np.array_equal(buckets, vac_buckets)
     assert np.array_equal(moments, vac_moments)
-
-
-def test_off_lattice_sources_are_rejected():
-    setup = _setup()
-    shifted = SubsourceSet(positions=setup.sources.positions + 0.3 * setup.sources.pitch,
-                           mean_power=1.0, pitch=setup.sources.pitch,
-                           diameter=setup.sources.diameter)
-    with pytest.raises(ConfigurationError, match="lattice"):
-        FramePipeline(replace(setup, sources=shifted))
 
 
 def test_worker_count_does_not_change_any_bit():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,13 +57,55 @@ def test_grid_validation():
 
 
 def test_subsource_set_validation():
-    with pytest.raises(ValidationError, match="positions"):
-        SubsourceSet(positions=np.zeros((3,)), mean_power=1.0, pitch=1.0, diameter=1.0)
-    with pytest.raises(ValidationError, match="finite"):
-        SubsourceSet(positions=np.array([[0.0, math.nan]]), mean_power=1.0,
-                     pitch=1.0, diameter=0.0)
+    pair = np.array([[0, 0], [1, 0]])
+    with pytest.raises(ValidationError, match="nodes must be"):
+        SubsourceSet(nodes=np.zeros((2, 3), dtype=int), pitch=1.0, mean_power=1.0)
+    with pytest.raises(ValidationError, match="integer"):
+        SubsourceSet(nodes=pair.astype(float), pitch=1.0, mean_power=1.0)
+    with pytest.raises(ValidationError, match="share a lattice node"):
+        SubsourceSet(nodes=np.array([[0, 0], [1, 0], [1, 0]]), pitch=1.0, mean_power=1.0)
+    with pytest.raises(ValidationError, match="pitch"):
+        SubsourceSet(nodes=pair, pitch=0.0, mean_power=1.0)
     with pytest.raises(ValidationError, match="mean_power"):
-        SubsourceSet(positions=np.zeros((2, 2)), mean_power=0.0, pitch=1.0, diameter=0.0)
+        SubsourceSet(nodes=pair, pitch=1.0, mean_power=-2.0)
+
+
+@pytest.mark.parametrize("pitch", [11e-3 / 16.0, 0.5e-3, 0.1e-3])
+def test_lattice_places_every_subsource_on_its_position(pitch):
+    s = make_source_grid(11e-3, pitch)
+    ix, iy, xs, ys = s.lattice()
+    assert np.array_equal(xs[ix], s.positions[:, 0])
+    assert np.array_equal(ys[iy], s.positions[:, 1])
+    assert np.array_equal(s.positions, s.nodes.astype(float) * s.pitch)
+    # The bounding box is the disc's: a node at each end of both axes.
+    assert ix.min() == iy.min() == 0
+    assert (ix.max(), iy.max()) == (xs.size - 1, ys.size - 1)
+
+
+def _cut(disc):
+    return SubsourceSet(nodes=disc.nodes[disc.nodes[:, 1] <= 5], pitch=disc.pitch,
+                        mean_power=1.0)
+
+
+@pytest.mark.parametrize("sources", [
+    make_source_grid(11e-3, 11e-3 / 16.0),
+    _cut(make_source_grid(11e-3, 11e-3 / 16.0)),
+    make_source_grid(11e-3, 0.5e-3),
+], ids=["default", "cut_disc", "pitch_0.5mm"])
+def test_diameter_is_the_largest_pairwise_distance(sources):
+    assert sources.diameter == max_pairwise_distance(sources.positions)
+
+
+def test_fine_lattice_builds_no_pairwise_array():
+    # 1,517 subsources: an (M, M, 2) float array would take 35 MiB.
+    tracemalloc.start()
+    try:
+        s = make_source_grid(11e-3, 0.25e-3)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert s.count == 1517
+    assert peak < 4.0
 
 
 def _block(s, seed, batch, frames):
