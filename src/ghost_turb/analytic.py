@@ -22,8 +22,8 @@ cos(q (rho_b - rho_p) . (rho_m - rho_m')) with q = k / L.  Every term
 depends on its pair only through the difference rho_m - rho_m', and on
 the source lattice there are few of those (33 x 33 at the default
 geometry, against 197^2 pairs).  predicted_ghost_image therefore sums
-over the lattice difference spectrum: the number of pairs per
-difference vector, times the pair weight, times the mask's mutual
+over the lattice difference spectrum SubsourceSet.lags: the number of
+pairs per difference vector, times the pair weight, times the mask's mutual
 intensity at that vector, brought to the reference grid by two small
 separable Fourier factors.  It reads every input from the run's
 RunSetup: the optics, the subsources, the mask, the reference grid and
@@ -99,8 +99,8 @@ def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
 
         image = Re(E_y (N * w * C_hat) E_x^T),
 
-    where N(d) is the number of subsource pairs with difference d (the
-    autocorrelation of the lattice occupancy), w(d) = exp(-|d|^2 / rho0^2)
+    where N(d) is the number of subsource pairs with difference d
+    (setup.sources.lags), w(d) = exp(-|d|^2 / rho0^2)
     the pair weight (ones in vacuum), C_hat = F_y^T T F_x the mask's
     mutual intensity sum_b T_b exp(i q rho_b . d), and
     E[p, d] = exp(-i q rho_p d), F[b, d] = exp(i q rho_b d) the Fourier
@@ -110,18 +110,8 @@ def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
     pedestal M sum_b T_b, the one the simulated frame covariance carries.
     RunSetup has already checked that the geometry is paraxial.
     """
-    sources, mask, ref = setup.sources, setup.mask, setup.ref_grid
-    ix, iy, xs, ys = sources.lattice()
-    occupancy = np.zeros((ys.size, xs.size))
-    occupancy[iy, ix] = 1.0
-    # Zero-padded to every lag, so the circular autocorrelation is the
-    # linear one; its values are integers up to M, which rint recovers
-    # exactly from the FFT's rounding.
-    lags = (2 * ys.size - 1, 2 * xs.size - 1)
-    spectrum = np.fft.rfft2(occupancy, lags)
-    counts = np.fft.fftshift(np.rint(np.fft.irfft2(spectrum * spectrum.conj(), lags)))
-    dx = np.arange(1 - xs.size, xs.size) * sources.pitch
-    dy = np.arange(1 - ys.size, ys.size) * sources.pitch
+    mask, ref = setup.mask, setup.ref_grid
+    counts, dx, dy = setup.sources.lags
     weights = counts * _pair_weight(dy[:, None] ** 2 + dx[None, :] ** 2, setup.model)
     q = setup.cfg.wavenumber / setup.cfg.path_length
     mutual = (_fourier(q, mask.grid.y(), dy).T @ mask.transmissivity

@@ -1,5 +1,7 @@
 """Pseudothermal source: a lattice of independent point subsources.
 
+SubsourceSet.lags is the one home of the lattice's lag spectrum.
+
 Each frame draws one circular complex Gaussian amplitude per subsource
 (zero mean, variance mean_power per subsource, independent between
 subsources and frames).  Draws are keyed per batch: frames
@@ -11,6 +13,7 @@ count or order of evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,8 +42,8 @@ class SubsourceSet:
     """Subsources on the nodes of a square lattice, plus per-subsource power.
 
     nodes (M, 2) holds the integer lattice coordinates (i, j) of each
-    subsource, one subsource per node; positions (M, 2) are its
-    coordinates (i * pitch, j * pitch) in meters, derived from them.
+    subsource, one per node; positions (M, 2) are (i * pitch, j * pitch)
+    in meters, and lags the pair counts per lattice lag, both derived.
     """
 
     nodes: np.ndarray
@@ -67,11 +70,6 @@ class SubsourceSet:
     def count(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def diameter(self) -> float:
-        """Largest distance between two subsources, not the requested disc diameter."""
-        return max_pairwise_distance(self.positions)
-
     def lattice(self) -> tuple[np.ndarray, ...]:
         """Node indices (ix, iy) and node coordinates (xs, ys) of the bounding box.
 
@@ -86,14 +84,25 @@ class SubsourceSet:
         ys = np.arange(lo[1], hi[1] + 1) * self.pitch
         return ix, iy, xs, ys
 
+    @functools.cached_property
+    def lags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Pair counts N(d) over the lattice lags d, and the lags dx, dy in meters.
 
-def max_pairwise_distance(positions: np.ndarray) -> float:
-    """Largest distance between any two points, 0.0 for a single point."""
-    pos = np.asarray(positions, dtype=float)
-    if pos.shape[0] < 2:
-        return 0.0
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(d2.max()))
+        counts (2 Ly - 1, 2 Lx - 1), for an Ly x Lx bounding box, counts the
+        ordered pairs (m, m') with nodes[m] - nodes[m'] = d: the
+        autocorrelation of the lattice occupancy.  Lags run from 1 - L to L - 1.
+        """
+        ix, iy, xs, ys = self.lattice()
+        occupancy = np.zeros((ys.size, xs.size))
+        occupancy[iy, ix] = 1.0
+        # Zero-padded to every lag, so the circular autocorrelation is the linear
+        # one; rint recovers its integer values exactly from the FFT's rounding.
+        shape = (2 * ys.size - 1, 2 * xs.size - 1)
+        spectrum = np.fft.rfft2(occupancy, shape)
+        counts = np.fft.fftshift(np.rint(np.fft.irfft2(spectrum * spectrum.conj(), shape)))
+        dx = np.arange(1 - xs.size, xs.size) * self.pitch
+        dy = np.arange(1 - ys.size, ys.size) * self.pitch
+        return counts.astype(np.int64), dx, dy
 
 
 def make_source_grid(diameter: float, pitch: float, mean_power: float = 1.0) -> SubsourceSet:

@@ -6,9 +6,10 @@ quadrature for path integrals, direct Monte Carlo of the two-mode
 amplitude for the pair term, brute-force loops for lattice counts,
 per-path screens drawn separately for the relative screen,
 |u|^2 of complex fields for the planar intensities of the frame pipeline,
-the dense Fresnel kernel for the separable lattice propagation, and the
+the dense Fresnel kernel for the separable lattice propagation, the
 dense product over subsource pairs for the lattice difference spectrum
-of the closed form.
+of the closed form, and a Hankel-transform quadrature for the closed
+form of the continuous disc the lattice stands in for.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import numpy as np
 
 import mpmath
-from scipy import integrate
+from scipy import integrate, special
 
 from ghost_turb.analytic import pair_coherence_factor
 from ghost_turb.errors import ValidationError
@@ -163,6 +164,15 @@ def intensity(values) -> np.ndarray:
     return values.real**2 + values.imag**2
 
 
+def max_pairwise_distance(positions) -> float:
+    """Largest distance between any two points, 0.0 for a single point."""
+    pos = np.asarray(positions, dtype=float)
+    if pos.shape[0] < 2:
+        return 0.0
+    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
+    return float(np.sqrt(d2.max()))
+
+
 def lattice_count_bruteforce(diameter: float, pitch: float) -> int:
     """Count lattice points with |i p, j p| inside the closed disc."""
     half = int(math.ceil(diameter / (2.0 * pitch))) + 1
@@ -274,3 +284,32 @@ def dense_ghost_image(setup) -> np.ndarray:
     r = np.exp(1j * q * (ref_grid.points().reshape(-1, 2) @ pos.T))
     image = np.einsum("pm,pm->p", r.conj() @ mutual, r).real
     return image.reshape(ref_grid.ny, ref_grid.nx)
+
+
+def continuum_ghost_image(ref_grid, rho_b, diameter: float, cfg, rho0: float) -> np.ndarray:
+    """Closed-form ghost image of a uniform continuous disc, point bucket at rho_b.
+
+    Over a disc of subsource density 1 the closed form's pair sum is an
+    integral over pair separations d, a Hankel transform of r = |rho_p - rho_b|:
+
+        image(r) = 2 pi int_0^D A(d) w(d) J0(q r d) d dd,
+
+    q = k / L, w(d) = exp(-d^2 / rho0^2) the pair weight (ones in
+    vacuum) and A(d) = 2 R^2 acos(d / 2R) - (d / 2) sqrt(4 R^2 - d^2)
+    the overlap area of two discs of radius R = D / 2 whose centres are
+    d apart.  A lattice of pitch a approaches it times a^-4.  Evaluated
+    by scipy quadrature in u = d / D, once per distinct r on the grid.
+    """
+    pts = ref_grid.points().reshape(-1, 2) - np.asarray(rho_b, dtype=float)
+    radii, inverse = np.unique(np.hypot(pts[:, 0], pts[:, 1]), return_inverse=True)
+    q = cfg.wavenumber / cfg.path_length
+
+    def integrand(u, r):
+        # A(d) / D^2 at u = d / D: the overlap of two discs of radius 1/2.
+        area = 0.5 * math.acos(u) - 0.5 * u * math.sqrt(1.0 - u * u)
+        weight = 1.0 if math.isinf(rho0) else math.exp(-(diameter * u / rho0) ** 2)
+        return area * weight * special.j0(q * r * diameter * u) * u
+
+    values = np.array([integrate.quad(integrand, 0.0, 1.0, args=(r,), epsabs=1e-12,
+                                      epsrel=1e-10)[0] for r in radii])
+    return (2.0 * math.pi * diameter**4 * values[inverse]).reshape(ref_grid.ny, ref_grid.nx)

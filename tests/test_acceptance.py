@@ -99,7 +99,7 @@ def test_criterion_1_coherence_length(capsys):
 
 def test_criterion_2_immunity_verdict(capsys, rho0_nominal):
     sources = make_source_grid(DIAMETER, DIAMETER / 16.0)
-    verdict = immunity_criterion(sources.diameter, rho0_nominal)
+    verdict = immunity_criterion(oracles.max_pairwise_distance(sources.positions), rho0_nominal)
     nominal = immunity_criterion(DIAMETER, rho0_nominal)
     ok = verdict.immune and nominal.immune and nominal.margin > 4.0
     _report(capsys, 2, ok,

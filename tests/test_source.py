@@ -7,8 +7,7 @@ import pytest
 import oracles
 from ghost_turb.errors import ValidationError
 from ghost_turb.source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet,
-                               batch_generator, draw_amplitudes, make_source_grid,
-                               max_pairwise_distance)
+                               batch_generator, draw_amplitudes, make_source_grid)
 
 
 def test_lattice_count_matches_bruteforce():
@@ -34,7 +33,7 @@ def test_rim_points_are_kept():
     # Pitch exactly diameter/2 puts 4 lattice points on the rim.
     s = make_source_grid(2.0, 1.0)
     assert s.count == 5
-    assert s.diameter == pytest.approx(2.0)
+    assert oracles.max_pairwise_distance(s.positions) == pytest.approx(2.0)
 
 
 def test_positions_are_sorted_and_finite():
@@ -43,8 +42,7 @@ def test_positions_are_sorted_and_finite():
     order = np.lexsort((pos[:, 0], pos[:, 1]))
     assert np.array_equal(order, np.arange(s.count))
     assert np.all(np.isfinite(pos))
-    assert s.diameter == pytest.approx(max_pairwise_distance(pos))
-    assert s.diameter <= 11e-3 * (1.0 + 1e-9)
+    assert oracles.max_pairwise_distance(pos) <= 11e-3 * (1.0 + 1e-9)
 
 
 def test_grid_validation():
@@ -87,13 +85,32 @@ def _cut(disc):
                         mean_power=1.0)
 
 
-@pytest.mark.parametrize("sources", [
+LAG_SETS = pytest.mark.parametrize("sources", [
     make_source_grid(11e-3, 11e-3 / 16.0),
     _cut(make_source_grid(11e-3, 11e-3 / 16.0)),
     make_source_grid(11e-3, 0.5e-3),
 ], ids=["default", "cut_disc", "pitch_0.5mm"])
-def test_diameter_is_the_largest_pairwise_distance(sources):
-    assert sources.diameter == max_pairwise_distance(sources.positions)
+
+
+@LAG_SETS
+def test_longest_lag_is_the_largest_pairwise_distance(sources):
+    counts, dx, dy = sources.lags
+    longest = np.max(np.hypot(*np.meshgrid(dx, dy))[counts > 0])
+    assert longest == pytest.approx(oracles.max_pairwise_distance(sources.positions),
+                                    rel=1e-12)
+
+
+@LAG_SETS
+def test_lag_counts_are_every_ordered_pair_once(sources):
+    counts, dx, dy = sources.lags
+    m = sources.count
+    assert counts.shape == (dy.size, dx.size)
+    assert dx[dx.size // 2] == dy[dy.size // 2] == 0.0
+    assert counts.sum() == m**2
+    assert counts[dy.size // 2, dx.size // 2] == m
+    # N(d) = N(-d): the pair (m, m') at d is the pair (m', m) at -d.
+    assert np.array_equal(counts, counts[::-1, ::-1])
+    assert sources.lags is sources.lags
 
 
 def test_fine_lattice_builds_no_pairwise_array():
@@ -101,10 +118,12 @@ def test_fine_lattice_builds_no_pairwise_array():
     tracemalloc.start()
     try:
         s = make_source_grid(11e-3, 0.25e-3)
+        counts = s.lags[0]
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
     assert s.count == 1517
+    assert counts.sum() == 1517**2
     assert peak < 4.0
 
 
