@@ -333,13 +333,27 @@ def parse_mask(spec: str, grid: Grid2D) -> ObjectMask:
 
 
 def config_to_setup(rc: RunConfig) -> RunSetup:
-    """Materialize the simulation inputs described by a RunConfig."""
+    """Materialize the simulation inputs described by a RunConfig.
+
+    The reference grid must span the vacuum image's Airy core,
+    2.44 wavelength L / source_diameter across: on a narrower grid the
+    border baseline of psf_metrics lies on the peak, and every width
+    measured there is wrong.
+    """
     grid = rc.object_grid()
+    ref_grid = rc.reference_grid()
+    core = 2.44 * rc.wavelength * rc.path_length / rc.source_diameter
+    span = min(ref_grid.nx, ref_grid.ny) * ref_grid.pitch
+    if span < core:
+        raise ConfigurationError(
+            f"the reference grid spans {span * 1e6:.1f} um, less than the Airy core "
+            f"2.44 wavelength path_length / source_diameter = {core * 1e6:.1f} um; "
+            f"raise ref_pixels or ref_pitch")
     return RunSetup(cfg=rc.optical(),
                     sources=rc.subsources(),
                     model=rc.turbulence(),
                     mask=parse_mask(rc.mask, grid),
-                    ref_grid=rc.reference_grid(),
+                    ref_grid=ref_grid,
                     frames=rc.frames,
                     seed=rc.seed,
                     workers=rc.workers)

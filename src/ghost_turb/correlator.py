@@ -107,14 +107,6 @@ def three_bar_mask(grid: Grid2D, bar_width: float, height: float) -> ObjectMask:
     return ObjectMask(grid=grid, transmissivity=t)
 
 
-def bucket_signals(intensity: np.ndarray, mask: ObjectMask) -> np.ndarray:
-    """sum(I T) * pitch^2 of each (ny, nx) map in a (..., ny, nx) stack."""
-    im = np.asarray(intensity, dtype=float)
-    if im.shape[-2:] != mask.transmissivity.shape:
-        raise ValidationError(f"intensity shape {im.shape} does not match the mask grid")
-    return np.sum(im * mask.transmissivity, axis=(-2, -1)) * mask.grid.pitch**2
-
-
 @dataclass(frozen=True, eq=False)
 class GhostImageResult:
     """Finalized covariance image with its background and uncertainty."""

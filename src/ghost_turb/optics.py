@@ -4,17 +4,23 @@ The propagation kernel is the free-space quadratic-phase (Fresnel) kernel
 for a path of length L.  Turbulence never enters here: a source-plane
 screen is a phase on the subsource amplitudes, and a detector-plane
 screen is a unit-modulus factor per pixel that no intensity can see.
-Sources on a square lattice are propagated many frames at a time
-through the exact separable form of the kernel (LatticePropagator), in
-real arithmetic on planar fields: the real and imaginary parts are two
-float planes of one buffer, and each complex factor K is kept as its
-real block matrix [[Re K, -Im K], [Im K, Re K]].  The lattice is the
-subsources' own: SubsourceSet stores them as its nodes.
+
+Sources on a square lattice (SubsourceSet's nodes) are propagated many
+frames at a time through the exact separable form of the kernel, in real
+arithmetic on planar (re, im) fields.  The detectors read only
+intensities, so a field is computed up to a unit-modulus factor per
+pixel, which leaves every intensity exact: the kernel's constant phase
+and q (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c), q = k / 2L, about the
+centre (x_c, y_c) of the lattice's bounding box.  Mirror nodes about that
+centre are folded into sums and differences (LatticeFold) that do not
+depend on the grid, so one fold feeds every grid (LatticePropagator)
+that sees the same amplitudes.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -137,88 +143,166 @@ def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> N
             f"{path_length:.6g} m")
 
 
-def path_prefactor(cfg: OpticalConfig) -> complex:
-    """Constant factor -i exp(i k L) / (wavelength L) of the Fresnel kernel.
+class LatticeFold:
+    """Subsource amplitudes folded about the centre of their lattice's bounding box.
 
-    kL is about 1e7 rad, where one ulp is about 2e-9 rad, so it enters as
-    this one constant rather than as a term of every element's phase.
+    Write a node as the box centre (x_c, y_c) plus an offset (u, v).  The
+    Fresnel phase q |p - rho|^2, q = k / 2L, of pixel p = (x_p, y_p) is
+    then q (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c) + q |rho|^2
+    - 2q (x_p u + y_p v).  The first term is one unit-modulus factor per
+    pixel, which no intensity sees.  The node chirp q |rho|^2 does not
+    depend on the grid, so it goes onto the amplitudes.  What is left is
+    exp(-2iq x_p u) exp(-2iq y_p v), and cos is even in u, sin odd.  So
+    the four mirror nodes (+-u, +-v) enter every grid only through the
+    sums and differences of their amplitudes.
+
+    The bounding box is symmetric about its centre whatever its extents,
+    so each node falls in one of four mirror quadrants, on a half axis of
+    ceil(L / 2) offsets, without collisions; nodes without a subsource
+    stay zero.  One product of that (Hy, 8, Hx, n) block, rows
+    (quadrant, re/im), with the constant sign matrix _FOLD_SIGNS gives the
+    folded block.  In vacuum both detector planes read the same fold.
     """
-    return complex((-1j / (cfg.wavelength * cfg.path_length))
-                   * np.exp(1j * cfg.wavenumber * cfg.path_length))
+
+    def __init__(self, sources: SubsourceSet, cfg: OpticalConfig, max_frames: int):
+        if max_frames < 1:
+            raise ValidationError(f"max_frames must be >= 1, got {max_frames}")
+        ix, iy, xs, ys = sources.lattice()
+        # Twice each node's offset from the box centre, in lattice pitches.
+        tx, ty = 2 * ix - (xs.size - 1), 2 * iy - (ys.size - 1)
+        self._iu, self._iv = np.abs(tx) // 2, np.abs(ty) // 2
+        # Real row of the node's quadrant: (y sign, x sign, re/im).
+        self._row = 4 * (ty < 0) + 2 * (tx < 0)
+        # Half-axis offsets: 0, 1, ... pitches for odd extents, 1/2, 3/2, ... for even.
+        self.offsets = tuple((np.arange((c.size + 1) // 2) + 0.5 * (1 - c.size % 2))
+                             * sources.pitch for c in (xs, ys))
+        self.center = (0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1]))
+        q = cfg.wavenumber / (2.0 * cfg.path_length)
+        self._chirp = np.exp(1j * q * np.sum(sources.positions**2, axis=1))
+        self.max_frames = max_frames
+        hx, hy = (o.size for o in self.offsets)
+        self._shape = (hy, 8, hx)
+        block = 8 * hy * hx * max_frames
+        buffer = _buffer(2 * block + 2 * max_frames * sources.count)
+        self._quadrants, self._folded = buffer[:block], buffer[block:2 * block]
+        self._amps = buffer[2 * block:].view(complex).reshape(max_frames, sources.count)
+        # Frame count the quadrant prefix is laid out for: nodes without
+        # a subsource stay zero until the count, and so the layout, changes.
+        self._frames = 0
+
+    def __call__(self, amplitudes: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
+        """Folded block (4 Hy, 2 Hx, n) of n <= max_frames frames of amplitudes (n, M).
+
+        phase (n, M), when given, is a source-plane phase per frame and
+        subsource, applied on top of the node chirp.  Rows are (v, y
+        factor, plane) and columns (x factor, u), with factor 0 the cosine
+        and 1 the sine and plane 0 the real part; the frame is the last
+        axis.  The block is a view of a buffer that the next call
+        overwrites.
+        """
+        amps = np.asarray(amplitudes)
+        n = amps.shape[0]
+        if not 1 <= n <= self.max_frames:
+            raise ValidationError(f"a call takes 1 to {self.max_frames} frames, got {n}")
+        chirped = self._amps[:n]
+        if phase is None:
+            np.multiply(amps, self._chirp, out=chirped)
+        else:
+            # The chirp (up to about 90 rad) is not added to the phase:
+            # cos and sin cost up to three times as much at such arguments.
+            np.cos(phase, out=chirped.real)
+            np.sin(phase, out=chirped.imag)
+            chirped *= amps
+            chirped *= self._chirp
+        hy, rows, hx = self._shape
+        quadrants = self._quadrants[:hy * rows * hx * n].reshape(hy, rows, hx, n)
+        if n != self._frames:
+            quadrants.fill(0.0)
+            self._frames = n
+        quadrants[self._iv, self._row, self._iu] = chirped.real.T
+        quadrants[self._iv, self._row + 1, self._iu] = chirped.imag.T
+        folded = self._folded[:hy * rows * hx * n].reshape(hy, rows, hx * n)
+        np.matmul(_FOLD_SIGNS, quadrants.reshape(hy, rows, hx * n), out=folded)
+        return folded.reshape(4 * hy, 2 * hx, n)
 
 
 class LatticePropagator:
-    """Fresnel propagation from subsources on a square lattice to a grid.
+    """Intensity-exact fields on one grid from the folded block of a LatticeFold.
 
-    On lattice nodes (i * pitch, j * pitch) the kernel's quadratic phase
-    separates by axis, G(p, m) = c Ky[y_p, j_m] Kx[x_p, i_m] with
-    c = path_prefactor(cfg), so a frame's field is c Ky A Kx^T for its
-    amplitudes A placed on the lattice.  This is the Fresnel kernel
-    itself, factored exactly, not an approximation of it.  The nodes
-    are the subsources' own, from SubsourceSet.lattice().
+    The field at pixel p is |c| sum_m a_m exp(iq |rho_m|^2)
+    exp(-2iq (x_p u_m + y_p v_m)), |c| = 1 / (wavelength L): the Fresnel
+    field without the unit-modulus pixel factor that LatticeFold sets
+    aside, and without the phase of the kernel's constant c.  On the
+    folded block F it is Ky F Kx^T with real factors: Kx has columns
+    cos, sin(2q x_p u_k) over the half axis, Ky columns |c| cos,
+    |c| sin(2q y_p v_k).
 
-    The factors c Ky and Kx are kept as real block matrices
-    [[Re K, -Im K], [Im K, Re K]], which act on planar (re, im) blocks.
-    Frames are the fastest axis of every buffer: a batch's lattice is
-    (Ly, 2, Lx, n), the x contraction gives (2, Ly, nx, n), and the
-    large y contraction is one real GEMM over all n frames that gives
-    the planar fields (2, ny, nx, n).  Buffers for max_frames frames
-    are allocated once; a call takes at most that many, in a prefix of
-    each flat buffer, so a short batch runs the same GEMMs on
+    Frames are the fastest axis of every buffer: the x contraction gives
+    (4 Hy, nx, n), and the y contraction is one real GEMM per plane over
+    all n frames that gives the planar fields (2, ny, nx, n).  Buffers
+    for the fold's max_frames are allocated once; a call uses a prefix
+    of each flat buffer, so a short batch runs the same GEMMs on
     contiguous blocks.
     """
 
-    def __init__(self, sources: SubsourceSet, grid: Grid2D, cfg: OpticalConfig,
-                 max_frames: int):
-        self._ix, self._iy, xs, ys = sources.lattice()
-        if max_frames < 1:
-            raise ValidationError(f"max_frames must be >= 1, got {max_frames}")
-        q = cfg.wavenumber / (2.0 * cfg.path_length)
-        ky = path_prefactor(cfg) * np.exp(1j * q * (grid.y()[:, None] - ys[None, :]) ** 2)
-        kx = np.exp(1j * q * (grid.x()[:, None] - xs[None, :]) ** 2)
-        self._dims = (grid.ny, grid.nx, ys.size, xs.size)
-        self.ky = _real_block(ky)
-        # Rows (re/im, x) of the x factor, broadcast over the lattice rows.
-        self.kx = _real_block(kx).reshape(2, 1, grid.nx, 2 * xs.size)
-        self.max_frames = max_frames
-        self._lattice = np.empty(2 * ys.size * xs.size * max_frames)
-        self._half = np.empty(2 * ys.size * grid.nx * max_frames)
-        self._fields = np.empty(2 * grid.ny * grid.nx * max_frames)
-        # Frame count the lattice prefix is laid out for: nodes without
-        # a subsource stay zero until the count, and so the layout, changes.
-        self._lattice_frames = 0
+    def __init__(self, fold: LatticeFold, grid: Grid2D, cfg: OpticalConfig):
+        two_q = cfg.wavenumber / cfg.path_length
+        u, v = fold.offsets
+        x_angle = two_q * np.multiply.outer(grid.x(), u)
+        self.kx = np.concatenate([np.cos(x_angle), np.sin(x_angle)], axis=1)
+        y_angle = two_q * np.multiply.outer(grid.y(), v)
+        ky = np.empty((grid.ny, v.size, 2))
+        np.cos(y_angle, out=ky[..., 0])
+        np.sin(y_angle, out=ky[..., 1])
+        ky *= 1.0 / (cfg.wavelength * cfg.path_length)
+        self.ky = ky.reshape(grid.ny, 2 * v.size)
+        self._dims = (grid.ny, grid.nx)
+        half = 4 * v.size * grid.nx * fold.max_frames
+        buffer = _buffer(half + 2 * grid.ny * grid.nx * fold.max_frames)
+        self._half, self._fields = buffer[:half], buffer[half:]
 
-    def __call__(self, amplitudes: np.ndarray) -> np.ndarray:
-        """Planar fields (2, ny, nx, n) of n <= max_frames frames of amplitudes (n, M).
+    def __call__(self, folded: np.ndarray) -> np.ndarray:
+        """Planar fields (2, ny, nx, n) of a folded block (4 Hy, 2 Hx, n).
 
         [0] is the real and [1] the imaginary plane; the frame is the last
         axis.  The fields are a view of a buffer that the next call
         overwrites: a frame loop reuses its buffers instead of
         allocating, and so page-faulting, megabytes per batch.
         """
-        amps = np.asarray(amplitudes)
-        n = amps.shape[0]
-        if not 1 <= n <= self.max_frames:
-            raise ValidationError(f"a call takes 1 to {self.max_frames} frames, got {n}")
-        ny, nx, lat_y, lat_x = self._dims
-        lattice = self._lattice[:2 * lat_y * lat_x * n].reshape(lat_y, 2, lat_x, n)
-        if n != self._lattice_frames:
-            lattice.fill(0.0)
-            self._lattice_frames = n
-        lattice[self._iy, 0, self._ix] = amps.real.T
-        lattice[self._iy, 1, self._ix] = amps.imag.T
-        half = self._half[:2 * lat_y * nx * n].reshape(2, lat_y, nx, n)
-        np.matmul(self.kx, lattice.reshape(1, lat_y, 2 * lat_x, n), out=half)
-        fields = self._fields[:2 * ny * nx * n].reshape(2 * ny, nx * n)
-        np.matmul(self.ky, half.reshape(2 * lat_y, nx * n), out=fields)
+        rows, _, n = folded.shape
+        ny, nx = self._dims
+        half = self._half[:rows * nx * n].reshape(rows, nx, n)
+        np.matmul(self.kx, folded, out=half)
+        fields = self._fields[:2 * ny * nx * n].reshape(2, ny, nx * n)
+        # Rows (v, y factor) of each plane are one strided matrix.
+        np.matmul(self.ky, half.reshape(rows // 2, 2, nx * n).transpose(1, 0, 2), out=fields)
         return fields.reshape(2, ny, nx, n)
 
 
-def _real_block(k: np.ndarray) -> np.ndarray:
-    """Real (2r, 2c) matrix [[Re k, -Im k], [Im k, Re k]] of a complex (r, c) k."""
-    r, c = k.shape
-    out = np.empty((2 * r, 2 * c))
-    out[:r, :c] = out[r:, c:] = k.real
-    np.negative(k.imag, out=out[:r, c:])
-    out[r:, :c] = k.imag
-    return out
+def _buffer(size: int) -> np.ndarray:
+    """Float buffer of size elements in a private anonymous memory map of its own.
+
+    The frame loop's buffers are a run's largest allocations.  Once one
+    run has freed its buffers, malloc serves the next run's from the
+    heap, and a process that runs many pipelines grew its heap, and its
+    peak RSS, by 2 MiB whenever a hole no longer fit them.  A map of its
+    own is returned to the system when the buffer is freed.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=float)
+
+
+def _fold_signs() -> np.ndarray:
+    """The (8, 8) +-1 matrix from quadrant amplitudes to the folded block.
+
+    Columns are (y sign, x sign, re/im) of a node's quadrant, sign 1 for
+    a negative offset; rows are (y factor, plane, x factor), factor 1
+    the sine.  A factor pair (fy, fx) weights quadrant (sy, sx) by
+    (-1)^(fy sy + fx sx), and its sines bring (-i)^(fy + fx): rotate[1]
+    is multiplication by -i on (re, im).
+    """
+    mirror = np.array([[1.0, 1.0], [1.0, -1.0]])
+    rotate = np.array([np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]])
+    return np.einsum("ys,xt,ypa,xar->ypxstr", mirror, mirror, rotate, rotate).reshape(8, 8)
+
+
+_FOLD_SIGNS = _fold_signs()

@@ -8,6 +8,13 @@ propagates with the separable lattice form of the Fresnel kernel (the
 only propagation path) in real arithmetic on planar (re, im) fields
 with the frame as the fastest axis: to the bounding box of the mask's
 transmissive pixels for the bucket, and to the reference grid.  The
+fields are exact up to a unit-modulus phase per pixel, so every
+intensity is exact (see optics): the amplitudes carry the node chirp,
+mirror nodes are folded into sums and differences, and the fold does
+not depend on the grid.  So a vacuum batch folds its amplitudes once
+for both planes; with independent source-plane screens the reference
+path folds its screened amplitudes a second time.  The bucket is one
+transmissivity-weighted product of the box intensities.  The
 reference intensities I and their squares overwrite the two planes of
 the field buffer, and the batch's moment sums are one matrix product
 of that [I; I^2] block with the bucket powers [1, b, b^2].
@@ -27,10 +34,12 @@ detector-plane screen leave the law of every intensity as in vacuum, so
 nothing is drawn for them and such a run equals the vacuum run frame by
 frame.
 
-Batches are merged in order, and BLAS runs on one thread in every
+Batches are added in order, and BLAS runs on one thread in every
 process: run_simulation pins it once, around the serial loop and the
-process pool alike, and forked workers inherit the pinned count.  So
-results are identical for any worker count.
+process pool alike, and forked workers inherit the pinned count.  The
+serial loop adds each batch straight into the run's estimate, which
+gives the bits of merging a fresh estimate of the batch, as the pool
+path does.  So results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -48,9 +57,9 @@ import multiprocessing
 
 import numpy as np
 
-from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask, bucket_signals
+from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask
 from .errors import ValidationError
-from .optics import (Grid2D, LatticePropagator, OpticalConfig, check_paraxial,
+from .optics import (Grid2D, LatticeFold, LatticePropagator, OpticalConfig, check_paraxial,
                      intensity_moments)
 from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                      draw_amplitudes)
@@ -96,11 +105,12 @@ class FramePipeline:
     """Propagation factors and screen modes for a run's frame loop.
 
     A batch is processed as matrices: its (n, M) amplitude block, one
-    GEMM for the relative screen phases at the subsources, the separable
+    GEMM for the relative screen phases at the subsources, the folded
     lattice propagation to both detector planes in real arithmetic, and
     one GEMM of the reference moments [I; I^2] for the running sums.
     The bucket path propagates only to the bounding box of the mask's
-    transmissive pixels (one pixel for a point mask).
+    transmissive pixels (one pixel for a point mask), and its bucket is
+    the product of the box intensities with pitch^2 T.
     """
 
     def __init__(self, setup: RunSetup):
@@ -108,8 +118,11 @@ class FramePipeline:
         cfg = setup.cfg
         sources = setup.sources
         self.bucket_mask = setup.mask.support()
-        self.obj = LatticePropagator(sources, self.bucket_mask.grid, cfg, BATCH_FRAMES)
-        self.ref = LatticePropagator(sources, setup.ref_grid, cfg, BATCH_FRAMES)
+        box_grid = self.bucket_mask.grid
+        self._weights = box_grid.pitch**2 * self.bucket_mask.transmissivity.ravel()
+        self.fold = LatticeFold(sources, cfg, BATCH_FRAMES)
+        self.box = LatticePropagator(self.fold, box_grid, cfg)
+        self.ref = LatticePropagator(self.fold, setup.ref_grid, cfg)
         # Only independent source-plane screens change the law of the
         # intensities; their difference has the configured pair rho0.
         self.sampler = None
@@ -117,23 +130,19 @@ class FramePipeline:
         if math.isfinite(setup.model.image_rho0):
             self.sampler = ScreenSampler(setup.model)
             self.mode_table = self.sampler.mode_table(sources.positions)
-            self._factor = np.empty((BATCH_FRAMES, sources.count), dtype=complex)
 
     def _fields(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Planar bucket-box and reference fields (2, ny, nx, count) of one batch."""
         setup = self.setup
         rng = batch_generator(setup.seed, batch_index, RNG_DOMAIN_SOURCE)
         amps = draw_amplitudes(setup.sources, rng, count)
-        obj = self.obj(amps)
+        folded = self.fold(amps)
+        box = self.box(folded)
         if self.sampler is None:
-            return obj, self.ref(amps)
+            return box, self.ref(folded)
         draws = self.sampler.draw(
             batch_generator(setup.seed, batch_index, RNG_DOMAIN_SCREEN), count)
-        phase = draws @ self.mode_table
-        factor = self._factor[:count]
-        np.cos(phase, out=factor.real)
-        np.sin(phase, out=factor.imag)
-        return obj, self.ref(np.multiply(amps, factor, out=factor))
+        return box, self.ref(self.fold(amps, draws @ self.mode_table))
 
     def frames(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (n,) and reference moments [I; I^2] (2, ny, nx, n) of frames start..stop-1.
@@ -145,9 +154,9 @@ class FramePipeline:
         batch_index, offset = divmod(start, BATCH_FRAMES)
         if start < 0 or offset or not start < stop <= start + BATCH_FRAMES:
             raise ValidationError(f"frames [{start}, {stop}) are not the head of one batch")
-        obj, ref = self._fields(batch_index, stop - start)
-        box = intensity_moments(obj)[0]
-        buckets = bucket_signals(np.moveaxis(box, -1, 0), self.bucket_mask)
+        box, ref = self._fields(batch_index, stop - start)
+        intensity = intensity_moments(box)[0]
+        buckets = self._weights @ intensity.reshape(self._weights.size, -1)
         return buckets, intensity_moments(ref)
 
     def batch(self, start: int, stop: int) -> GhostImageEstimate:
@@ -211,11 +220,12 @@ def _worker_batch(span: tuple[int, int]) -> GhostImageEstimate:
 def run_simulation(setup: RunSetup) -> SimulationOutput:
     """Run all frames and return the finalized covariance image.
 
-    Frames are split into fixed BATCH_FRAMES-sized batches and the
-    partial estimates merged in batch order whether the batches run
-    serially or on a process pool, so any worker count produces
-    bit-identical results.  BLAS is pinned to one thread around both;
-    forked pool workers inherit the pinned count.
+    Frames are split into fixed BATCH_FRAMES-sized batches and added in
+    batch order: serially straight into the run's estimate, on a process
+    pool as partial estimates merged in order.  Both give the same sums
+    bit for bit, so any worker count produces bit-identical results.
+    BLAS is pinned to one thread around both; forked pool workers
+    inherit the pinned count.
     """
     t0 = time.perf_counter()
     spans = batch_ranges(setup.frames)
@@ -224,7 +234,7 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
         if setup.workers == 1:
             pipeline = FramePipeline(setup)
             for span in spans:
-                estimate.merge(pipeline.batch(*span))
+                estimate.add(*pipeline.frames(*span))
         else:
             ctx = multiprocessing.get_context("fork")
             # The fork context starts every worker at the first submit, so

@@ -6,7 +6,8 @@ quadrature for path integrals, direct Monte Carlo of the two-mode
 amplitude for the pair term, brute-force loops for lattice counts,
 per-path screens drawn separately for the relative screen,
 |u|^2 of complex fields for the planar intensities of the frame pipeline,
-the dense Fresnel kernel for the separable lattice propagation, the
+the dense Fresnel kernel for the folded lattice propagation (with the
+phases it drops put back), sum(I T) per map for the bucket, the
 dense product over subsource pairs for the lattice difference spectrum
 of the closed form, and a Hankel-transform quadrature for the closed
 form of the continuous disc the lattice stands in for.
@@ -23,7 +24,6 @@ from scipy import integrate, special
 
 from ghost_turb.analytic import pair_coherence_factor
 from ghost_turb.errors import ValidationError
-from ghost_turb.optics import path_prefactor
 from ghost_turb.turbulence import TurbulenceModel
 
 # Each of two independent path screens carries half of the pair
@@ -209,6 +209,39 @@ def gaussian_image(grid, sigma: float, amplitude: float = 1.0,
     pts = grid.points()
     r2 = (pts[..., 0] - center[0]) ** 2 + (pts[..., 1] - center[1]) ** 2
     return pedestal + amplitude * np.exp(-r2 / (2.0 * sigma**2))
+
+
+def bucket_signals(intensity: np.ndarray, mask) -> np.ndarray:
+    """sum(I T) * pitch^2 of each (ny, nx) map in a (..., ny, nx) stack."""
+    im = np.asarray(intensity, dtype=float)
+    if im.shape[-2:] != mask.transmissivity.shape:
+        raise ValidationError(f"intensity shape {im.shape} does not match the mask grid")
+    return np.sum(im * mask.transmissivity, axis=(-2, -1)) * mask.grid.pitch**2
+
+
+def path_prefactor(cfg) -> complex:
+    """Constant factor -i exp(i k L) / (wavelength L) of the Fresnel kernel.
+
+    kL is about 1e7 rad, where one ulp is about 2e-9 rad, so it enters as
+    this one constant rather than as a term of every element's phase.
+    """
+    return complex((-1j / (cfg.wavelength * cfg.path_length))
+                   * np.exp(1j * cfg.wavenumber * cfg.path_length))
+
+
+def dropped_phase(fold, grid, cfg) -> np.ndarray:
+    """Unit-modulus factor (ny, nx) that turns a LatticePropagator field into the Fresnel field.
+
+    exp(i arg c) exp(iq (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c)), with c
+    the kernel's constant factor, q = k / 2L and (x_c, y_c) the centre
+    of the fold's lattice box.
+    """
+    q = cfg.wavenumber / (2.0 * cfg.path_length)
+    xc, yc = fold.center
+    x, y = grid.x(), grid.y()
+    pixel = q * ((y * (y - 2.0 * yc))[:, None] + (x * (x - 2.0 * xc))[None, :])
+    c = path_prefactor(cfg)
+    return (c / abs(c)) * np.exp(1j * pixel)
 
 
 def greens_function(rho_dst, rho_src, cfg) -> np.ndarray:

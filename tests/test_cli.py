@@ -178,6 +178,20 @@ def test_non_paraxial_geometry_exits_2_without_output_directory(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
+@pytest.mark.parametrize("pixels", [5, 9])
+def test_reference_grid_narrower_than_the_airy_core_exits_2(tmp_path, capsys, command, pixels):
+    # 5 and 9 px of 12 um would report FWHMs of about 35 and 70 um for a
+    # 103 um image; the core is 2.44 wavelength L / D = 242.2 um.
+    outdir = tmp_path / "out"
+    assert main([command, "--set", f"ref_pixels={pixels}", "--frames", "64",
+                 "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert f"spans {pixels * 12.0:.1f} um, less than the Airy core" in err
+    assert "= 242.2 um" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
 @pytest.mark.parametrize("below", [False, True])
 def test_out_at_an_existing_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                           command, below):

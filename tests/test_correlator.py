@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signals,
-                                   double_slit_mask, point_mask, psf_metrics, three_bar_mask)
+from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, double_slit_mask,
+                                   point_mask, psf_metrics, three_bar_mask)
 from ghost_turb.errors import (InsufficientDataError, NoDetectionError,
                                ValidationError)
 from ghost_turb.optics import Grid2D
-from oracles import add_frame, intensity
+from oracles import add_frame, bucket_signals, intensity
 
 
 def test_object_mask_validation():

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import (PARAXIAL_PHASE_LIMIT, Grid2D, LatticePropagator,
+from ghost_turb.optics import (PARAXIAL_PHASE_LIMIT, Grid2D, LatticeFold, LatticePropagator,
                                OpticalConfig, check_paraxial, intensity_moments)
-from oracles import fresnel_kernel, greens_function, propagate_subsources
-from ghost_turb.source import make_source_grid
+from ghost_turb.simulate import FramePipeline
+from oracles import dropped_phase, fresnel_kernel, greens_function, propagate_subsources
+from ghost_turb.source import BATCH_FRAMES, SubsourceSet, make_source_grid
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
 
@@ -94,6 +97,21 @@ def test_expanded_kernel_matches_direct_differences_at_the_default_geometry():
     assert np.max(np.abs(kernel - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
+def _assert_matches_dense_kernel(prop, fold, sources, grid, amps):
+    # The propagator drops a unit-modulus phase per pixel; put back, the
+    # field is the dense Fresnel field to rounding.
+    n = amps.shape[0]
+    planar = prop(fold(amps))
+    assert planar.shape == (2, grid.ny, grid.nx, n)
+    dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(grid.ny, grid.nx, n)
+    field = (planar[0] + 1j * planar[1]) * dropped_phase(fold, grid, CFG)[..., None]
+    assert np.max(np.abs(field - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def _amplitudes(rng, n, count):
+    return rng.normal(size=(n, count)) + 1j * rng.normal(size=(n, count))
+
+
 @pytest.mark.parametrize("diameter, pitch, ref_n", [
     (11e-3, 11e-3 / 16.0, 64),      # default geometry: 197 subsources, 64^2 reference
     (2e-3, 0.5e-3, 7),
@@ -101,30 +119,68 @@ def test_expanded_kernel_matches_direct_differences_at_the_default_geometry():
 def test_lattice_propagator_matches_dense_kernel(rng, diameter, pitch, ref_n):
     sources = make_source_grid(diameter, pitch)
     grid = Grid2D.centered(ref_n, ref_n, 12e-6)
-    amps = rng.normal(size=(3, sources.count)) + 1j * rng.normal(size=(3, sources.count))
-    dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(ref_n, ref_n, 3)
-    planar = LatticePropagator(sources, grid, CFG, 3)(amps)
-    assert planar.shape == (2, ref_n, ref_n, 3)
-    separable = planar[0] + 1j * planar[1]
-    assert np.max(np.abs(separable - dense)) <= 1e-12 * np.max(np.abs(dense))
+    fold = LatticeFold(sources, CFG, 3)
+    _assert_matches_dense_kernel(LatticePropagator(fold, grid, CFG), fold, sources, grid,
+                                 _amplitudes(rng, 3, sources.count))
+
+
+DISC = make_source_grid(11e-3, 11e-3 / 16.0)
+
+
+@pytest.mark.parametrize("nodes, grid", [
+    # Cut disc: 14 rows (even) and 17 columns (odd), asymmetric in y.
+    (DISC.nodes[DISC.nodes[:, 1] <= 5], Grid2D.centered(64, 64, 12e-6)),
+    # Both extents even: 16 x 16, off centre in both axes.
+    (DISC.nodes[(DISC.nodes[:, 0] <= 7) & (DISC.nodes[:, 1] <= 7)],
+     Grid2D.centered(16, 16, 12e-6)),
+    (DISC.nodes, Grid2D(nx=7, ny=9, pitch=30e-6, center=(1e-4, -2e-4))),
+    (DISC.nodes, Grid2D(nx=1, ny=1, pitch=12e-6, center=(30e-6, -18e-6))),
+], ids=["cut_disc", "even_extents", "off_centre_grid", "one_pixel_box"])
+def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes, grid):
+    sources = SubsourceSet(nodes=nodes, pitch=DISC.pitch, mean_power=1.0)
+    fold = LatticeFold(sources, CFG, 4)
+    _assert_matches_dense_kernel(LatticePropagator(fold, grid, CFG), fold, sources, grid,
+                                 _amplitudes(rng, 4, sources.count))
+
+
+def test_lattice_fold_folds_the_box_in_half_per_axis():
+    # 17 nodes per axis fold to 9 offsets, 0 to 8 pitches; the cut disc's
+    # 14 rows fold to 7 offsets, 1/2 to 13/2 pitches, about its centre.
+    fold = LatticeFold(DISC, CFG, 1)
+    assert fold.center == (0.0, 0.0)
+    assert np.array_equal(fold.offsets[0], np.arange(9) * DISC.pitch)
+    assert fold(np.ones((1, DISC.count))).shape == (4 * 9, 2 * 9, 1)
+    cut = LatticeFold(SubsourceSet(DISC.nodes[DISC.nodes[:, 1] <= 5], DISC.pitch, 1.0), CFG, 1)
+    assert cut.center == pytest.approx((0.0, -1.5 * DISC.pitch), rel=1e-15, abs=0)
+    assert np.allclose(cut.offsets[1], (np.arange(7) + 0.5) * DISC.pitch, rtol=1e-15, atol=0)
 
 
 def test_lattice_propagator_short_call_uses_a_prefix(rng):
     # A call with fewer frames than the buffers hold lays the prefix out
-    # anew; the lattice nodes without a subsource must read zero again.
+    # anew; the quadrant slots without a subsource must read zero again.
     sources = make_source_grid(2e-3, 0.5e-3)
     grid = Grid2D.centered(5, 4, 12e-6)
-    prop = LatticePropagator(sources, grid, CFG, 8)
-    amps = rng.normal(size=(8, sources.count)) + 1j * rng.normal(size=(8, sources.count))
-    kernel = fresnel_kernel(sources.positions, grid, CFG)
+    fold = LatticeFold(sources, CFG, 8)
+    prop = LatticePropagator(fold, grid, CFG)
+    amps = _amplitudes(rng, 8, sources.count)
     for n in (8, 3, 8, 1):
-        planar = prop(amps[:n])
-        assert planar.shape == (2, 4, 5, n)
-        dense = (kernel @ amps[:n].T).reshape(4, 5, n)
-        error = np.max(np.abs(planar[0] + 1j * planar[1] - dense))
-        assert error <= 1e-12 * np.max(np.abs(dense))
+        _assert_matches_dense_kernel(prop, fold, sources, grid, amps[:n])
     with pytest.raises(ValidationError, match="1 to 8 frames"):
-        prop(np.ones((9, sources.count), dtype=complex))
+        fold(np.ones((9, sources.count), dtype=complex))
+
+
+def test_a_frame_batch_allocates_little():
+    # Every buffer of a batch is the pipeline's own; what a steady-state
+    # batch allocates is the amplitude draw and a few small vectors.
+    pipeline = FramePipeline(config_to_setup(load_config(None, {})))
+    pipeline.frames(0, BATCH_FRAMES)
+    tracemalloc.start()
+    try:
+        pipeline.frames(BATCH_FRAMES, 2 * BATCH_FRAMES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * 2**20
 
 
 def test_intensity_moments_in_place(rng):

@@ -8,12 +8,11 @@ import pytest
 from ghost_turb import simulate
 from ghost_turb.analytic import predicted_ghost_image
 from ghost_turb.config import config_to_setup, load_config
-from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, bucket_signals, point_mask,
-                                   three_bar_mask)
+from ghost_turb.correlator import GhostImageEstimate, ObjectMask, point_mask, three_bar_mask
 from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
-from oracles import (PER_PATH_RHO0_FACTOR, add_frame, intensity, per_path_screen_model,
-                     propagate_subsources)
+from oracles import (PER_PATH_RHO0_FACTOR, add_frame, bucket_signals, intensity,
+                     per_path_screen_model, propagate_subsources)
 from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, FramePipeline, RunSetup,
                                  _openblas, batch_ranges, one_blas_thread, run_simulation)
 from ghost_turb.source import (RNG_DOMAIN_SOURCE, batch_generator, draw_amplitudes,
