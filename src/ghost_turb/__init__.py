@@ -16,8 +16,8 @@ from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError
 from .optics import Grid2D, OpticalConfig
 from .simulate import FramePipeline, RunSetup, SimulationOutput, run_simulation
 from .source import SubsourceSet, make_source_grid
-from .turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
-                         coherence_length, weighted_path_integral)
+from .turbulence import (CnSquaredProfile, TurbulenceModel, coherence_length,
+                         weighted_path_integral)
 
 __version__ = "0.1.0"
 
@@ -25,7 +25,7 @@ __all__ = [
     "CnSquaredProfile", "ConfigurationError", "FramePipeline",
     "GhostImageEstimate", "GhostImageResult", "Grid2D", "ImmunityVerdict",
     "InsufficientDataError", "NoDetectionError", "ObjectMask", "OpticalConfig",
-    "PsfMetrics", "RunConfig", "RunSetup", "ScreenSampler", "SimulationOutput",
+    "PsfMetrics", "RunConfig", "RunSetup", "SimulationOutput",
     "SubsourceSet", "TurbulenceModel", "ValidationError", "build_config",
     "coherence_length", "config_to_setup", "corrected_mds_lhs", "double_slit_mask",
     "immunity_criterion", "load_config", "make_source_grid", "pair_coherence_factor",

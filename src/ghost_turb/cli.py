@@ -118,7 +118,8 @@ def cmd_rho0(args) -> int:
     else:
         integral = rc.rho0 ** (-5.0 / 3.0) / (PHASE_STRUCTURE_COEFF * k * k)
     # Coupled paths and a detector-plane screen leave the image as in vacuum.
-    verdict = immunity_criterion(rc.source_diameter, rc.turbulence().image_rho0)
+    model = rc.turbulence()
+    verdict = immunity_criterion(rc.source_diameter, model.image_rho0)
     print(f"coherence length rho0 = {_fmt_len(rc.rho0)}  [{rc.rho0_origin}]")
     print(f"wavenumber k          = {k:.6g} rad/m")
     print(f"weighted path integral= {integral:.6g} m^(1/3)")
@@ -126,6 +127,10 @@ def cmd_rho0(args) -> int:
     margin = "inf" if math.isinf(verdict.margin) else f"{verdict.margin:.4f}"
     state = "immune" if verdict.immune else "degraded"
     print(f"turbulence immunity   = {state} (rho0 / diameter = {margin})")
+    if model.tilt_std > 0.0:
+        # A turbulent frame is the vacuum frame moved by a Gaussian random shift.
+        sigma = model.blur_sigma(rc.optical())
+        print(f"sigma_blur            = {sigma * 1e6:.4g} um per axis (sqrt(2) L / (k rho0))")
     return EXIT_OK
 
 
@@ -202,6 +207,7 @@ def cmd_analytic(args) -> int:
     outdir = _outdir(rc)
     record = _base_record("analytic", rc)
     record.update(_image_products(outdir, "analytic", setup.ref_grid, image, None))
+    record["sigma_blur_m"] = setup.model.blur_sigma(setup.cfg)
     _write_bracket_curve(outdir / "bracket_curve.csv", rc, setup)
     demo_header = ["case", "draws", "max_rel_diff_vs_clean", "mean_lhs", "clean_mean_lhs"]
     write_rows_csv(outdir / "mds_demo.csv", demo_header,

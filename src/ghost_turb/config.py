@@ -339,6 +339,14 @@ def config_to_setup(rc: RunConfig) -> RunSetup:
     2.44 wavelength L / source_diameter across: on a narrower grid the
     border baseline of psf_metrics lies on the peak, and every width
     measured there is wrong.
+
+    The source lattice must not alias.  Its image repeats every period
+    wavelength L / source_pitch on each axis, and each replica reaches
+    1.22 wavelength L / source_diameter (the Airy first zero) plus
+    3 sigma_blur (the turbulent blur) from its centre.  A replica must
+    not reach any offset x_p - x_b between a reference pixel and a pixel
+    of the mask's transmissive box.  Checked after RunSetup's paraxial
+    check, which a short path fails first.
     """
     grid = rc.object_grid()
     ref_grid = rc.reference_grid()
@@ -349,11 +357,24 @@ def config_to_setup(rc: RunConfig) -> RunSetup:
             f"the reference grid spans {span * 1e6:.1f} um, less than the Airy core "
             f"2.44 wavelength path_length / source_diameter = {core * 1e6:.1f} um; "
             f"raise ref_pixels or ref_pitch")
-    return RunSetup(cfg=rc.optical(),
-                    sources=rc.subsources(),
-                    model=rc.turbulence(),
-                    mask=parse_mask(rc.mask, grid),
-                    ref_grid=ref_grid,
-                    frames=rc.frames,
-                    seed=rc.seed,
-                    workers=rc.workers)
+    setup = RunSetup(cfg=rc.optical(),
+                     sources=rc.subsources(),
+                     model=rc.turbulence(),
+                     mask=parse_mask(rc.mask, grid),
+                     ref_grid=ref_grid,
+                     frames=rc.frames,
+                     seed=rc.seed,
+                     workers=rc.workers)
+    period = rc.wavelength * rc.path_length / rc.source_pitch
+    reach = core / 2.0 + 3.0 * setup.model.blur_sigma(setup.cfg)
+    offset = max(max(ref[1] - box[0], box[1] - ref[0])
+                 for ref, box in zip(ref_grid.span(), setup.mask.support().grid.span()))
+    if period - reach <= offset:
+        raise ConfigurationError(
+            f"the source lattice aliases: its image repeats with period wavelength "
+            f"path_length / source_pitch = {period * 1e6:.1f} um, a replica's reach "
+            f"1.22 wavelength path_length / source_diameter + 3 sigma_blur is "
+            f"{reach * 1e6:.1f} um, and period - reach must exceed the span "
+            f"max |x_p - x_b| = {offset * 1e6:.1f} um between the reference pixels and "
+            f"the mask's transmissive pixels; lower source_pitch or shrink the grids")
+    return setup

@@ -1,9 +1,11 @@
 """Paraxial propagation from point subsources to detector-plane grids.
 
 The propagation kernel is the free-space quadratic-phase (Fresnel) kernel
-for a path of length L.  Turbulence never enters here: a source-plane
-screen is a phase on the subsource amplitudes, and a detector-plane
-screen is a unit-modulus factor per pixel that no intensity can see.
+for a path of length L.  Turbulence enters only as a source-plane tilt
+g per frame, the phase g . rho_m on the subsource amplitudes, which
+LatticeFold applies as one factor per lattice column and one per row; a
+detector-plane screen is a unit-modulus factor per pixel that no
+intensity can see.
 
 Sources on a square lattice (SubsourceSet's nodes) are propagated many
 frames at a time through the exact separable form of the kernel, in real
@@ -168,6 +170,7 @@ class LatticeFold:
         if max_frames < 1:
             raise ValidationError(f"max_frames must be >= 1, got {max_frames}")
         ix, iy, xs, ys = sources.lattice()
+        self._ix, self._iy = ix, iy
         # Twice each node's offset from the box centre, in lattice pitches.
         tx, ty = 2 * ix - (xs.size - 1), 2 * iy - (ys.size - 1)
         self._iu, self._iv = np.abs(tx) // 2, np.abs(ty) // 2
@@ -177,6 +180,8 @@ class LatticeFold:
         self.offsets = tuple((np.arange((c.size + 1) // 2) + 0.5 * (1 - c.size % 2))
                              * sources.pitch for c in (xs, ys))
         self.center = (0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1]))
+        # Signed offsets of the lattice's columns and rows from the centre.
+        self._u, self._v = xs - self.center[0], ys - self.center[1]
         q = cfg.wavenumber / (2.0 * cfg.path_length)
         self._chirp = np.exp(1j * q * np.sum(sources.positions**2, axis=1))
         self.max_frames = max_frames
@@ -190,30 +195,28 @@ class LatticeFold:
         # a subsource stay zero until the count, and so the layout, changes.
         self._frames = 0
 
-    def __call__(self, amplitudes: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, amplitudes: np.ndarray, tilt: np.ndarray | None = None) -> np.ndarray:
         """Folded block (4 Hy, 2 Hx, n) of n <= max_frames frames of amplitudes (n, M).
 
-        phase (n, M), when given, is a source-plane phase per frame and
-        subsource, applied on top of the node chirp.  Rows are (v, y
-        factor, plane) and columns (x factor, u), with factor 0 the cosine
-        and 1 the sine and plane 0 the real part; the frame is the last
-        axis.  The block is a view of a buffer that the next call
-        overwrites.
+        tilt (n, 2), when given, is a source-plane tilt g per frame, in
+        rad/m: node m is multiplied by exp(i g . rho_m) on top of the
+        node chirp, without the frame's constant exp(i g . centre), which
+        no intensity sees.  On the lattice that factor is
+        exp(i g_x u) exp(i g_y v), Lx + Ly exponentials per frame.  Rows
+        are (v, y factor, plane) and columns (x factor, u), with factor 0
+        the cosine and 1 the sine and plane 0 the real part; the frame is
+        the last axis.  The block is a view of a buffer that the next
+        call overwrites.
         """
         amps = np.asarray(amplitudes)
         n = amps.shape[0]
         if not 1 <= n <= self.max_frames:
             raise ValidationError(f"a call takes 1 to {self.max_frames} frames, got {n}")
         chirped = self._amps[:n]
-        if phase is None:
-            np.multiply(amps, self._chirp, out=chirped)
-        else:
-            # The chirp (up to about 90 rad) is not added to the phase:
-            # cos and sin cost up to three times as much at such arguments.
-            np.cos(phase, out=chirped.real)
-            np.sin(phase, out=chirped.imag)
-            chirped *= amps
-            chirped *= self._chirp
+        np.multiply(amps, self._chirp, out=chirped)
+        if tilt is not None:
+            chirped *= np.exp(1j * np.multiply.outer(tilt[:, 0], self._u))[:, self._ix]
+            chirped *= np.exp(1j * np.multiply.outer(tilt[:, 1], self._v))[:, self._iy]
         hy, rows, hx = self._shape
         quadrants = self._quadrants[:hy * rows * hx * n].reshape(hy, rows, hx, n)
         if n != self._frames:

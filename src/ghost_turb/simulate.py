@@ -13,7 +13,7 @@ intensity is exact (see optics): the amplitudes carry the node chirp,
 mirror nodes are folded into sums and differences, and the fold does
 not depend on the grid.  So a vacuum batch folds its amplitudes once
 for both planes; with independent source-plane screens the reference
-path folds its screened amplitudes a second time.  The bucket is one
+path folds its tilted amplitudes a second time.  The bucket is one
 transmissivity-weighted product of the box intensities.  The
 reference intensities I and their squares overwrite the two planes of
 the field buffer, and the batch's moment sums are one matrix product
@@ -27,12 +27,13 @@ circular Gaussian and independent of the screens.  So the bucket path
 takes the drawn amplitudes, and only the reference path gets one
 relative screen phi_r - phi_b: twice the per-path structure function,
 which is a screen at the configured pair rho0.  Its structure function
-is the square law 2 r^2 / rho0^2 exactly, so it is a random tilt: two
-standard normals per frame, whose (2, M) mode table gives the phase at
-the subsources exactly.  Coupled paths (phi_r = phi_b) and a
-detector-plane screen leave the law of every intensity as in vacuum, so
-nothing is drawn for them and such a run equals the vacuum run frame by
-frame.
+is the square law 2 r^2 / rho0^2 exactly, so it is a random tilt g:
+two standard normals per frame, times TurbulenceModel.tilt_std.  The
+fold applies it per lattice column and row, exactly at every
+subsource, and the reference frame is the vacuum frame moved by
+g L / k.  Coupled paths (phi_r = phi_b) and a detector-plane screen
+leave the law of every intensity as in vacuum, so nothing is drawn for
+them and such a run equals the vacuum run frame by frame.
 
 Batches are added in order, and BLAS runs on one thread in every
 process: run_simulation pins it once, around the serial loop and the
@@ -47,7 +48,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -63,7 +63,7 @@ from .optics import (Grid2D, LatticeFold, LatticePropagator, OpticalConfig, chec
                      intensity_moments)
 from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
                      draw_amplitudes)
-from .turbulence import ScreenSampler, TurbulenceModel
+from .turbulence import TurbulenceModel
 
 # Stream of the per-batch relative screen draws (the source module owns 1).
 RNG_DOMAIN_SCREEN = 2
@@ -102,10 +102,10 @@ class SimulationOutput:
 
 
 class FramePipeline:
-    """Propagation factors and screen modes for a run's frame loop.
+    """Propagation factors and the screen tilt law of a run's frame loop.
 
-    A batch is processed as matrices: its (n, M) amplitude block, one
-    GEMM for the relative screen phases at the subsources, the folded
+    A batch is processed as matrices: its (n, M) amplitude block, the
+    relative screen's (n, 2) tilts on the reference path, the folded
     lattice propagation to both detector planes in real arithmetic, and
     one GEMM of the reference moments [I; I^2] for the running sums.
     The bucket path propagates only to the bounding box of the mask's
@@ -116,20 +116,15 @@ class FramePipeline:
     def __init__(self, setup: RunSetup):
         self.setup = setup
         cfg = setup.cfg
-        sources = setup.sources
         self.bucket_mask = setup.mask.support()
         box_grid = self.bucket_mask.grid
         self._weights = box_grid.pitch**2 * self.bucket_mask.transmissivity.ravel()
-        self.fold = LatticeFold(sources, cfg, BATCH_FRAMES)
+        self.fold = LatticeFold(setup.sources, cfg, BATCH_FRAMES)
         self.box = LatticePropagator(self.fold, box_grid, cfg)
         self.ref = LatticePropagator(self.fold, setup.ref_grid, cfg)
-        # Only independent source-plane screens change the law of the
-        # intensities; their difference has the configured pair rho0.
-        self.sampler = None
-        self.mode_table = None
-        if math.isfinite(setup.model.image_rho0):
-            self.sampler = ScreenSampler(setup.model)
-            self.mode_table = self.sampler.mode_table(sources.positions)
+        # 0.0 unless independent source-plane screens change the law of
+        # the intensities; their difference has the configured pair rho0.
+        self.tilt_std = setup.model.tilt_std
 
     def _fields(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Planar bucket-box and reference fields (2, ny, nx, count) of one batch."""
@@ -138,11 +133,11 @@ class FramePipeline:
         amps = draw_amplitudes(setup.sources, rng, count)
         folded = self.fold(amps)
         box = self.box(folded)
-        if self.sampler is None:
+        if self.tilt_std == 0.0:
             return box, self.ref(folded)
-        draws = self.sampler.draw(
-            batch_generator(setup.seed, batch_index, RNG_DOMAIN_SCREEN), count)
-        return box, self.ref(self.fold(amps, draws @ self.mode_table))
+        draws = batch_generator(setup.seed, batch_index, RNG_DOMAIN_SCREEN).standard_normal(
+            (count, 2))
+        return box, self.ref(self.fold(amps, self.tilt_std * draws))
 
     def frames(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (n,) and reference moments [I; I^2] (2, ny, nx, n) of frames start..stop-1.

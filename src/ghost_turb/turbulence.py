@@ -1,4 +1,4 @@
-"""Turbulence strength profiles, transverse coherence length, phase screens.
+"""Turbulence strength profiles, transverse coherence length, screen tilts.
 
 The coherence length of a spherical wave launched at z = 0 and observed
 at z = L through refractive-index turbulence Cn2(z) is
@@ -10,19 +10,28 @@ field whose phase structure function is exactly the square law
 D_phi(r) = 2 r^2 / rho0^2, the one behind the closed form's pair weight
 exp(-r^2 / rho0^2).  Such a field is affine: a piston, which cancels in
 every intensity, plus a random tilt g . rho with g ~ N(0, (2 / rho0^2) I_2).
-So a screen is two standard normals, and its mode table gives its phase
-exactly at the points where it acts.
+So a screen is two numbers per frame, TurbulenceModel.tilt_std times two
+standard normals.
+
+What that does to the image: a tilt moves the reference speckle rigidly
+by g L / k, so a turbulent frame is the vacuum frame moved by a Gaussian
+random shift of standard deviation sigma_blur = sqrt(2) L / (k rho0) per
+axis (TurbulenceModel.blur_sigma), and the ghost image is the vacuum
+image blurred by that Gaussian.  The closed form's pair weight
+exp(-|d|^2 / rho0^2) is that blur's Fourier transform, taken at the
+spatial frequency k d / L of the subsource difference d.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ConfigurationError, ValidationError
+
+if TYPE_CHECKING:
+    from .optics import OpticalConfig
 
 # Path-weighting coefficient of the spherical-wave phase structure
 # function for Kolmogorov-strength turbulence.
@@ -176,10 +185,6 @@ class TurbulenceModel:
                 f"got {f}")
 
     @property
-    def turbulent(self) -> bool:
-        return math.isfinite(self.rho0)
-
-    @property
     def image_rho0(self) -> float:
         """The coherence length the ghost image sees.
 
@@ -192,29 +197,23 @@ class TurbulenceModel:
         return math.inf
 
 
-class ScreenSampler:
-    """Exact square-law phase screen of a turbulent model.
+    @property
+    def tilt_std(self) -> float:
+        """Standard deviation, in rad/m, of each component of a frame's screen tilt.
 
-    A Gaussian phase whose structure function is exactly
-    D(r) = 2 r^2 / rho0^2 has vanishing second differences, so it is a
-    piston plus a tilt g . rho with g ~ N(0, (2 / rho0^2) I_2).  The
-    piston cancels in every intensity and is not drawn: a screen is two
-    standard normals, scaled by slope = sqrt(2) / rho0, and its phase is
-    exact at any point, at any separation.
-    """
-
-    def __init__(self, model: TurbulenceModel):
-        if not model.turbulent:
-            raise ValidationError("a turbulence-free model has no screen to draw")
-        self.slope = math.sqrt(2.0) / model.rho0
-
-    def draw(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Tilts of count screens as standard normals, shape (count, 2).
-
-        Drawn frame-major, so row i does not depend on count.
+        The relative screen of two independent source-plane paths has
+        the square-law structure function 2 r^2 / rho0^2, so it is a
+        piston, which no intensity sees, plus a tilt g . rho with
+        g ~ N(0, tilt_std^2 I_2): tilt_std = sqrt(2) / image_rho0, and
+        0.0 when the image sees no turbulence.
         """
-        return rng.standard_normal((count, 2))
+        return math.sqrt(2.0) / self.image_rho0
 
-    def mode_table(self, points) -> np.ndarray:
-        """Real (2, P) table slope * points^T that maps draw() rows to phases at P points."""
-        return self.slope * np.asarray(points, dtype=float).reshape(-1, 2).T
+    def blur_sigma(self, cfg: OpticalConfig) -> float:
+        """Standard deviation, in meters per axis, of a turbulent frame's random shift.
+
+        A tilt g moves the reference frame by g L / k, so the shift has
+        tilt_std L / k = sqrt(2) L / (k image_rho0) per axis; 0.0 when
+        the image sees no turbulence.
+        """
+        return self.tilt_std * cfg.path_length / cfg.wavenumber

@@ -88,7 +88,7 @@ def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:
     which is a screen of `model` itself.  This model serves checks that
     draw the two paths separately.
     """
-    if not model.turbulent:
+    if math.isinf(model.rho0):
         return model
     return TurbulenceModel(rho0=PER_PATH_RHO0_FACTOR * model.rho0,
                            screen_position_fraction=model.screen_position_fraction,
@@ -134,24 +134,25 @@ def pair_term_mc(rho_b, rho_p, rho_m, rho_mp, wavelength: float, path_length: fl
 
 def pair_term_mc_screens(rho_m, rho_mp, wavelength: float, path_length: float,
                          rho0: float, prefactor_radius: float, power_m: float,
-                         power_mp: float, sampler, seed: int,
+                         power_mp: float, tilt_std: float, seed: int,
                          draws: int) -> tuple[float, float]:
-    """Same estimator, but the increments come from whole mode-sum screens.
+    """Same estimator, but the increments come from whole screens.
 
-    sampler must draw screens whose own structure target makes one path
-    contribute variance r^2 / rho0^2, i.e. the per-path screens the
-    simulator's relative screen stands for.  Draw i of each path is one
-    screen from the generator keyed (seed, i, path), evaluated exactly
-    at the two subsources through the sampler's mode table.  Detectors
-    are taken coincident (geo term zero).
+    tilt_std must be that of screens whose own structure target makes
+    one path contribute variance r^2 / rho0^2, i.e. the per-path screens
+    the simulator's relative screen stands for.  Draw i of each path is
+    one screen, the tilt tilt_std times two standard normals from the
+    generator keyed (seed, i, path), evaluated exactly at the two
+    subsources as g . rho.  Detectors are taken coincident (geo term
+    zero).
     """
     beta = math.pi * prefactor_radius**2 / (wavelength * path_length)
-    table = sampler.mode_table(np.asarray([rho_m, rho_mp], dtype=float))
+    points = np.asarray([rho_m, rho_mp], dtype=float)
     scale = 2.0 * beta**4 * power_m * power_mp
     samples = np.empty(draws)
     for i in range(draws):
-        db = sampler.draw(np.random.default_rng((seed, i, 0)), 1)[0] @ table
-        dp = sampler.draw(np.random.default_rng((seed, i, 1)), 1)[0] @ table
+        db = points @ (tilt_std * np.random.default_rng((seed, i, 0)).standard_normal(2))
+        dp = points @ (tilt_std * np.random.default_rng((seed, i, 1)).standard_normal(2))
         samples[i] = scale * (1.0 + math.cos((db[0] - db[1]) - (dp[0] - dp[1])))
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(draws))

@@ -22,8 +22,8 @@ from ghost_turb.optics import Grid2D, OpticalConfig
 from ghost_turb.simulate import RunSetup, run_simulation
 from ghost_turb.source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, batch_generator,
                                draw_amplitudes, make_source_grid)
-from ghost_turb.turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
-                                   coherence_length, weighted_path_integral)
+from ghost_turb.turbulence import (CnSquaredProfile, TurbulenceModel, coherence_length,
+                                   weighted_path_integral)
 from oracles import glauber_pair_term, per_path_screen_model
 
 WAVELENGTH = 780e-9
@@ -137,20 +137,20 @@ def test_criterion_3_pair_term_vs_monte_carlo(capsys, rho0_nominal):
         assert abs(analytic - mc) <= 3.0 * se, (
             f"geometry {i}: analytic {analytic:.6g} vs MC {mc:.6g} +- {se:.2g}")
 
-    # Cross-check with whole mode-sum screens instead of Gaussian
-    # increments: per-path screens from the simulator's sampler, evaluated
-    # at the two subsources, must push the same Monte Carlo average onto
-    # the closed form.
+    # Cross-check with whole screens instead of Gaussian increments:
+    # per-path tilts at the simulator's tilt_std, evaluated at the two
+    # subsources, must push the same Monte Carlo average onto the closed
+    # form.
     screen_draws = 2000
     for j in (0, 1, 2):
         rho_m, rho_mp, rho0, power_m, power_mp = geometries[j]
         model = TurbulenceModel(rho0=rho0, screen_position_fraction=0.0)
-        sampler = ScreenSampler(per_path_screen_model(model))
+        tilt_std = per_path_screen_model(model).tilt_std
         target = float(glauber_pair_term((0.0, 0.0), (0.0, 0.0), rho_m, rho_mp, CFG, model,
                                          prefactor_radius, power_m, power_mp))
         mc, se = oracles.pair_term_mc_screens(rho_m, rho_mp, WAVELENGTH, PATH_LENGTH,
                                               rho0, prefactor_radius, power_m, power_mp,
-                                              sampler, seed=7000 + j,
+                                              tilt_std, seed=7000 + j,
                                               draws=screen_draws)
         assert abs(target - mc) <= 4.0 * se, (
             f"screen geometry {j}: analytic {target:.6g} vs MC {mc:.6g} +- {se:.2g}")

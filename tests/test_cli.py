@@ -34,7 +34,7 @@ def test_rho0_command_nominal_regime(capsys):
     assert main(["rho0", *NOMINAL_REGIME]) == 0
     out = capsys.readouterr().out
     lines = out.strip().splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert "coherence length" in lines[0] and "cn2_uniform" in lines[0]
     rho0_m = float(lines[0].split("=")[1].split()[0])
     assert 0.0494 <= rho0_m <= 0.0500
@@ -43,6 +43,21 @@ def test_rho0_command_nominal_regime(capsys):
     assert integral == pytest.approx(1.5e-12 * 1.4 * 3.0 / 8.0, rel=1e-4)
     assert "immune" in lines[4]
     assert "4.52" in lines[4]
+    assert "sigma_blur" in lines[5] and "4.942 um per axis" in lines[5]
+
+
+@pytest.mark.parametrize("argv, blur", [
+    (["--rho0-mm", "2"], "sigma_blur            = 122.9 um per axis"),
+    (["--set", "rho0=inf"], None),
+    (["--rho0-mm", "2", "--set", "paths_independent=false"], None),
+    (["--rho0-mm", "2", "--set", "screen_fraction=1"], None),
+], ids=["2mm", "vacuum", "coupled", "detector_plane"])
+def test_rho0_prints_sigma_blur_only_when_the_image_sees_turbulence(capsys, argv, blur):
+    # sqrt(2) L / (k rho0) = 122.9 um at 2 mm; no blur in vacuum, with
+    # coupled paths or with a detector-plane screen.
+    assert main(["rho0", *argv]) == 0
+    out = capsys.readouterr().out
+    assert blur in out if blur else "sigma_blur" not in out
 
 
 def test_rho0_command_vacuum_default(capsys):
@@ -192,6 +207,27 @@ def test_reference_grid_narrower_than_the_airy_core_exits_2(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
+@pytest.mark.parametrize("setting, period, reach", [
+    (["--set", "source_pitch=2.75e-3"], "397.1", "121.1"),
+    (["--rho0-mm", "0.3"], "1588.4", "2579.0"),
+], ids=["coarse_pitch", "strong_blur"])
+def test_aliased_source_lattice_exits_2_without_output_directory(tmp_path, capsys, command,
+                                                                 setting, period, reach):
+    # A replica of the image sits one period wavelength L / pitch away and
+    # reaches the Airy radius 121.1 um plus 3 sigma_blur (819 um per sigma
+    # at 0.3 mm) from its centre, but the reference grid lies up to
+    # 384.0 um from the point.
+    outdir = tmp_path / "out"
+    assert main([command, *setting, "--frames", "64", "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "error: the source lattice aliases" in err
+    assert f"period wavelength path_length / source_pitch = {period} um" in err
+    assert f"is {reach} um" in err
+    assert "span max |x_p - x_b| = 384.0 um" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
 @pytest.mark.parametrize("below", [False, True])
 def test_out_at_an_existing_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                           command, below):
@@ -328,6 +364,16 @@ def test_analytic_products(tmp_path, capsys):
     record = json.loads((outdir / "run.json").read_text())
     assert record["peak"]["status"] == "ok"
     assert len(record["mds_demo"]) == 2
+
+
+@pytest.mark.parametrize("rho0_mm, sigma_um", [(2.0, 122.9), (math.inf, 0.0)])
+def test_analytic_records_sigma_blur_next_to_the_peak(tmp_path, rho0_mm, sigma_um):
+    outdir = tmp_path / "out"
+    assert main(["analytic", "--rho0-mm", str(rho0_mm), "--out", str(outdir)]) == 0
+    record = json.loads((outdir / "run.json").read_text())
+    keys = list(record)
+    assert keys[keys.index("peak") + 1] == "sigma_blur_m"
+    assert record["sigma_blur_m"] * 1e6 == pytest.approx(sigma_um, abs=0.05)
 
 
 def test_mds_demo_rows_shape():

@@ -97,14 +97,18 @@ def test_expanded_kernel_matches_direct_differences_at_the_default_geometry():
     assert np.max(np.abs(kernel - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def _assert_matches_dense_kernel(prop, fold, sources, grid, amps):
-    # The propagator drops a unit-modulus phase per pixel; put back, the
-    # field is the dense Fresnel field to rounding.
+def _assert_matches_dense_kernel(prop, fold, sources, grid, amps, tilt=None):
+    # The propagator drops a unit-modulus phase per pixel, and a tilted
+    # fold the frame's exp(i g . centre); put back, the field is the
+    # dense Fresnel field of amps exp(i g . rho_m) to rounding.
     n = amps.shape[0]
-    planar = prop(fold(amps))
+    planar = prop(fold(amps, tilt))
     assert planar.shape == (2, grid.ny, grid.nx, n)
-    dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(grid.ny, grid.nx, n)
     field = (planar[0] + 1j * planar[1]) * dropped_phase(fold, grid, CFG)[..., None]
+    if tilt is not None:
+        amps = amps * np.exp(1j * tilt @ sources.positions.T)
+        field *= np.exp(1j * tilt @ np.asarray(fold.center))
+    dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(grid.ny, grid.nx, n)
     assert np.max(np.abs(field - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
@@ -136,11 +140,14 @@ DISC = make_source_grid(11e-3, 11e-3 / 16.0)
     (DISC.nodes, Grid2D(nx=7, ny=9, pitch=30e-6, center=(1e-4, -2e-4))),
     (DISC.nodes, Grid2D(nx=1, ny=1, pitch=12e-6, center=(30e-6, -18e-6))),
 ], ids=["cut_disc", "even_extents", "off_centre_grid", "one_pixel_box"])
-def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes, grid):
+@pytest.mark.parametrize("tilted", [False, True], ids=["vacuum", "tilted"])
+def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes, grid, tilted):
+    # Tilts at rho0 = 2 mm: about 0.7 rad per millimetre per component.
     sources = SubsourceSet(nodes=nodes, pitch=DISC.pitch, mean_power=1.0)
     fold = LatticeFold(sources, CFG, 4)
+    tilt = math.sqrt(2.0) / 2e-3 * rng.normal(size=(4, 2)) if tilted else None
     _assert_matches_dense_kernel(LatticePropagator(fold, grid, CFG), fold, sources, grid,
-                                 _amplitudes(rng, 4, sources.count))
+                                 _amplitudes(rng, 4, sources.count), tilt)
 
 
 def test_lattice_fold_folds_the_box_in_half_per_axis():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ghost_turb import simulate
-from ghost_turb.analytic import predicted_ghost_image
+from ghost_turb.analytic import _pair_weight, predicted_ghost_image
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import GhostImageEstimate, ObjectMask, point_mask, three_bar_mask
 from ghost_turb.errors import ValidationError
@@ -17,7 +17,7 @@ from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, FramePipeline,
                                  _openblas, batch_ranges, one_blas_thread, run_simulation)
 from ghost_turb.source import (RNG_DOMAIN_SOURCE, batch_generator, draw_amplitudes,
                                make_source_grid)
-from ghost_turb.turbulence import ScreenSampler, TurbulenceModel
+from ghost_turb.turbulence import TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
 
@@ -154,13 +154,13 @@ def test_turbulent_engine_matches_manual_screen_loop():
     # reference path carries one relative screen at the configured rho0.
     setup = _setup(rho0=5e-3, fraction=0.0, frames=5)
     buckets, moments = FramePipeline(setup).frames(0, setup.frames)
-    sampler = ScreenSampler(setup.model)
     pos = setup.sources.positions
     amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
                            setup.frames)
-    draws = sampler.draw(batch_generator(setup.seed, 0, RNG_DOMAIN_SCREEN), 5)
+    tilts = setup.model.tilt_std * batch_generator(
+        setup.seed, 0, RNG_DOMAIN_SCREEN).standard_normal((5, 2))
     for i in range(setup.frames):
-        screen = draws[i] @ sampler.mode_table(pos)
+        screen = pos @ tilts[i]
         obj = propagate_subsources(amps[i], pos, setup.mask.grid, CFG)
         ref = propagate_subsources(amps[i] * np.exp(1j * screen), pos, setup.ref_grid, CFG)
         assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), setup.mask)),
@@ -208,12 +208,12 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
     # the dense vacuum field of the same amplitudes, on the reference
     # grid with its center moved by -g L / k.
     pipeline = _default_turbulent_pipeline(overrides)
-    setup, sampler = pipeline.setup, pipeline.sampler
+    setup = pipeline.setup
     _, moments = pipeline.frames(0, BATCH_FRAMES)
     amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
                            BATCH_FRAMES)
-    tilts = sampler.slope * sampler.draw(
-        batch_generator(setup.seed, 0, RNG_DOMAIN_SCREEN), BATCH_FRAMES)
+    tilts = pipeline.tilt_std * batch_generator(
+        setup.seed, 0, RNG_DOMAIN_SCREEN).standard_normal((BATCH_FRAMES, 2))
     shifts = tilts * setup.cfg.path_length / setup.cfg.wavenumber
     cx, cy = setup.ref_grid.center
     for i in range(BATCH_FRAMES):
@@ -222,32 +222,52 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
         assert _close(moments[0, ..., i], intensity(vacuum))
 
 
-def test_mode_table_gram_is_the_full_grid_covariance():
-    # The relative screen's phases at all 197 subsources have covariance
-    # (2 / rho0^2) rho_m . rho_m', the tilt's covariance over the full
-    # source grid, and the table's Gram matrix carries all of it.
-    pipeline = _default_turbulent_pipeline()
-    pos = pipeline.setup.sources.positions
-    table = pipeline.mode_table
-    assert table.shape == (2, 197)
-    full = 2.0 / pipeline.setup.model.rho0**2 * (pos @ pos.T)
-    assert _close(table.T @ table, full)
+def _recorded_tilts(pipeline, start, stop):
+    """The tilts (n, 2) that frames(start, stop) hands the fold, or None if it hands none."""
+    fold, tilts = pipeline.fold, [None]
+
+    def recording(amps, tilt=None):
+        if tilt is not None:
+            tilts[0] = tilt.copy()
+        return fold(amps, tilt)
+
+    pipeline.fold = recording
+    try:
+        pipeline.frames(start, stop)
+    finally:
+        pipeline.fold = fold
+    return tilts[0]
+
+
+def test_screen_tilts_are_tilt_std_times_the_screen_stream():
+    # A frame's screen is the next two standard normals of its batch's
+    # screen generator, in frame order, times tilt_std: row i does not
+    # depend on the batch length, and the same batch draws the same bits.
+    pipeline = FramePipeline(_setup(rho0=5e-3, frames=2 * BATCH_FRAMES))
+    assert pipeline.tilt_std == math.sqrt(2.0) / 5e-3
+    tilts = _recorded_tilts(pipeline, BATCH_FRAMES, 2 * BATCH_FRAMES)
+    normals = batch_generator(pipeline.setup.seed, 1, RNG_DOMAIN_SCREEN).standard_normal(
+        2 * BATCH_FRAMES)
+    assert np.array_equal(tilts, pipeline.tilt_std * normals.reshape(BATCH_FRAMES, 2))
+    for count in (1, 5, 31):
+        assert np.array_equal(_recorded_tilts(pipeline, BATCH_FRAMES, BATCH_FRAMES + count),
+                              tilts[:count])
+    assert np.array_equal(_recorded_tilts(FramePipeline(pipeline.setup), BATCH_FRAMES,
+                                          2 * BATCH_FRAMES), tilts)
+    assert not np.array_equal(_recorded_tilts(pipeline, 0, BATCH_FRAMES), tilts)
 
 
 def test_relative_screen_weights_are_the_closed_form_weights():
     # A pair of subsources keeps exp(-D/2) of its interference, with D the
-    # variance of the relative screen's phase difference: for mode-table
-    # columns t, exp(-|t_m - t_m'|^2 / 2).  That must be the closed
-    # form's pair weight exp(-|rho_m - rho_m'|^2 / rho0^2).
+    # variance of the relative screen's phase difference g . d:
+    # exp(-tilt_std^2 |d|^2 / 2).  That must be the closed form's pair
+    # weight exp(-|rho_m - rho_m'|^2 / rho0^2).
     pipeline = _default_turbulent_pipeline()
     setup = pipeline.setup
     pos = setup.sources.positions
-    table = pipeline.mode_table
-    assert table.shape == (2, 197)
-    t2 = np.sum((table[:, :, None] - table[:, None, :]) ** 2, axis=0)
     d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-    weights = np.exp(-0.5 * t2)
-    assert np.max(np.abs(weights - np.exp(-d2 / setup.model.rho0**2))) <= 1e-12
+    weights = np.exp(-0.5 * pipeline.tilt_std**2 * d2)
+    assert np.max(np.abs(weights - _pair_weight(d2, setup.model))) <= 1e-12
     # The same weights in predicted_ghost_image's product give its image.
     assert setup.model.image_rho0 == setup.model.rho0
     q = setup.cfg.wavenumber / setup.cfg.path_length
@@ -262,11 +282,8 @@ def test_relative_screen_weights_are_the_closed_form_weights():
 
 def test_relative_screen_has_twice_the_per_path_covariance():
     pipeline = _default_turbulent_pipeline()
-    pos = pipeline.setup.sources.positions
-    per_path = ScreenSampler(per_path_screen_model(pipeline.setup.model))
-    one_path = per_path.mode_table(pos)
-    relative = pipeline.mode_table
-    assert _close(relative.T @ relative, 2.0 * one_path.T @ one_path)
+    per_path = per_path_screen_model(pipeline.setup.model)
+    assert pipeline.tilt_std**2 == pytest.approx(2.0 * per_path.tilt_std**2, rel=1e-15)
 
 
 def test_frames_of_a_batch_do_not_depend_on_its_length():
@@ -286,7 +303,8 @@ def test_shared_screen_when_paths_coupled():
     # A screen shared by both paths cannot change the law of the fields,
     # so none is drawn and the frames are the vacuum frames.
     coupled = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES, paths_independent=False))
-    assert coupled.sampler is None
+    assert coupled.tilt_std == 0.0
+    assert _recorded_tilts(coupled, 0, BATCH_FRAMES) is None
     buckets, moments = coupled.frames(0, BATCH_FRAMES)
     moments = moments.copy()
     vacuum = FramePipeline(_setup(frames=BATCH_FRAMES))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import Grid2D
-from ghost_turb.turbulence import (CnSquaredProfile, ScreenSampler, TurbulenceModel,
-                                   coherence_length, weighted_path_integral)
+from ghost_turb.turbulence import (CnSquaredProfile, TurbulenceModel, coherence_length,
+                                   weighted_path_integral)
 
 import oracles
 
@@ -134,8 +133,6 @@ def test_turbulence_model_validation():
     for fraction in (1.5, 0.5, -0.1, math.nan):
         with pytest.raises(ValidationError, match="source plane"):
             TurbulenceModel(rho0=1.0, screen_position_fraction=fraction)
-    assert TurbulenceModel(rho0=math.inf).turbulent is False
-    assert TurbulenceModel(rho0=0.01).turbulent is True
 
 
 def test_image_rho0_is_rho0_only_for_independent_source_plane_screens():
@@ -145,77 +142,31 @@ def test_image_rho0_is_rho0_only_for_independent_source_plane_screens():
     assert TurbulenceModel(rho0=math.inf).image_rho0 == math.inf
 
 
-def phases(sampler, seed, count, points):
-    """Screen phases (count, P) at points: draw() rows through the mode table."""
-    return sampler.draw(np.random.default_rng(seed), count) @ sampler.mode_table(points)
-
-
-def test_screen_zero_for_infinite_rho0():
-    with pytest.raises(ValidationError, match="turbulence-free"):
-        ScreenSampler(TurbulenceModel(rho0=math.inf))
-
-
-def test_sample_keeps_its_draw_order():
-    # A screen is the generator's next two standard normals, in order,
-    # one frame after another; the mode table scales them by slope.
-    model = TurbulenceModel(rho0=5e-3)
-    sampler = ScreenSampler(model)
-    assert sampler.slope == math.sqrt(2.0) / 5e-3
-    normals = np.random.default_rng((9, 3, 2)).standard_normal(8)
-    block = sampler.draw(np.random.default_rng((9, 3, 2)), 4)
-    assert block.shape == (4, 2)
-    assert np.array_equal(block.reshape(-1), normals)
-    pts = np.array([[0.0, 0.0], [1e-3, -2e-3], [-4e-3, 3e-3]])
-    assert np.array_equal(sampler.mode_table(pts), sampler.slope * pts.T)
-
-
-def test_mode_table_matches_screen_at_nodes():
-    # draw() rows through the mode table give the tilt screen
-    # slope * (g_x x + g_y y) at every grid node, evaluated node by node.
-    g = Grid2D.centered(33, 33, 2.5e-4)
-    sampler = ScreenSampler(TurbulenceModel(rho0=5e-3))
-    pts = g.points().reshape(-1, 2)[::7]
-    draws = sampler.draw(np.random.default_rng(17), 3)
-    got = draws @ sampler.mode_table(pts)
-    for i in range(3):
-        screen = [sampler.slope * (draws[i, 0] * x + draws[i, 1] * y) for x, y in pts]
-        assert np.max(np.abs(got[i] - np.array(screen))) <= 1e-12
-    assert np.max(np.abs(got)) > 0.1
-
-
-def test_draw_rows_do_not_depend_on_count():
-    sampler = ScreenSampler(TurbulenceModel(rho0=5e-3))
-    long = sampler.draw(np.random.default_rng((9, 3, 2)), 32)
-    for count in (1, 5, 31):
-        assert np.array_equal(sampler.draw(np.random.default_rng((9, 3, 2)), count),
-                              long[:count])
-
-
-def test_screen_regeneration_is_bit_identical():
-    model = TurbulenceModel(rho0=5e-3)
-    pts = Grid2D.centered(33, 33, 2.5e-4).points()
-    a = phases(ScreenSampler(model), (9, 3, 2), 1, pts)
-    b = phases(ScreenSampler(TurbulenceModel(rho0=5e-3)), (9, 3, 2), 1, pts)
-    c = phases(ScreenSampler(model), (9, 3, 3), 1, pts)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
+def test_tilt_std_is_sqrt2_over_image_rho0():
+    # The relative screen's tilt has variance 2 / rho0^2 per component;
+    # an image that sees no turbulence gets no tilt.
+    assert TurbulenceModel(rho0=5e-3).tilt_std == math.sqrt(2.0) / 5e-3
+    assert TurbulenceModel(rho0=math.inf).tilt_std == 0.0
+    assert TurbulenceModel(rho0=5e-3, paths_independent=False).tilt_std == 0.0
+    assert TurbulenceModel(rho0=5e-3, screen_position_fraction=1.0).tilt_std == 0.0
 
 
 def test_screen_structure_function_tracks_square_law():
     # Ensemble structure function over seeded screens equals
     # 2 r^2 / rho0^2 at every separation up to the 11 mm source
     # diameter, in every direction, for strong and nominal turbulence.
-    # Each screen gives one squared phase increment per separation; the
-    # standard error is over screens.
+    # A screen is the tilt tilt_std times two standard normals; each
+    # gives one squared phase increment per separation.  The standard
+    # error is over screens.
     screens = 4000
     for rho0 in (2e-3, 49.73e-3):
-        sampler = ScreenSampler(TurbulenceModel(rho0=rho0))
-        draws = np.concatenate([sampler.draw(np.random.default_rng((11, i)), 1)
+        tilt_std = TurbulenceModel(rho0=rho0).tilt_std
+        tilts = np.concatenate([tilt_std * np.random.default_rng((11, i)).standard_normal((1, 2))
                                 for i in range(screens)])
         for r in (0.25e-3, 1e-3, 2e-3, 5.5e-3, 11e-3):
             for angle in (0.0, 0.7, 1.9, 3.0):
                 half = 0.5 * r * np.array([math.cos(angle), math.sin(angle)])
-                diff = draws @ sampler.mode_table(np.stack([half, -half]))
+                diff = tilts @ np.stack([half, -half]).T
                 increments = (diff[:, 0] - diff[:, 1]) ** 2
                 est = float(np.mean(increments))
                 se = float(np.std(increments, ddof=1) / math.sqrt(screens))
