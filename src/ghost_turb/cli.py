@@ -236,12 +236,13 @@ def cmd_compare(args) -> int:
     record = _base_record("compare", rc)
     rows = []
     status = EXIT_OK
-    for rho0 in _sweep_values(rc):
-        rc_point = replace(rc, rho0=rho0, rho0_origin="sweep", rho0_sweep=())
-        label = "inf" if math.isinf(rho0) else f"{rho0 * 1e3:g}"
+    # Every point's setup first, so a bad point fails before any simulation.
+    points = [("inf" if math.isinf(rho0) else f"{rho0 * 1e3:g}",
+               config_to_setup(replace(rc, rho0=rho0, rho0_origin="sweep", rho0_sweep=())))
+              for rho0 in _sweep_values(rc)]
+    for label, setup in points:
         row: dict = {"rho0_mm": label}
         try:
-            setup = config_to_setup(rc_point)
             output = run_simulation(setup)
             sim = psf_metrics(output.result.ghost, output.result.grid,
                               stderr=output.result.stderr)

@@ -368,7 +368,7 @@ def config_to_setup(rc: RunConfig) -> RunSetup:
     period = rc.wavelength * rc.path_length / rc.source_pitch
     reach = core / 2.0 + 3.0 * setup.model.blur_sigma(setup.cfg)
     offset = max(max(ref[1] - box[0], box[1] - ref[0])
-                 for ref, box in zip(ref_grid.span(), setup.mask.support().grid.span()))
+                 for ref, box in zip(ref_grid.span(), setup.mask.support.grid.span()))
     if period - reach <= offset:
         raise ConfigurationError(
             f"the source lattice aliases: its image repeats with period wavelength "

@@ -9,6 +9,7 @@ results merge by adding them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +47,7 @@ class ObjectMask:
                 "number of frames can form a ghost image")
         object.__setattr__(self, "transmissivity", t)
 
+    @functools.cached_property
     def support(self) -> "ObjectMask":
         """This mask on the bounding box of its transmissive pixels.
 

@@ -35,12 +35,12 @@ g L / k.  Coupled paths (phi_r = phi_b) and a detector-plane screen
 leave the law of every intensity as in vacuum, so nothing is drawn for
 them and such a run equals the vacuum run frame by frame.
 
-Batches are added in order, and BLAS runs on one thread in every
-process: run_simulation pins it once, around the serial loop and the
-process pool alike, and forked workers inherit the pinned count.  The
-serial loop adds each batch straight into the run's estimate, which
-gives the bits of merging a fresh estimate of the batch, as the pool
-path does.  So results are identical for any worker count.
+A run's batches are grouped into merge units of UNIT_BATCHES.  One
+function, fold_unit, adds a unit's batches in order to a fresh
+estimate, and run_simulation merges the units' estimates in order,
+whether it maps fold_unit over the units in this process or on a fork
+pool.  BLAS runs on one thread in every process: run_simulation pins it
+once, around the map, and forked workers inherit the pinned count.
 """
 
 from __future__ import annotations
@@ -67,6 +67,9 @@ from .turbulence import TurbulenceModel
 
 # Stream of the per-batch relative screen draws (the source module owns 1).
 RNG_DOMAIN_SCREEN = 2
+
+# Batches per merge unit: the work of one pool task, and of one merge.
+UNIT_BATCHES = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +119,7 @@ class FramePipeline:
     def __init__(self, setup: RunSetup):
         self.setup = setup
         cfg = setup.cfg
-        self.bucket_mask = setup.mask.support()
+        self.bucket_mask = setup.mask.support
         box_grid = self.bucket_mask.grid
         self._weights = box_grid.pitch**2 * self.bucket_mask.transmissivity.ravel()
         self.fold = LatticeFold(setup.sources, cfg, BATCH_FRAMES)
@@ -154,12 +157,23 @@ class FramePipeline:
         buckets = self._weights @ intensity.reshape(self._weights.size, -1)
         return buckets, intensity_moments(ref)
 
-    def batch(self, start: int, stop: int) -> GhostImageEstimate:
-        return GhostImageEstimate(self.setup.ref_grid).add(*self.frames(start, stop))
-
 
 def batch_ranges(frames: int) -> list[tuple[int, int]]:
     return [(s, min(s + BATCH_FRAMES, frames)) for s in range(0, frames, BATCH_FRAMES)]
+
+
+def merge_units(frames: int) -> list[list[tuple[int, int]]]:
+    """The batch spans of a run, UNIT_BATCHES to a merge unit; the last unit may be short."""
+    spans = batch_ranges(frames)
+    return [spans[i:i + UNIT_BATCHES] for i in range(0, len(spans), UNIT_BATCHES)]
+
+
+def fold_unit(pipeline: FramePipeline, unit: list[tuple[int, int]]) -> GhostImageEstimate:
+    """A fresh estimate of one merge unit's frames, its batches added in order."""
+    estimate = GhostImageEstimate(pipeline.setup.ref_grid)
+    for span in unit:
+        estimate.add(*pipeline.frames(*span))
+    return estimate
 
 
 @functools.cache
@@ -207,38 +221,37 @@ def _init_worker(setup: RunSetup) -> None:
     _WORKER_PIPELINE = FramePipeline(setup)
 
 
-def _worker_batch(span: tuple[int, int]) -> GhostImageEstimate:
+def _worker_unit(unit: list[tuple[int, int]]) -> GhostImageEstimate:
     assert _WORKER_PIPELINE is not None
-    return _WORKER_PIPELINE.batch(span[0], span[1])
+    return fold_unit(_WORKER_PIPELINE, unit)
 
 
 def run_simulation(setup: RunSetup) -> SimulationOutput:
     """Run all frames and return the finalized covariance image.
 
-    Frames are split into fixed BATCH_FRAMES-sized batches and added in
-    batch order: serially straight into the run's estimate, on a process
-    pool as partial estimates merged in order.  Both give the same sums
-    bit for bit, so any worker count produces bit-identical results.
-    BLAS is pinned to one thread around both; forked pool workers
-    inherit the pinned count.
+    fold_unit makes one estimate per merge unit, and they are merged in
+    unit order.  The map runs in this process when there is one worker
+    or one unit, and on a fork pool of one pipeline per worker
+    otherwise; the sums are the same either way, so any worker count
+    produces bit-identical results.  BLAS is pinned to one thread
+    around the map; forked pool workers inherit the pinned count.
     """
     t0 = time.perf_counter()
-    spans = batch_ranges(setup.frames)
+    units = merge_units(setup.frames)
+    workers = min(setup.workers, len(units))
     estimate = GhostImageEstimate(setup.ref_grid)
-    with one_blas_thread() as blas_threads:
-        if setup.workers == 1:
-            pipeline = FramePipeline(setup)
-            for span in spans:
-                estimate.add(*pipeline.frames(*span))
+    with one_blas_thread() as blas_threads, contextlib.ExitStack() as stack:
+        if workers == 1:
+            parts = map(functools.partial(fold_unit, FramePipeline(setup)), units)
         else:
-            ctx = multiprocessing.get_context("fork")
             # The fork context starts every worker at the first submit, so
-            # there are no more workers than batches.
-            with ProcessPoolExecutor(max_workers=min(setup.workers, len(spans)),
-                                     mp_context=ctx, initializer=_init_worker,
-                                     initargs=(setup,)) as pool:
-                for part in pool.map(_worker_batch, spans):
-                    estimate.merge(part)
+            # there are no more workers than units.
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker, initargs=(setup,)))
+            parts = pool.map(_worker_unit, units)
+        for part in parts:
+            estimate.merge(part)
     result = estimate.finalize()
     return SimulationOutput(result=result,
                             wall_time_s=time.perf_counter() - t0, blas_threads=blas_threads)

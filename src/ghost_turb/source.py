@@ -26,7 +26,8 @@ from .errors import ValidationError
 RNG_DOMAIN_SOURCE = 1
 
 # Frames per draw block: one generator per (seed, batch, stream).  The
-# frame pipeline also uses it as its GEMM block and its merge unit.
+# frame pipeline also uses it as its GEMM block; simulate.UNIT_BATCHES
+# batches make a merge unit.
 BATCH_FRAMES = 32
 
 

@@ -425,6 +425,22 @@ def test_compare_of_coupled_and_detector_plane_screens_predicts_vacuum(tmp_path,
     assert {**row, "rho0_mm": "inf"} == expected
 
 
+def test_compare_refuses_a_bad_sweep_point_before_any_simulation(tmp_path, capsys,
+                                                                  monkeypatch):
+    # At 0.3 mm the turbulent blur makes the default lattice alias; the
+    # vacuum point before it must not be simulated or printed.
+    runs = []
+    monkeypatch.setattr(cli, "run_simulation", runs.append)
+    outdir = tmp_path / "out"
+    assert main(["compare", "--set", "rho0_sweep_mm=inf,0.3", "--frames", "2048",
+                 "--out", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert "aliases" in captured.err
+    assert "rho0 " not in captured.out
+    assert runs == []
+    assert not outdir.exists()
+
+
 def test_compare_insufficient_frames_exits_3(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(_compare_args(outdir, frames=2)) == 3

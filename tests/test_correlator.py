@@ -29,13 +29,13 @@ def test_mask_support_is_the_transmissive_bounding_box():
     t = np.zeros((7, 9))
     t[2, 3] = 0.25
     t[4, 6] = 1.0
-    support = ObjectMask(grid=g, transmissivity=t).support()
+    support = ObjectMask(grid=g, transmissivity=t).support
     assert (support.grid.ny, support.grid.nx) == (3, 4)
     assert support.grid.pitch == g.pitch
     assert np.array_equal(support.transmissivity, t[2:5, 3:7])
     assert np.allclose(support.grid.x(), g.x()[3:7], rtol=0, atol=1e-20)
     assert np.allclose(support.grid.y(), g.y()[2:5], rtol=0, atol=1e-20)
-    point = point_mask(g).support()
+    point = point_mask(g).support
     assert (point.grid.nx, point.grid.ny) == (1, 1)
     assert point.grid.x()[0] == 0.0 and point.grid.y()[0] == 0.0
 

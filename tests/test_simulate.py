@@ -13,13 +13,18 @@ from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
 from oracles import (PER_PATH_RHO0_FACTOR, add_frame, bucket_signals, intensity,
                      per_path_screen_model, propagate_subsources)
-from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, FramePipeline, RunSetup,
-                                 _openblas, batch_ranges, one_blas_thread, run_simulation)
+from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, UNIT_BATCHES, FramePipeline,
+                                 RunSetup, _openblas, batch_ranges, merge_units, one_blas_thread,
+                                 run_simulation)
 from ghost_turb.source import (RNG_DOMAIN_SOURCE, batch_generator, draw_amplitudes,
                                make_source_grid)
 from ghost_turb.turbulence import TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
+UNIT_FRAMES = UNIT_BATCHES * BATCH_FRAMES
+# Two merge units and a short batch: a run that a pool of two or three
+# workers shares, ending in a short unit and a short batch.
+POOL_FRAMES = 2 * UNIT_FRAMES + 5
 
 
 def _setup(rho0=math.inf, fraction=0.0, frames=8, seed=99, workers=1,
@@ -50,6 +55,14 @@ def test_batch_ranges_layout():
     spans = batch_ranges(2 * BATCH_FRAMES + 3)
     assert spans == [(0, BATCH_FRAMES), (BATCH_FRAMES, 2 * BATCH_FRAMES),
                      (2 * BATCH_FRAMES, 2 * BATCH_FRAMES + 3)]
+
+
+def test_merge_units_layout():
+    assert merge_units(10) == [[(0, 10)]]
+    assert merge_units(UNIT_FRAMES) == [batch_ranges(UNIT_FRAMES)]
+    spans = batch_ranges(POOL_FRAMES)
+    assert merge_units(POOL_FRAMES) == [spans[:UNIT_BATCHES], spans[UNIT_BATCHES:-1],
+                                        [(2 * UNIT_FRAMES, POOL_FRAMES)]]
 
 
 def test_run_setup_validation():
@@ -168,9 +181,7 @@ def test_turbulent_engine_matches_manual_screen_loop():
         assert _close(moments[0, ..., i], intensity(ref))
 
 
-def test_pool_has_no_more_workers_than_batches(monkeypatch):
-    # The fork context starts every worker at the first submit, each
-    # building a pipeline, so idle workers would cost a fork apiece.
+def _record_pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool(simulate.ProcessPoolExecutor):
@@ -179,12 +190,27 @@ def test_pool_has_no_more_workers_than_batches(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-    setup = _setup(rho0=5e-3, frames=2 * BATCH_FRAMES, workers=4)
+    return sizes
+
+
+def test_pool_has_no_more_workers_than_units(monkeypatch):
+    # The fork context starts every worker at the first submit, each
+    # building a pipeline, so idle workers would cost a fork apiece.
+    sizes = _record_pool_sizes(monkeypatch)
+    setup = _setup(rho0=5e-3, frames=POOL_FRAMES, workers=4)
     pooled = run_simulation(setup)
-    assert sizes == [2]
+    assert sizes == [3]
     serial = run_simulation(replace(setup, workers=1))
     assert np.array_equal(pooled.result.ghost, serial.result.ghost)
     assert np.array_equal(pooled.result.stderr, serial.result.stderr)
+
+
+@pytest.mark.parametrize("frames", [2 * BATCH_FRAMES + 5, UNIT_FRAMES])
+def test_run_of_one_unit_starts_no_pool(monkeypatch, frames):
+    sizes = _record_pool_sizes(monkeypatch)
+    out = run_simulation(_setup(rho0=5e-3, frames=frames, workers=4))
+    assert sizes == []
+    assert out.result.frames == frames
 
 
 def test_turbulent_buckets_equal_vacuum_buckets():
@@ -280,6 +306,14 @@ def test_relative_screen_weights_are_the_closed_form_weights():
     assert _close(image, want.ravel())
 
 
+def test_pipeline_reads_the_box_of_the_setup_mask():
+    # config_to_setup's aliasing check computes the transmissive box; the
+    # pipeline uses that same object rather than computing it again.
+    pipeline = _default_turbulent_pipeline({"mask": "open"})
+    assert pipeline.bucket_mask is pipeline.setup.mask.support
+    assert pipeline.bucket_mask.grid.nx * pipeline.bucket_mask.grid.ny == 81
+
+
 def test_relative_screen_has_twice_the_per_path_covariance():
     pipeline = _default_turbulent_pipeline()
     per_path = per_path_screen_model(pipeline.setup.model)
@@ -314,21 +348,17 @@ def test_shared_screen_when_paths_coupled():
 
 
 def test_worker_count_does_not_change_any_bit():
-    base = _setup(rho0=5e-3, fraction=0.0, frames=2 * BATCH_FRAMES + 5, seed=7,
-                  pitch=3e-3, ref_n=8)
+    base = _setup(rho0=5e-3, fraction=0.0, frames=POOL_FRAMES, seed=7, pitch=3e-3, ref_n=8)
     serial = run_simulation(base)
     for workers in (2, 3):
-        par = run_simulation(_setup(rho0=5e-3, fraction=0.0,
-                                    frames=2 * BATCH_FRAMES + 5, seed=7,
-                                    pitch=3e-3, ref_n=8, workers=workers))
+        par = run_simulation(replace(base, workers=workers))
         assert np.array_equal(serial.result.ghost, par.result.ghost)
         assert np.array_equal(serial.result.background, par.result.background)
         assert np.array_equal(serial.result.stderr, par.result.stderr)
 
 
 def test_worker_count_does_not_change_any_bit_at_full_geometry():
-    frames = 2 * BATCH_FRAMES + 5
-    setups = [config_to_setup(load_config(None, {"cn2": "1.5e-12", "frames": str(frames),
+    setups = [config_to_setup(load_config(None, {"cn2": "1.5e-12", "frames": str(POOL_FRAMES),
                                                  "workers": str(w)}))
               for w in (1, 2)]
     assert setups[0].sources.count == 197
@@ -347,31 +377,32 @@ def test_pool_run_computes_under_one_blas_thread(tmp_path, monkeypatch):
     if api is None:
         pytest.skip("numpy's bundled OpenBLAS was not found")
     get, put = api
-    batch, merge = FramePipeline.batch, GhostImageEstimate.merge
+    fold, merge = simulate.fold_unit, GhostImageEstimate.merge
     merged_under = []
 
-    def recording_batch(self, start, stop):
-        (tmp_path / f"{os.getpid()}-{start}").write_text(str(get()))
-        return batch(self, start, stop)
+    def recording_fold(pipeline, unit):
+        (tmp_path / f"{os.getpid()}-{unit[0][0]}").write_text(str(get()))
+        return fold(pipeline, unit)
 
     def recording_merge(self, other):
         merged_under.append(get())
         return merge(self, other)
 
-    monkeypatch.setattr(FramePipeline, "batch", recording_batch)
+    monkeypatch.setattr(simulate, "fold_unit", recording_fold)
     monkeypatch.setattr(GhostImageEstimate, "merge", recording_merge)
     before = get()
     put(2)
     try:
-        run_simulation(_setup(rho0=5e-3, frames=2 * BATCH_FRAMES, workers=2))
+        run_simulation(_setup(rho0=5e-3, frames=POOL_FRAMES, workers=2))
         assert get() == 2
     finally:
         put(before)
     records = {path.name: path.read_text() for path in tmp_path.iterdir()}
-    assert sorted(name.split("-")[1] for name in records) == ["0", str(BATCH_FRAMES)]
+    assert sorted(int(name.split("-")[1]) for name in records) == [0, UNIT_FRAMES,
+                                                                   2 * UNIT_FRAMES]
     assert not any(name.startswith(f"{os.getpid()}-") for name in records)
     assert set(records.values()) == {"1"}
-    assert merged_under == [1, 1]
+    assert merged_under == [1, 1, 1]
 
 
 def test_blas_runs_on_one_thread_and_is_restored():
