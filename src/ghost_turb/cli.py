@@ -32,7 +32,7 @@ from .errors import (ConfigurationError, InsufficientDataError, NoDetectionError
 from .io_formats import (write_map_csv, write_pgm16, write_psf_csv, write_rows_csv,
                          write_run_json)
 from .simulate import BATCH_FRAMES, RunSetup, one_blas_thread, run_simulation
-from .turbulence import PHASE_STRUCTURE_COEFF
+from .turbulence import weighted_path_integral_for
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -113,10 +113,7 @@ def _base_record(command: str, rc: RunConfig) -> dict:
 def cmd_rho0(args) -> int:
     rc = _load(args)
     k = 2.0 * math.pi / rc.wavelength
-    if math.isinf(rc.rho0):
-        integral = 0.0
-    else:
-        integral = rc.rho0 ** (-5.0 / 3.0) / (PHASE_STRUCTURE_COEFF * k * k)
+    integral = weighted_path_integral_for(rc.rho0, rc.wavelength)
     # Coupled paths and a detector-plane screen leave the image as in vacuum.
     model = rc.turbulence()
     verdict = immunity_criterion(rc.source_diameter, model.image_rho0)

@@ -220,9 +220,16 @@ class PsfMetrics:
 
 def _border_median(image: np.ndarray) -> float:
     if image.shape[0] <= 2 or image.shape[1] <= 2:
-        return float(np.median(image))
+        return _median(image)
     border = np.concatenate([image[0, :], image[-1, :], image[1:-1, 0], image[1:-1, -1]])
-    return float(np.median(border))
+    return _median(border)
+
+
+def _median(values: np.ndarray) -> float:
+    """The value np.median gives for finite values, without the numpy.ma it imports."""
+    ordered = np.sort(values, axis=None)
+    n = ordered.size
+    return float((ordered[(n - 1) // 2] + ordered[n // 2]) / 2)
 
 
 def _half_crossing(profile: np.ndarray, coords: np.ndarray, peak_idx: int,

@@ -40,7 +40,8 @@ function, fold_unit, adds a unit's batches in order to a fresh
 estimate, and run_simulation merges the units' estimates in order,
 whether it maps fold_unit over the units in this process or on a fork
 pool.  BLAS runs on one thread in every process: run_simulation pins it
-once, around the map, and forked workers inherit the pinned count.
+once, around the map, and forked workers inherit the pinned count.  The
+pool's modules are imported only by a run that forks.
 """
 
 from __future__ import annotations
@@ -49,11 +50,8 @@ import contextlib
 import ctypes
 import functools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-
-import multiprocessing
 
 import numpy as np
 
@@ -244,6 +242,11 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
         if workers == 1:
             parts = map(functools.partial(fold_unit, FramePipeline(setup)), units)
         else:
+            # Imported here: the pool's modules cost RSS in every process
+            # that never forks.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # The fork context starts every worker at the first submit, so
             # there are no more workers than units.
             pool = stack.enter_context(ProcessPoolExecutor(

@@ -154,6 +154,22 @@ def coherence_length(profile: CnSquaredProfile, wavelength: float) -> float:
     return (PHASE_STRUCTURE_COEFF * k * k * integral) ** (-3.0 / 5.0)
 
 
+def weighted_path_integral_for(rho0: float, wavelength: float) -> float:
+    """The weighted path integral that coherence_length maps to rho0.
+
+    The inverse of the rho0 law, rho0^(-5/3) / (2.91 k^2) in m^(1/3);
+    0.0 for rho0 = math.inf (no turbulence).
+    """
+    if not (math.isfinite(wavelength) and wavelength > 0):
+        raise ValidationError(f"wavelength must be finite and > 0, got {wavelength}")
+    if math.isnan(rho0) or rho0 <= 0:
+        raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {rho0}")
+    if math.isinf(rho0):
+        return 0.0
+    k = 2.0 * math.pi / wavelength
+    return rho0 ** (-5.0 / 3.0) / (PHASE_STRUCTURE_COEFF * k * k)
+
+
 @dataclass(frozen=True)
 class TurbulenceModel:
     """Coherence length plus screen placement for a simulated path.

@@ -4,7 +4,8 @@ Everything here is computed by a different route than the library code:
 arbitrary-precision quadrature for the coherence length, scipy adaptive
 quadrature for path integrals, direct Monte Carlo of the two-mode
 amplitude for the pair term, brute-force loops for lattice counts,
-per-path screens drawn separately for the relative screen,
+per-path screens drawn separately for the relative screen, the
+two-mode sum as the squared modulus of two complex exponentials,
 |u|^2 of complex fields for the planar intensities of the frame pipeline,
 the dense Fresnel kernel for the folded lattice propagation (with the
 phases it drops put back), sum(I T) per map for the bucket, the
@@ -79,6 +80,18 @@ def glauber_pair_term(rho_b, rho_p, rho_m, rho_mp, cfg, model, prefactor_radius:
     lam_l = cfg.wavelength * cfg.path_length
     prefactor = 2.0 * (math.pi * prefactor_radius**2 / lam_l) ** 4 * (power_m * power_mp)
     return prefactor * pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg, model)
+
+
+def two_exponential_mds_lhs(mag, geo, turb) -> np.ndarray:
+    """|m2a m1b e^{i(phi2a + phi1b)} + m2b m1a e^{i(phi2b + phi1a)}|^2, phi = geo + turb.
+
+    (4, ...) arrays ordered (1a, 1b, 2a, 2b), summed as complex numbers.
+    """
+    mag, geo, turb = (np.asarray(a, dtype=float) for a in (mag, geo, turb))
+    phi = geo + turb
+    total = (mag[2] * mag[1] * np.exp(1j * (phi[2] + phi[1]))
+             + mag[3] * mag[0] * np.exp(1j * (phi[3] + phi[0])))
+    return np.abs(total) ** 2
 
 
 def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +385,26 @@ def test_mds_demo_rows_shape():
     assert rows[0]["case"] == "mode_independent"
     assert rows[0]["max_rel_diff_vs_clean"] < 1e-11
     assert rows[1]["mean_lhs"] == pytest.approx(2.0, abs=0.1)
+
+
+def test_commands_that_do_not_fork_import_neither_the_pool_nor_numpy_ma(tmp_path):
+    # A fresh interpreter: this test process has imported these already.
+    # numpy.ma comes with np.median and np.unique (1.2 MiB of RSS).
+    script = (
+        "import sys\n"
+        "from ghost_turb.cli import main\n"
+        f"assert main(['analytic', '--out', {str(tmp_path / 'analytic')!r}]) == 0\n"
+        "assert main(['simulate', '--frames', '64', '--workers', '1', '--set', 'rho0=inf',\n"
+        f"             '--out', {str(tmp_path / 'simulate')!r}]) in (0, 3)\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', 'numpy.ma')\n"
+        "             if m in sys.modules))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def _compare_args(outdir, frames=1500, extra=()):

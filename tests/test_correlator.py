@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, double_slit_mask,
+from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, _median, double_slit_mask,
                                    point_mask, psf_metrics, three_bar_mask)
 from ghost_turb.errors import (InsufficientDataError, NoDetectionError,
                                ValidationError)
@@ -250,6 +250,12 @@ def test_merge_rejects_layout_mismatch():
     b = GhostImageEstimate(Grid2D.centered(4, 4, 2e-5))
     with pytest.raises(ValidationError, match="grids"):
         a.merge(b)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (7,), (3, 4), (252,), (65, 65)])
+def test_median_is_numpys_median(rng, shape):
+    values = rng.normal(size=shape) * 1e6
+    assert _median(values) == float(np.median(values))
 
 
 def test_psf_metrics_on_gaussian():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 from dataclasses import replace
@@ -184,12 +185,13 @@ def test_turbulent_engine_matches_manual_screen_loop():
 def _record_pool_sizes(monkeypatch):
     sizes = []
 
-    class RecordingPool(simulate.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    # run_simulation imports the pool class when it forks, so patch its home.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return sizes
 
 

@@ -62,6 +62,9 @@ def test_subsource_set_validation():
         SubsourceSet(nodes=pair.astype(float), pitch=1.0, mean_power=1.0)
     with pytest.raises(ValidationError, match="share a lattice node"):
         SubsourceSet(nodes=np.array([[0, 0], [1, 0], [1, 0]]), pitch=1.0, mean_power=1.0)
+    with pytest.raises(ValidationError, match="share a lattice node"):
+        SubsourceSet(nodes=np.array([[1, 0], [0, 1], [0, 0], [1, 0]]), pitch=1.0,
+                     mean_power=1.0)
     with pytest.raises(ValidationError, match="pitch"):
         SubsourceSet(nodes=pair, pitch=0.0, mean_power=1.0)
     with pytest.raises(ValidationError, match="mean_power"):

@@ -5,7 +5,7 @@ import pytest
 
 from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.turbulence import (CnSquaredProfile, TurbulenceModel, coherence_length,
-                                   weighted_path_integral)
+                                   weighted_path_integral, weighted_path_integral_for)
 
 import oracles
 
@@ -119,6 +119,27 @@ def test_coherence_length_monotone_in_cn2():
 def test_zero_turbulence_gives_infinite_rho0():
     p = CnSquaredProfile.uniform(LENGTH, 0.0)
     assert coherence_length(p, LAM) == math.inf
+
+
+@pytest.mark.parametrize("cn2", [1e-15, CN2, 3e-10])
+def test_inverse_rho0_law_round_trips_through_coherence_length(cn2):
+    p = CnSquaredProfile.uniform(LENGTH, cn2)
+    rho0 = coherence_length(p, LAM)
+    integral = weighted_path_integral_for(rho0, LAM)
+    assert integral == pytest.approx(weighted_path_integral(p), rel=1e-12)
+    back = CnSquaredProfile.uniform(LENGTH, integral / (3.0 * LENGTH / 8.0))
+    assert coherence_length(back, LAM) == pytest.approx(rho0, rel=1e-12)
+
+
+def test_inverse_rho0_law_of_no_turbulence_is_zero():
+    assert weighted_path_integral_for(math.inf, LAM) == 0.0
+
+
+@pytest.mark.parametrize("rho0, wavelength", [(0.0, LAM), (-1.0, LAM), (math.nan, LAM),
+                                              (0.05, 0.0), (0.05, math.inf)])
+def test_inverse_rho0_law_rejects_bad_inputs(rho0, wavelength):
+    with pytest.raises(ValidationError):
+        weighted_path_integral_for(rho0, wavelength)
 
 
 def test_coherence_length_rejects_bad_wavelength():
