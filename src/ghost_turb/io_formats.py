@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlator import PsfMetrics
 from .errors import ValidationError
 from .optics import Grid2D
 
@@ -138,22 +137,8 @@ def write_rows_csv(path, header, rows) -> None:
         writer.writerows([_cell(v) for v in row] for row in rows)
 
 
-def write_psf_csv(path, metrics: PsfMetrics | None, note: str = "") -> None:
-    """Write peak metrics as metric,value rows; a status row comes first."""
-    if metrics is None:
-        rows = [("status", note or "no_detection")]
-    else:
-        rows = [("status", "ok"), ("peak_x_m", metrics.peak_x), ("peak_y_m", metrics.peak_y),
-                ("peak_value", metrics.peak_value), ("baseline", metrics.baseline),
-                ("fwhm_x_m", metrics.fwhm_x), ("fwhm_y_m", metrics.fwhm_y),
-                ("second_moment_width_m", metrics.second_moment_width)]
-        if metrics.peak_stderr is not None:
-            rows.append(("peak_stderr", metrics.peak_stderr))
-    write_rows_csv(path, ["metric", "value"], rows)
-
-
 def write_run_json(path, record: dict) -> None:
-    """Write a run record as deterministic, human-diffable JSON."""
+    """Write a run record as deterministic, human-diffable, strict JSON (NaN raises)."""
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ghost_turb.correlator import PsfMetrics
 from ghost_turb.errors import ValidationError
 from ghost_turb.io_formats import (FLOAT_FMT, read_pgm8, write_map_csv, write_pgm16,
-                                   write_psf_csv, write_rows_csv, write_run_json)
+                                   write_rows_csv, write_run_json)
 from ghost_turb.optics import Grid2D
 
 
@@ -128,33 +127,6 @@ def test_rows_csv_cells_match_csv_writer(tmp_path):
     assert path.read_text().splitlines()[1].startswith('"a, b",3,')
 
 
-def test_psf_csv_rows(tmp_path):
-    metrics = PsfMetrics(fwhm_x=1e-4, fwhm_y=1.1e-4, second_moment_width=9e-5,
-                         peak_x=0.0, peak_y=1.2e-5, peak_value=3.5, baseline=0.5,
-                         peak_stderr=0.01)
-    path = tmp_path / "psf.csv"
-    write_psf_csv(path, metrics)
-    rows = dict(line.split(",") for line in path.read_text().strip().splitlines()[1:])
-    assert rows["status"] == "ok"
-    assert float(rows["fwhm_x_m"]) == 1e-4
-    assert float(rows["peak_stderr"]) == 0.01
-    bare = PsfMetrics(fwhm_x=1e-4, fwhm_y=1e-4, second_moment_width=9e-5,
-                      peak_x=0.0, peak_y=0.0, peak_value=1.0, baseline=0.0,
-                      peak_stderr=None)
-    write_psf_csv(path, bare)
-    assert "peak_stderr" not in path.read_text()
-
-
-def test_psf_csv_no_detection(tmp_path):
-    path = tmp_path / "psf.csv"
-    write_psf_csv(path, None, note="image is flat")
-    lines = path.read_text().strip().splitlines()
-    assert lines[1] == "status,image is flat"
-    assert len(lines) == 2
-    write_psf_csv(path, None)
-    assert path.read_text().strip().splitlines()[1] == "status,no_detection"
-
-
 def test_run_json_is_stable(tmp_path):
     record = {"b": 2, "a": {"z": [1, 2], "y": "s"}}
     p1 = tmp_path / "r1.json"
@@ -165,3 +137,9 @@ def test_run_json_is_stable(tmp_path):
     assert p1.read_text().endswith("\n")
     assert json.loads(p1.read_text()) == record
     assert p1.read_text().index('"a"') < p1.read_text().index('"b"')
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_run_json_refuses_values_strict_json_cannot_hold(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_run_json(tmp_path / "run.json", {"a": {"b": [1.0, value]}})
