@@ -1,9 +1,10 @@
 """Lensless pseudothermal ghost imaging through atmospheric turbulence.
 
 The package simulates frame-by-frame ghost image formation with a
-pseudothermal subsource array, thin phase screens for the turbulent
-paths, and bucket/reference covariance estimation, and evaluates the
-matching closed-form second-order coherence prediction.
+pseudothermal subsource array, turbulence as one random source-plane
+tilt per frame (a square-law phase screen is exactly a tilt), and
+bucket/reference covariance estimation, and evaluates the matching
+closed-form second-order coherence prediction.
 """
 
 from .analytic import (ImmunityVerdict, corrected_mds_lhs, immunity_criterion,

@@ -7,16 +7,17 @@ LatticeFold applies as one factor per lattice column and one per row; a
 detector-plane screen is a unit-modulus factor per pixel that no
 intensity can see.
 
-Sources on a square lattice (SubsourceSet's nodes) are propagated many
-frames at a time through the exact separable form of the kernel, in real
-arithmetic on planar (re, im) fields.  The detectors read only
-intensities, so a field is computed up to a unit-modulus factor per
-pixel, which leaves every intensity exact: the kernel's constant phase
-and q (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c), q = k / 2L, about the
-centre (x_c, y_c) of the lattice's bounding box.  Mirror nodes about that
-centre are folded into sums and differences (LatticeFold) that do not
-depend on the grid, so one fold feeds every grid (LatticePropagator)
-that sees the same amplitudes.
+Sources on a square lattice (SubsourceSet's nodes) are propagated a
+fixed number of frames at a time, into buffers of that many frames,
+through the exact separable form of the kernel, in real arithmetic on
+planar (re, im) fields.  The detectors read only intensities, so a field
+is computed up to a unit-modulus factor per pixel, which leaves every
+intensity exact: the kernel's constant phase and
+q (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c), q = k / 2L, about the centre
+(x_c, y_c) of the lattice's bounding box.  Mirror nodes about that centre are folded into
+sums and differences (LatticeFold) that do not depend on the grid, so
+one fold feeds every grid (LatticePropagator) that sees the same
+amplitudes.
 """
 
 from __future__ import annotations
@@ -160,22 +161,18 @@ class LatticeFold:
 
     The bounding box is symmetric about its centre whatever its extents,
     so each node falls in one of four mirror quadrants, on a half axis of
-    ceil(L / 2) offsets, without collisions; nodes without a subsource
-    stay zero.  One product of that (Hy, 8, Hx, n) block, rows
-    (quadrant, re/im), with the constant sign matrix _FOLD_SIGNS gives the
-    folded block.  In vacuum both detector planes read the same fold.
+    ceil(L / 2) offsets, without collisions.  Every call holds exactly
+    `frames` frames and writes the real and imaginary parts of all nodes
+    into that (Hy, 8, Hx, n) block, rows (quadrant, re/im), with one
+    scatter through a fixed slot table; nodes without a subsource stay
+    zero.  One product of the block with the constant sign matrix
+    _FOLD_SIGNS gives the folded block.  In vacuum both detector planes
+    read the same fold.
     """
 
-    def __init__(self, sources: SubsourceSet, cfg: OpticalConfig, max_frames: int):
-        if max_frames < 1:
-            raise ValidationError(f"max_frames must be >= 1, got {max_frames}")
+    def __init__(self, sources: SubsourceSet, cfg: OpticalConfig, frames: int):
         ix, iy, xs, ys = sources.lattice()
         self._ix, self._iy = ix, iy
-        # Twice each node's offset from the box centre, in lattice pitches.
-        tx, ty = 2 * ix - (xs.size - 1), 2 * iy - (ys.size - 1)
-        self._iu, self._iv = np.abs(tx) // 2, np.abs(ty) // 2
-        # Real row of the node's quadrant: (y sign, x sign, re/im).
-        self._row = 4 * (ty < 0) + 2 * (tx < 0)
         # Half-axis offsets: 0, 1, ... pitches for odd extents, 1/2, 3/2, ... for even.
         self.offsets = tuple((np.arange((c.size + 1) // 2) + 0.5 * (1 - c.size % 2))
                              * sources.pitch for c in (xs, ys))
@@ -184,19 +181,30 @@ class LatticeFold:
         self._u, self._v = xs - self.center[0], ys - self.center[1]
         q = cfg.wavenumber / (2.0 * cfg.path_length)
         self._chirp = np.exp(1j * q * np.sum(sources.positions**2, axis=1))
-        self.max_frames = max_frames
+        self.frames = frames
         hx, hy = (o.size for o in self.offsets)
-        self._shape = (hy, 8, hx)
-        block = 8 * hy * hx * max_frames
-        buffer = _buffer(2 * block + 2 * max_frames * sources.count)
-        self._quadrants, self._folded = buffer[:block], buffer[block:2 * block]
-        self._amps = buffer[2 * block:].view(complex).reshape(max_frames, sources.count)
-        # Frame count the quadrant prefix is laid out for: nodes without
-        # a subsource stay zero until the count, and so the layout, changes.
-        self._frames = 0
+        block = 8 * hy * hx * frames
+        buffer = _buffer(2 * block + 2 * frames * sources.count)
+        # The memory map starts zero-filled, and every call writes the same
+        # slots, so the slots of nodes without a subsource stay zero.
+        self._quadrants = buffer[:block].reshape(hy, 8, hx * frames)
+        self._rows = self._quadrants.reshape(-1, frames)
+        self._folded = buffer[block:2 * block].reshape(hy, 8, hx * frames)
+        self._block = self._folded.reshape(4 * hy, 2 * hx, frames)
+        self._amps = buffer[2 * block:].view(complex).reshape(frames, sources.count)
+        # _rows is the quadrant block (Hy, 8, Hx, n) as (Hy 8 Hx, n): one row
+        # per (half-axis v, y sign, x sign, re/im, half-axis u).  A node's
+        # row is a part set by its lattice row plus a part set by its
+        # column, each from t, twice that row's or column's offset from the
+        # centre in pitches.
+        row = np.array([hx * (8 * (abs(t) // 2) + 4 * (t < 0))
+                        for t in range(1 - ys.size, ys.size, 2)])
+        col = np.array([2 * hx * (t < 0) + abs(t) // 2 for t in range(1 - xs.size, xs.size, 2)])
+        # Each node's real part, then its imaginary part Hx rows on.
+        self._slots = np.add.outer(row[iy] + col[ix], (0, hx)).ravel()
 
     def __call__(self, amplitudes: np.ndarray, tilt: np.ndarray | None = None) -> np.ndarray:
-        """Folded block (4 Hy, 2 Hx, n) of n <= max_frames frames of amplitudes (n, M).
+        """Folded block (4 Hy, 2 Hx, n) of amplitudes (n, M), n the fold's frames.
 
         tilt (n, 2), when given, is a source-plane tilt g per frame, in
         rad/m: node m is multiplied by exp(i g . rho_m) on top of the
@@ -208,25 +216,15 @@ class LatticeFold:
         the last axis.  The block is a view of a buffer that the next
         call overwrites.
         """
-        amps = np.asarray(amplitudes)
-        n = amps.shape[0]
-        if not 1 <= n <= self.max_frames:
-            raise ValidationError(f"a call takes 1 to {self.max_frames} frames, got {n}")
-        chirped = self._amps[:n]
-        np.multiply(amps, self._chirp, out=chirped)
+        chirped = self._amps
+        # A reshape refuses any other frame count, where out= would broadcast one frame.
+        np.multiply(np.reshape(amplitudes, chirped.shape), self._chirp, out=chirped)
         if tilt is not None:
             chirped *= np.exp(1j * np.multiply.outer(tilt[:, 0], self._u))[:, self._ix]
             chirped *= np.exp(1j * np.multiply.outer(tilt[:, 1], self._v))[:, self._iy]
-        hy, rows, hx = self._shape
-        quadrants = self._quadrants[:hy * rows * hx * n].reshape(hy, rows, hx, n)
-        if n != self._frames:
-            quadrants.fill(0.0)
-            self._frames = n
-        quadrants[self._iv, self._row, self._iu] = chirped.real.T
-        quadrants[self._iv, self._row + 1, self._iu] = chirped.imag.T
-        folded = self._folded[:hy * rows * hx * n].reshape(hy, rows, hx * n)
-        np.matmul(_FOLD_SIGNS, quadrants.reshape(hy, rows, hx * n), out=folded)
-        return folded.reshape(4 * hy, 2 * hx, n)
+        self._rows[self._slots] = chirped.view(float).T
+        np.matmul(_FOLD_SIGNS, self._quadrants, out=self._folded)
+        return self._block
 
 
 class LatticePropagator:
@@ -242,10 +240,8 @@ class LatticePropagator:
 
     Frames are the fastest axis of every buffer: the x contraction gives
     (4 Hy, nx, n), and the y contraction is one real GEMM per plane over
-    all n frames that gives the planar fields (2, ny, nx, n).  Buffers
-    for the fold's max_frames are allocated once; a call uses a prefix
-    of each flat buffer, so a short batch runs the same GEMMs on
-    contiguous blocks.
+    all n frames that gives the planar fields (2, ny, nx, n).  The
+    buffers and their views are built once, for the fold's frame count.
     """
 
     def __init__(self, fold: LatticeFold, grid: Grid2D, cfg: OpticalConfig):
@@ -259,10 +255,13 @@ class LatticePropagator:
         np.sin(y_angle, out=ky[..., 1])
         ky *= 1.0 / (cfg.wavelength * cfg.path_length)
         self.ky = ky.reshape(grid.ny, 2 * v.size)
-        self._dims = (grid.ny, grid.nx)
-        half = 4 * v.size * grid.nx * fold.max_frames
-        buffer = _buffer(half + 2 * grid.ny * grid.nx * fold.max_frames)
-        self._half, self._fields = buffer[:half], buffer[half:]
+        rows, frames = 4 * v.size, fold.frames
+        buffer = _buffer((rows + 2 * grid.ny) * grid.nx * frames)
+        self._half = buffer[:rows * grid.nx * frames].reshape(rows, grid.nx, frames)
+        # Rows (v, y factor) of each plane are one strided matrix.
+        self._planes = self._half.reshape(rows // 2, 2, grid.nx * frames).transpose(1, 0, 2)
+        self._fields = buffer[self._half.size:].reshape(2, grid.ny, grid.nx * frames)
+        self._out = self._fields.reshape(2, grid.ny, grid.nx, frames)
 
     def __call__(self, folded: np.ndarray) -> np.ndarray:
         """Planar fields (2, ny, nx, n) of a folded block (4 Hy, 2 Hx, n).
@@ -272,14 +271,9 @@ class LatticePropagator:
         overwrites: a frame loop reuses its buffers instead of
         allocating, and so page-faulting, megabytes per batch.
         """
-        rows, _, n = folded.shape
-        ny, nx = self._dims
-        half = self._half[:rows * nx * n].reshape(rows, nx, n)
-        np.matmul(self.kx, folded, out=half)
-        fields = self._fields[:2 * ny * nx * n].reshape(2, ny, nx * n)
-        # Rows (v, y factor) of each plane are one strided matrix.
-        np.matmul(self.ky, half.reshape(rows // 2, 2, nx * n).transpose(1, 0, 2), out=fields)
-        return fields.reshape(2, ny, nx, n)
+        np.matmul(self.kx, folded, out=self._half)
+        np.matmul(self.ky, self._planes, out=self._fields)
+        return self._out
 
 
 def _buffer(size: int) -> np.ndarray:

@@ -1,23 +1,27 @@
 """Batched ghost imaging runs.
 
-Frames run in fixed batches of BATCH_FRAMES.  A batch draws its
-subsource amplitudes and, when independent source-plane screens are
-on, one relative screen's two tilt normals per frame, as frame-major
-blocks, each from one generator keyed (seed, batch_index, stream).  It
-propagates with the separable lattice form of the Fresnel kernel (the
-only propagation path) in real arithmetic on planar (re, im) fields
-with the frame as the fastest axis: to the bounding box of the mask's
-transmissive pixels for the bucket, and to the reference grid.  The
-fields are exact up to a unit-modulus phase per pixel, so every
-intensity is exact (see optics): the amplitudes carry the node chirp,
-mirror nodes are folded into sums and differences, and the fold does
-not depend on the grid.  So a vacuum batch folds its amplitudes once
-for both planes; with independent source-plane screens the reference
-path folds its tilted amplitudes a second time.  The bucket is one
-transmissivity-weighted product of the box intensities.  The
-reference intensities I and their squares overwrite the two planes of
-the field buffer, and the batch's moment sums are one matrix product
-of that [I; I^2] block with the bucket powers [1, b, b^2].
+Frames run in whole batches of BATCH_FRAMES, and every buffer of the
+frame loop holds one batch.  A batch draws its subsource amplitudes
+and, when independent source-plane screens are on, one relative
+screen's two tilt normals per frame, as frame-major blocks, each from
+one generator keyed (seed, batch_index, stream), so a frame's draws do
+not depend on the run's length.  A run whose length is not a multiple
+of BATCH_FRAMES computes its last batch whole and adds only the frames
+before its end.  A batch propagates with the separable lattice form of
+the Fresnel kernel (the only propagation path) in real arithmetic on
+planar (re, im) fields with the frame as the fastest axis: to the
+bounding box of the mask's transmissive pixels for the bucket, and to
+the reference grid.  The fields are exact up to a unit-modulus phase
+per pixel, so every intensity is exact (see optics): the amplitudes
+carry the node chirp, mirror nodes are folded into sums and
+differences, and the fold does not depend on the grid.  So a vacuum
+batch folds its amplitudes once for both planes; with independent
+source-plane screens the reference path folds its tilted amplitudes a
+second time.  The bucket is one transmissivity-weighted product of the
+box intensities.  The reference intensities I and their squares
+overwrite the two planes of the field buffer, and the batch's moment
+sums are one matrix product of that [I; I^2] block with the bucket
+powers [1, b, b^2].
 
 The ghost image sees source-plane turbulence only through the phase
 difference of the two paths.  For iid circular Gaussian amplitudes a,
@@ -105,10 +109,11 @@ class SimulationOutput:
 class FramePipeline:
     """Propagation factors and the screen tilt law of a run's frame loop.
 
-    A batch is processed as matrices: its (n, M) amplitude block, the
-    relative screen's (n, 2) tilts on the reference path, the folded
-    lattice propagation to both detector planes in real arithmetic, and
-    one GEMM of the reference moments [I; I^2] for the running sums.
+    A batch of B = BATCH_FRAMES frames is processed as matrices: its
+    (B, M) amplitude block, the relative screen's (B, 2) tilts on the
+    reference path, the folded lattice propagation to both detector
+    planes in real arithmetic, and one GEMM of the reference moments
+    [I; I^2] for the running sums.
     The bucket path propagates only to the bounding box of the mask's
     transmissive pixels (one pixel for a point mask), and its bucket is
     the product of the box intensities with pitch^2 T.
@@ -127,50 +132,44 @@ class FramePipeline:
         # the intensities; their difference has the configured pair rho0.
         self.tilt_std = setup.model.tilt_std
 
-    def _fields(self, batch_index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Planar bucket-box and reference fields (2, ny, nx, count) of one batch."""
-        setup = self.setup
-        rng = batch_generator(setup.seed, batch_index, RNG_DOMAIN_SOURCE)
-        amps = draw_amplitudes(setup.sources, rng, count)
-        folded = self.fold(amps)
-        box = self.box(folded)
-        if self.tilt_std == 0.0:
-            return box, self.ref(folded)
-        draws = batch_generator(setup.seed, batch_index, RNG_DOMAIN_SCREEN).standard_normal(
-            (count, 2))
-        return box, self.ref(self.fold(amps, self.tilt_std * draws))
+    def batch(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Buckets (B,) and reference moments [I; I^2] (2, ny, nx, B) of one batch.
 
-    def frames(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Buckets (n,) and reference moments [I; I^2] (2, ny, nx, n) of frames start..stop-1.
-
-        start must begin a batch and stop may not pass its end.  Frame i
-        of the batch is the last index i; the moments are a view of a
-        buffer that the next call overwrites.
+        B is BATCH_FRAMES, and batch index holds run frames index * B to
+        (index + 1) * B - 1 whatever the run's length; frame i of the
+        batch is the last index i.  The moments are a view of a buffer
+        that the next call overwrites.
         """
-        batch_index, offset = divmod(start, BATCH_FRAMES)
-        if start < 0 or offset or not start < stop <= start + BATCH_FRAMES:
-            raise ValidationError(f"frames [{start}, {stop}) are not the head of one batch")
-        box, ref = self._fields(batch_index, stop - start)
-        intensity = intensity_moments(box)[0]
+        setup = self.setup
+        rng = batch_generator(setup.seed, index, RNG_DOMAIN_SOURCE)
+        amps = draw_amplitudes(setup.sources, rng, BATCH_FRAMES)
+        folded = self.fold(amps)
+        intensity = intensity_moments(self.box(folded))[0]
         buckets = self._weights @ intensity.reshape(self._weights.size, -1)
-        return buckets, intensity_moments(ref)
+        if self.tilt_std != 0.0:
+            draws = batch_generator(setup.seed, index, RNG_DOMAIN_SCREEN).standard_normal(
+                (BATCH_FRAMES, 2))
+            folded = self.fold(amps, self.tilt_std * draws)
+        return buckets, intensity_moments(self.ref(folded))
 
 
-def batch_ranges(frames: int) -> list[tuple[int, int]]:
-    return [(s, min(s + BATCH_FRAMES, frames)) for s in range(0, frames, BATCH_FRAMES)]
+def merge_units(frames: int) -> list[range]:
+    """The batch indices of a run, UNIT_BATCHES to a merge unit; the last unit may be short."""
+    batches = -(-frames // BATCH_FRAMES)
+    return [range(i, min(i + UNIT_BATCHES, batches)) for i in range(0, batches, UNIT_BATCHES)]
 
 
-def merge_units(frames: int) -> list[list[tuple[int, int]]]:
-    """The batch spans of a run, UNIT_BATCHES to a merge unit; the last unit may be short."""
-    spans = batch_ranges(frames)
-    return [spans[i:i + UNIT_BATCHES] for i in range(0, len(spans), UNIT_BATCHES)]
+def fold_unit(pipeline: FramePipeline, unit: range) -> GhostImageEstimate:
+    """A fresh estimate of one merge unit's frames, its batches added in order.
 
-
-def fold_unit(pipeline: FramePipeline, unit: list[tuple[int, int]]) -> GhostImageEstimate:
-    """A fresh estimate of one merge unit's frames, its batches added in order."""
+    A run's last batch is computed whole, and only its frames before the
+    run's end are added.
+    """
     estimate = GhostImageEstimate(pipeline.setup.ref_grid)
-    for span in unit:
-        estimate.add(*pipeline.frames(*span))
+    for index in unit:
+        count = pipeline.setup.frames - index * BATCH_FRAMES
+        buckets, moments = pipeline.batch(index)
+        estimate.add(buckets[:count], moments[..., :count])
     return estimate
 
 
@@ -219,7 +218,7 @@ def _init_worker(setup: RunSetup) -> None:
     _WORKER_PIPELINE = FramePipeline(setup)
 
 
-def _worker_unit(unit: list[tuple[int, int]]) -> GhostImageEstimate:
+def _worker_unit(unit: range) -> GhostImageEstimate:
     assert _WORKER_PIPELINE is not None
     return fold_unit(_WORKER_PIPELINE, unit)
 

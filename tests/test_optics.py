@@ -11,7 +11,7 @@ from ghost_turb.optics import (PARAXIAL_PHASE_LIMIT, Grid2D, LatticeFold, Lattic
                                OpticalConfig, check_paraxial, intensity_moments)
 from ghost_turb.simulate import FramePipeline
 from oracles import dropped_phase, fresnel_kernel, greens_function, propagate_subsources
-from ghost_turb.source import BATCH_FRAMES, SubsourceSet, make_source_grid
+from ghost_turb.source import SubsourceSet, make_source_grid
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
 
@@ -162,28 +162,37 @@ def test_lattice_fold_folds_the_box_in_half_per_axis():
     assert np.allclose(cut.offsets[1], (np.arange(7) + 0.5) * DISC.pitch, rtol=1e-15, atol=0)
 
 
-def test_lattice_propagator_short_call_uses_a_prefix(rng):
-    # A call with fewer frames than the buffers hold lays the prefix out
-    # anew; the quadrant slots without a subsource must read zero again.
+def test_lattice_fold_takes_only_its_frame_count(rng):
+    # Every call fills the same buffers, whose slots without a subsource
+    # stay zero; another frame count is refused, not broadcast or cut.
     sources = make_source_grid(2e-3, 0.5e-3)
     grid = Grid2D.centered(5, 4, 12e-6)
     fold = LatticeFold(sources, CFG, 8)
     prop = LatticePropagator(fold, grid, CFG)
-    amps = _amplitudes(rng, 8, sources.count)
-    for n in (8, 3, 8, 1):
-        _assert_matches_dense_kernel(prop, fold, sources, grid, amps[:n])
-    with pytest.raises(ValidationError, match="1 to 8 frames"):
-        fold(np.ones((9, sources.count), dtype=complex))
+    for _ in range(2):
+        _assert_matches_dense_kernel(prop, fold, sources, grid, _amplitudes(rng, 8, sources.count))
+    for n in (1, 7, 9):
+        with pytest.raises(ValueError):
+            fold(np.ones((n, sources.count), dtype=complex))
+
+
+def test_lattice_propagator_takes_only_its_fold_frame_count():
+    sources = make_source_grid(2e-3, 0.5e-3)
+    prop = LatticePropagator(LatticeFold(sources, CFG, 8), Grid2D.centered(5, 4, 12e-6), CFG)
+    for n in (1, 7, 9):
+        other = LatticeFold(sources, CFG, n)
+        with pytest.raises(ValueError):
+            prop(other(np.ones((n, sources.count), dtype=complex)))
 
 
 def test_a_frame_batch_allocates_little():
     # Every buffer of a batch is the pipeline's own; what a steady-state
     # batch allocates is the amplitude draw and a few small vectors.
     pipeline = FramePipeline(config_to_setup(load_config(None, {})))
-    pipeline.frames(0, BATCH_FRAMES)
+    pipeline.batch(0)
     tracemalloc.start()
     try:
-        pipeline.frames(BATCH_FRAMES, 2 * BATCH_FRAMES)
+        pipeline.batch(1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -15,8 +15,7 @@ from ghost_turb.optics import Grid2D, OpticalConfig
 from oracles import (PER_PATH_RHO0_FACTOR, add_frame, bucket_signals, intensity,
                      per_path_screen_model, propagate_subsources)
 from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, UNIT_BATCHES, FramePipeline,
-                                 RunSetup, _openblas, batch_ranges, merge_units, one_blas_thread,
-                                 run_simulation)
+                                 RunSetup, _openblas, merge_units, one_blas_thread, run_simulation)
 from ghost_turb.source import (RNG_DOMAIN_SOURCE, batch_generator, draw_amplitudes,
                                make_source_grid)
 from ghost_turb.turbulence import TurbulenceModel
@@ -50,20 +49,13 @@ def test_per_path_screen_model_scaling():
     assert per_path_screen_model(vacuum) is vacuum
 
 
-def test_batch_ranges_layout():
-    assert batch_ranges(10) == [(0, 10)]
-    assert batch_ranges(BATCH_FRAMES) == [(0, BATCH_FRAMES)]
-    spans = batch_ranges(2 * BATCH_FRAMES + 3)
-    assert spans == [(0, BATCH_FRAMES), (BATCH_FRAMES, 2 * BATCH_FRAMES),
-                     (2 * BATCH_FRAMES, 2 * BATCH_FRAMES + 3)]
-
-
 def test_merge_units_layout():
-    assert merge_units(10) == [[(0, 10)]]
-    assert merge_units(UNIT_FRAMES) == [batch_ranges(UNIT_FRAMES)]
-    spans = batch_ranges(POOL_FRAMES)
-    assert merge_units(POOL_FRAMES) == [spans[:UNIT_BATCHES], spans[UNIT_BATCHES:-1],
-                                        [(2 * UNIT_FRAMES, POOL_FRAMES)]]
+    # Units are ranges of batch indices; a short last batch is one index.
+    assert merge_units(10) == [range(0, 1)]
+    assert merge_units(UNIT_FRAMES) == [range(0, UNIT_BATCHES)]
+    assert merge_units(POOL_FRAMES) == [range(0, UNIT_BATCHES),
+                                        range(UNIT_BATCHES, 2 * UNIT_BATCHES),
+                                        range(2 * UNIT_BATCHES, 2 * UNIT_BATCHES + 1)]
 
 
 def test_run_setup_validation():
@@ -86,8 +78,8 @@ def test_vacuum_engine_matches_direct_propagation():
     # of propagate_subsources are two exact factorisations of the same
     # Fresnel sum, so they agree to rounding.
     setup = _setup(frames=6)
-    buckets, moments = FramePipeline(setup).frames(0, setup.frames)
-    assert moments.shape == (2, 16, 16, 6)
+    buckets, moments = FramePipeline(setup).batch(0)
+    assert moments.shape == (2, 16, 16, BATCH_FRAMES)
     amps, direct_buckets, direct = _manual_run(setup)
     for i in range(setup.frames):
         ref = propagate_subsources(amps[i], setup.sources.positions, setup.ref_grid, CFG)
@@ -101,12 +93,16 @@ def test_vacuum_engine_matches_direct_propagation():
 
 
 def _manual_run(setup):
-    """Amplitudes, buckets and result of a vacuum run, frame by frame, dense kernel."""
+    """Amplitudes, buckets and result of a vacuum run, frame by frame, dense kernel.
+
+    Every batch is drawn whole, and the run keeps the head of each batch
+    that it reaches.
+    """
     pos = setup.sources.positions
     amps = np.concatenate([
         draw_amplitudes(setup.sources, batch_generator(setup.seed, b, RNG_DOMAIN_SOURCE),
-                        stop - start)
-        for b, (start, stop) in enumerate(batch_ranges(setup.frames))])
+                        BATCH_FRAMES)[:setup.frames - start]
+        for b, start in enumerate(range(0, setup.frames, BATCH_FRAMES))])
     est = GhostImageEstimate(setup.ref_grid)
     buckets = np.empty(setup.frames)
     for i in range(setup.frames):
@@ -118,8 +114,8 @@ def _manual_run(setup):
 
 
 def test_run_ending_in_a_short_batch_matches_a_manual_loop():
-    # Two full batches and a short one: the short batch runs the same
-    # GEMMs on a prefix of the buffers.
+    # Two full batches and a short one: the short batch is computed
+    # whole, and only its first frames are added.
     setup = _setup(frames=2 * BATCH_FRAMES + 5, seed=31, pitch=3e-3, ref_n=8)
     _, direct_buckets, direct = _manual_run(setup)
     out = run_simulation(setup)
@@ -128,9 +124,25 @@ def test_run_ending_in_a_short_batch_matches_a_manual_loop():
     assert _close(out.result.stderr, direct.stderr)
     assert _close(out.result.background, direct.background)
     pipeline = FramePipeline(setup)
-    for start, stop in batch_ranges(setup.frames):
-        buckets, _ = pipeline.frames(start, stop)
-        assert np.allclose(buckets, direct_buckets[start:stop], rtol=1e-12, atol=0)
+    for index in range(3):
+        buckets, _ = pipeline.batch(index)
+        head = direct_buckets[index * BATCH_FRAMES:(index + 1) * BATCH_FRAMES]
+        assert np.allclose(buckets[:head.size], head, rtol=1e-12, atol=0)
+
+
+def test_fold_unit_adds_only_the_frames_of_the_run():
+    # A 37-frame run is one unit of a whole batch and the first 5 frames
+    # of the next, which is computed whole.
+    setup = _setup(rho0=5e-3, frames=BATCH_FRAMES + 5)
+    (unit,) = merge_units(setup.frames)
+    pipeline = FramePipeline(setup)
+    estimate = simulate.fold_unit(pipeline, unit)
+    assert estimate.n == setup.frames
+    expected = GhostImageEstimate(setup.ref_grid).add(*pipeline.batch(0))
+    buckets, moments = pipeline.batch(1)
+    expected.add(buckets[:5], moments[..., :5])
+    assert estimate.s_b == expected.s_b
+    assert np.array_equal(estimate.sums, expected.sums)
 
 
 @pytest.mark.parametrize("name", ["point", "three_bar", "gray", "edge"])
@@ -154,7 +166,7 @@ def test_cropped_support_buckets_equal_full_grid_buckets(name):
     support = pipeline.bucket_mask
     assert support.grid.nx * support.grid.ny == {"point": 1, "three_bar": 45, "gray": 16,
                                                  "edge": 6}[name]
-    buckets, _ = pipeline.frames(0, BATCH_FRAMES)
+    buckets, _ = pipeline.batch(0)
     amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
                            BATCH_FRAMES)
     for i in range(BATCH_FRAMES):
@@ -167,7 +179,7 @@ def test_turbulent_engine_matches_manual_screen_loop():
     # The bucket path propagates the drawn amplitudes as they are; the
     # reference path carries one relative screen at the configured rho0.
     setup = _setup(rho0=5e-3, fraction=0.0, frames=5)
-    buckets, moments = FramePipeline(setup).frames(0, setup.frames)
+    buckets, moments = FramePipeline(setup).batch(0)
     pos = setup.sources.positions
     amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
                            setup.frames)
@@ -218,8 +230,8 @@ def test_run_of_one_unit_starts_no_pool(monkeypatch, frames):
 def test_turbulent_buckets_equal_vacuum_buckets():
     turb = FramePipeline(_setup(rho0=2e-3, frames=BATCH_FRAMES))
     vac = FramePipeline(_setup(frames=BATCH_FRAMES))
-    turb_buckets, turb_maps = turb.frames(0, BATCH_FRAMES)
-    vac_buckets, vac_maps = vac.frames(0, BATCH_FRAMES)
+    turb_buckets, turb_maps = turb.batch(0)
+    vac_buckets, vac_maps = vac.batch(0)
     assert np.array_equal(turb_buckets, vac_buckets)
     assert not np.array_equal(turb_maps, vac_maps)
 
@@ -237,7 +249,7 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
     # grid with its center moved by -g L / k.
     pipeline = _default_turbulent_pipeline(overrides)
     setup = pipeline.setup
-    _, moments = pipeline.frames(0, BATCH_FRAMES)
+    _, moments = pipeline.batch(0)
     amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
                            BATCH_FRAMES)
     tilts = pipeline.tilt_std * batch_generator(
@@ -250,8 +262,8 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
         assert _close(moments[0, ..., i], intensity(vacuum))
 
 
-def _recorded_tilts(pipeline, start, stop):
-    """The tilts (n, 2) that frames(start, stop) hands the fold, or None if it hands none."""
+def _recorded_tilts(pipeline, index):
+    """The tilts (B, 2) that batch(index) hands the fold, or None if it hands none."""
     fold, tilts = pipeline.fold, [None]
 
     def recording(amps, tilt=None):
@@ -261,7 +273,7 @@ def _recorded_tilts(pipeline, start, stop):
 
     pipeline.fold = recording
     try:
-        pipeline.frames(start, stop)
+        pipeline.batch(index)
     finally:
         pipeline.fold = fold
     return tilts[0]
@@ -269,20 +281,16 @@ def _recorded_tilts(pipeline, start, stop):
 
 def test_screen_tilts_are_tilt_std_times_the_screen_stream():
     # A frame's screen is the next two standard normals of its batch's
-    # screen generator, in frame order, times tilt_std: row i does not
-    # depend on the batch length, and the same batch draws the same bits.
+    # screen generator, in frame order, times tilt_std, and the same
+    # batch draws the same bits.
     pipeline = FramePipeline(_setup(rho0=5e-3, frames=2 * BATCH_FRAMES))
     assert pipeline.tilt_std == math.sqrt(2.0) / 5e-3
-    tilts = _recorded_tilts(pipeline, BATCH_FRAMES, 2 * BATCH_FRAMES)
+    tilts = _recorded_tilts(pipeline, 1)
     normals = batch_generator(pipeline.setup.seed, 1, RNG_DOMAIN_SCREEN).standard_normal(
         2 * BATCH_FRAMES)
     assert np.array_equal(tilts, pipeline.tilt_std * normals.reshape(BATCH_FRAMES, 2))
-    for count in (1, 5, 31):
-        assert np.array_equal(_recorded_tilts(pipeline, BATCH_FRAMES, BATCH_FRAMES + count),
-                              tilts[:count])
-    assert np.array_equal(_recorded_tilts(FramePipeline(pipeline.setup), BATCH_FRAMES,
-                                          2 * BATCH_FRAMES), tilts)
-    assert not np.array_equal(_recorded_tilts(pipeline, 0, BATCH_FRAMES), tilts)
+    assert np.array_equal(_recorded_tilts(FramePipeline(pipeline.setup), 1), tilts)
+    assert not np.array_equal(_recorded_tilts(pipeline, 0), tilts)
 
 
 def test_relative_screen_weights_are_the_closed_form_weights():
@@ -323,16 +331,14 @@ def test_relative_screen_has_twice_the_per_path_covariance():
 
 
 def test_frames_of_a_batch_do_not_depend_on_its_length():
-    pipeline = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES))
-    buckets, moments = pipeline.frames(BATCH_FRAMES, 2 * BATCH_FRAMES)
-    moments = moments.copy()
-    head_buckets, head_moments = pipeline.frames(BATCH_FRAMES, BATCH_FRAMES + 4)
-    assert head_buckets[3] == pytest.approx(buckets[3], rel=1e-12)
-    assert _close(head_moments[..., 3], moments[..., 3])
-    with pytest.raises(ValidationError, match="head of one batch"):
-        pipeline.frames(1, 3)
-    with pytest.raises(ValidationError, match="head of one batch"):
-        pipeline.frames(0, BATCH_FRAMES + 1)
+    # Batch 1 is the short last batch of a 37-frame run and a whole batch
+    # of a 64-frame run: both compute it whole, to the same bits.
+    short, whole = (FramePipeline(_setup(rho0=5e-3, frames=n)) for n in (37, 2 * BATCH_FRAMES))
+    buckets, moments = short.batch(1)
+    whole_buckets, whole_moments = whole.batch(1)
+    assert np.array_equal(buckets, whole_buckets)
+    assert np.array_equal(moments, whole_moments)
+    assert np.array_equal(_recorded_tilts(short, 1), _recorded_tilts(whole, 1))
 
 
 def test_shared_screen_when_paths_coupled():
@@ -340,11 +346,11 @@ def test_shared_screen_when_paths_coupled():
     # so none is drawn and the frames are the vacuum frames.
     coupled = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES, paths_independent=False))
     assert coupled.tilt_std == 0.0
-    assert _recorded_tilts(coupled, 0, BATCH_FRAMES) is None
-    buckets, moments = coupled.frames(0, BATCH_FRAMES)
+    assert _recorded_tilts(coupled, 0) is None
+    buckets, moments = coupled.batch(0)
     moments = moments.copy()
     vacuum = FramePipeline(_setup(frames=BATCH_FRAMES))
-    vac_buckets, vac_moments = vacuum.frames(0, BATCH_FRAMES)
+    vac_buckets, vac_moments = vacuum.batch(0)
     assert np.array_equal(buckets, vac_buckets)
     assert np.array_equal(moments, vac_moments)
 
@@ -383,7 +389,7 @@ def test_pool_run_computes_under_one_blas_thread(tmp_path, monkeypatch):
     merged_under = []
 
     def recording_fold(pipeline, unit):
-        (tmp_path / f"{os.getpid()}-{unit[0][0]}").write_text(str(get()))
+        (tmp_path / f"{os.getpid()}-{unit[0]}").write_text(str(get()))
         return fold(pipeline, unit)
 
     def recording_merge(self, other):
@@ -400,8 +406,8 @@ def test_pool_run_computes_under_one_blas_thread(tmp_path, monkeypatch):
     finally:
         put(before)
     records = {path.name: path.read_text() for path in tmp_path.iterdir()}
-    assert sorted(int(name.split("-")[1]) for name in records) == [0, UNIT_FRAMES,
-                                                                   2 * UNIT_FRAMES]
+    assert sorted(int(name.split("-")[1]) for name in records) == [0, UNIT_BATCHES,
+                                                                   2 * UNIT_BATCHES]
     assert not any(name.startswith(f"{os.getpid()}-") for name in records)
     assert set(records.values()) == {"1"}
     assert merged_under == [1, 1, 1]
