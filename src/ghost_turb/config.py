@@ -254,8 +254,8 @@ def build_config(raw_items: dict[str, str]) -> RunConfig:
     values["rho0"], values["rho0_origin"] = _resolve_rho0(raw, wavelength, path_length)
     cfg = RunConfig(**values)
     cfg.turbulence()   # the screen model owns the screen-plane rule
-    if cfg.frames < 2:
-        raise ConfigurationError(f"imaging runs need frames >= 2, got {cfg.frames}")
+    if cfg.frames < 3:
+        raise ConfigurationError(f"imaging runs need frames >= 3, got {cfg.frames}")
     if cfg.seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.workers < 1:

@@ -179,9 +179,9 @@ class GhostImageEstimate:
 
     def finalize(self) -> GhostImageResult:
         """Biased (1/N) covariance image, flat background, stderr map."""
-        if self.n < 2:
+        if self.n < 3:
             raise InsufficientDataError(
-                f"need at least 2 frames to form a covariance, have {self.n}"
+                f"need at least 3 frames to form a covariance, have {self.n}"
             )
         n = float(self.n)
         (s_i, s_bi, s_b2i), (s_i2, s_bi2, s_b2i2) = np.moveaxis(self.sums, -1, 1)

@@ -14,10 +14,13 @@ planar (re, im) fields.  The detectors read only intensities, so a field
 is computed up to a unit-modulus factor per pixel, which leaves every
 intensity exact: the kernel's constant phase and
 q (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c), q = k / 2L, about the centre
-(x_c, y_c) of the lattice's bounding box.  Mirror nodes about that centre are folded into
-sums and differences (LatticeFold) that do not depend on the grid, so
-one fold feeds every grid (LatticePropagator) that sees the same
-amplitudes.
+(x_c, y_c) of the lattice's bounding box.  The node chirp
+exp(iq |rho_m|^2) is left out too: per draw, a field is the exact field
+of a_m exp(-iq |rho_m|^2), which has the law of a_m for the source's iid
+circular Gaussian a_m, so every field is exact in law.  Mirror nodes
+about the box centre are folded into sums and differences (LatticeFold)
+that depend only on the lattice, so one fold feeds every grid
+(LatticePropagator) that sees the same amplitudes.
 """
 
 from __future__ import annotations
@@ -154,10 +157,12 @@ class LatticeFold:
     then q (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c) + q |rho|^2
     - 2q (x_p u + y_p v).  The first term is one unit-modulus factor per
     pixel, which no intensity sees.  The node chirp q |rho|^2 does not
-    depend on the grid, so it goes onto the amplitudes.  What is left is
+    depend on the grid, and is left out (see the module docstring).
+    What is left is
     exp(-2iq x_p u) exp(-2iq y_p v), and cos is even in u, sin odd.  So
     the four mirror nodes (+-u, +-v) enter every grid only through the
-    sums and differences of their amplitudes.
+    sums and differences of their amplitudes, and the fold depends only
+    on the lattice.
 
     The bounding box is symmetric about its centre whatever its extents,
     so each node falls in one of four mirror quadrants, on a half axis of
@@ -170,7 +175,7 @@ class LatticeFold:
     read the same fold.
     """
 
-    def __init__(self, sources: SubsourceSet, cfg: OpticalConfig, frames: int):
+    def __init__(self, sources: SubsourceSet, frames: int):
         ix, iy, xs, ys = sources.lattice()
         self._ix, self._iy = ix, iy
         # Half-axis offsets: 0, 1, ... pitches for odd extents, 1/2, 3/2, ... for even.
@@ -179,8 +184,6 @@ class LatticeFold:
         self.center = (0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1]))
         # Signed offsets of the lattice's columns and rows from the centre.
         self._u, self._v = xs - self.center[0], ys - self.center[1]
-        q = cfg.wavenumber / (2.0 * cfg.path_length)
-        self._chirp = np.exp(1j * q * np.sum(sources.positions**2, axis=1))
         self.frames = frames
         hx, hy = (o.size for o in self.offsets)
         block = 8 * hy * hx * frames
@@ -203,26 +206,29 @@ class LatticeFold:
         # Each node's real part, then its imaginary part Hx rows on.
         self._slots = np.add.outer(row[iy] + col[ix], (0, hx)).ravel()
 
-    def __call__(self, amplitudes: np.ndarray, tilt: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, amplitudes, tilt: np.ndarray | None = None) -> np.ndarray:
         """Folded block (4 Hy, 2 Hx, n) of amplitudes (n, M), n the fold's frames.
 
-        tilt (n, 2), when given, is a source-plane tilt g per frame, in
-        rad/m: node m is multiplied by exp(i g . rho_m) on top of the
-        node chirp, without the frame's constant exp(i g . centre), which
-        no intensity sees.  On the lattice that factor is
-        exp(i g_x u) exp(i g_y v), Lx + Ly exponentials per frame.  Rows
-        are (v, y factor, plane) and columns (x factor, u), with factor 0
-        the cosine and 1 the sine and plane 0 the real part; the frame is
-        the last axis.  The block is a view of a buffer that the next
-        call overwrites.
+        amplitudes is any (n, M) array_like, read as complex.  tilt
+        (n, 2), when given, is a source-plane tilt g per frame, in rad/m:
+        node m is multiplied by exp(i g . rho_m), without the frame's
+        constant exp(i g . centre), which no intensity sees.  On the
+        lattice that factor is exp(i g_x u) exp(i g_y v), Lx + Ly
+        exponentials per frame.  Rows are (v, y factor, plane) and
+        columns (x factor, u), with factor 0 the cosine and 1 the sine
+        and plane 0 the real part; the frame is the last axis.  The
+        block is a view of a buffer that the next call overwrites.
         """
-        chirped = self._amps
-        # A reshape refuses any other frame count, where out= would broadcast one frame.
-        np.multiply(np.reshape(amplitudes, chirped.shape), self._chirp, out=chirped)
+        # A reshape refuses any other frame count, where the scatter would broadcast one frame.
+        amps = np.ascontiguousarray(amplitudes, dtype=complex).reshape(self._amps.shape)
         if tilt is not None:
-            chirped *= np.exp(1j * np.multiply.outer(tilt[:, 0], self._u))[:, self._ix]
-            chirped *= np.exp(1j * np.multiply.outer(tilt[:, 1], self._v))[:, self._iy]
-        self._rows[self._slots] = chirped.view(float).T
+            # Any other tilt count is refused too: the products would broadcast one row.
+            if np.shape(tilt) != (self.frames, 2):
+                raise ValueError(f"{self.frames}-frame fold got tilts of shape {np.shape(tilt)}")
+            column = np.exp(1j * np.multiply.outer(tilt[:, 0], self._u))
+            amps = np.multiply(amps, column[:, self._ix], out=self._amps)
+            amps *= np.exp(1j * np.multiply.outer(tilt[:, 1], self._v))[:, self._iy]
+        self._rows[self._slots] = amps.view(float).T
         np.matmul(_FOLD_SIGNS, self._quadrants, out=self._folded)
         return self._block
 
@@ -230,10 +236,10 @@ class LatticeFold:
 class LatticePropagator:
     """Intensity-exact fields on one grid from the folded block of a LatticeFold.
 
-    The field at pixel p is |c| sum_m a_m exp(iq |rho_m|^2)
-    exp(-2iq (x_p u_m + y_p v_m)), |c| = 1 / (wavelength L): the Fresnel
-    field without the unit-modulus pixel factor that LatticeFold sets
-    aside, and without the phase of the kernel's constant c.  On the
+    The field at pixel p is |c| sum_m a_m exp(-2iq (x_p u_m + y_p v_m)),
+    |c| = 1 / (wavelength L): the Fresnel field of a_m exp(-iq |rho_m|^2)
+    without the unit-modulus pixel factor that LatticeFold sets aside,
+    and without the phase of the kernel's constant c.  On the
     folded block F it is Ky F Kx^T with real factors: Kx has columns
     cos, sin(2q x_p u_k) over the half axis, Ky columns |c| cos,
     |c| sin(2q y_p v_k).

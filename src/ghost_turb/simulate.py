@@ -11,33 +11,40 @@ before its end.  A batch propagates with the separable lattice form of
 the Fresnel kernel (the only propagation path) in real arithmetic on
 planar (re, im) fields with the frame as the fastest axis: to the
 bounding box of the mask's transmissive pixels for the bucket, and to
-the reference grid.  The fields are exact up to a unit-modulus phase
-per pixel, so every intensity is exact (see optics): the amplitudes
-carry the node chirp, mirror nodes are folded into sums and
-differences, and the fold does not depend on the grid.  So a vacuum
-batch folds its amplitudes once for both planes; with independent
-source-plane screens the reference path folds its tilted amplitudes a
-second time.  The bucket is one transmissivity-weighted product of the
-box intensities.  The reference intensities I and their squares
-overwrite the two planes of the field buffer, and the batch's moment
-sums are one matrix product of that [I; I^2] block with the bucket
-powers [1, b, b^2].
+the reference grid.  Mirror nodes are folded into sums and differences
+that depend only on the lattice, so a vacuum batch folds its amplitudes
+once for both planes; with independent source-plane screens the
+reference path folds its tilted amplitudes a second time.  The bucket is
+one transmissivity-weighted product of the box intensities.  The
+reference intensities I and their squares overwrite the two planes of
+the field buffer, and the batch's moment sums are one matrix product of
+that [I; I^2] block with the bucket powers [1, b, b^2].
 
-The ghost image sees source-plane turbulence only through the phase
-difference of the two paths.  For iid circular Gaussian amplitudes a,
-the pair (a e^{i phi_b}, a e^{i phi_r}) has the law of
-(a', a' e^{i (phi_r - phi_b)}), where a' = a e^{i phi_b} is again iid
-circular Gaussian and independent of the screens.  So the bucket path
-takes the drawn amplitudes, and only the reference path gets one
+Every statistic a run estimates depends on the amplitudes only through
+their law, and one law argument takes two phases out of the frame loop:
+for iid circular Gaussian amplitudes a_m and unit-modulus factors
+e^{i theta_m} independent of them, a_m e^{i theta_m} is again iid
+circular Gaussian and independent of the theta_m.  The first phase is
+the node chirp, theta_m = -q |rho_m|^2 with q = k / 2L.  The lattice
+path leaves it out: per draw, its fields are, up to a unit-modulus phase
+per pixel, the exact fields of a_m e^{-iq |rho_m|^2} (see optics), so
+every intensity is exact in law.  The second is the bucket path's
+screen phase, theta_m = phi_b.  The ghost image sees source-plane
+turbulence only through the phase difference of the two paths: the pair
+(a e^{i phi_b}, a e^{i phi_r}) has the law of
+(a', a' e^{i (phi_r - phi_b)}) with a' = a e^{i phi_b}.  So the bucket
+path takes the drawn amplitudes, and only the reference path gets one
 relative screen phi_r - phi_b: twice the per-path structure function,
-which is a screen at the configured pair rho0.  Its structure function
-is the square law 2 r^2 / rho0^2 exactly, so it is a random tilt g:
-two standard normals per frame, times TurbulenceModel.tilt_std.  The
-fold applies it per lattice column and row, exactly at every
-subsource, and the reference frame is the vacuum frame moved by
-g L / k.  Coupled paths (phi_r = phi_b) and a detector-plane screen
-leave the law of every intensity as in vacuum, so nothing is drawn for
-them and such a run equals the vacuum run frame by frame.
+which is a screen at the configured pair rho0.
+
+The relative screen's structure function is the square law
+2 r^2 / rho0^2 exactly, so it is a random tilt g: two standard normals
+per frame, times TurbulenceModel.tilt_std.  The fold applies it per
+lattice column and row, exactly at every subsource, and the reference
+frame is the vacuum frame moved by g L / k.  Coupled paths
+(phi_r = phi_b) and a detector-plane screen leave the law of every
+intensity as in vacuum, so nothing is drawn for them and such a run
+equals the vacuum run frame by frame.
 
 A run's batches are grouped into merge units of UNIT_BATCHES.  One
 function, fold_unit, adds a unit's batches in order to a fresh
@@ -125,7 +132,7 @@ class FramePipeline:
         self.bucket_mask = setup.mask.support
         box_grid = self.bucket_mask.grid
         self._weights = box_grid.pitch**2 * self.bucket_mask.transmissivity.ravel()
-        self.fold = LatticeFold(setup.sources, cfg, BATCH_FRAMES)
+        self.fold = LatticeFold(setup.sources, BATCH_FRAMES)
         self.box = LatticePropagator(self.fold, box_grid, cfg)
         self.ref = LatticePropagator(self.fold, setup.ref_grid, cfg)
         # 0.0 unless independent source-plane screens change the law of

@@ -258,6 +258,16 @@ def dropped_phase(fold, grid, cfg) -> np.ndarray:
     return (c / abs(c)) * np.exp(1j * pixel)
 
 
+def unchirped(amplitudes, positions, cfg) -> np.ndarray:
+    """Amplitudes a_m exp(-iq |rho_m|^2), q = k / 2L, over the last axis.
+
+    The lattice path leaves out the node chirp exp(iq |rho_m|^2): per
+    draw, its field is the dense Fresnel field of these amplitudes.
+    """
+    q = cfg.wavenumber / (2.0 * cfg.path_length)
+    return amplitudes * np.exp(-1j * q * np.sum(_positions(positions) ** 2, axis=1))
+
+
 def greens_function(rho_dst, rho_src, cfg) -> np.ndarray:
     """Point-to-point paraxial propagation kernel over cfg.path_length.
 

@@ -104,8 +104,11 @@ def test_unknown_key_exits_2(tmp_path, capsys):
 
 
 def test_single_frame_exits_2(capsys):
-    assert main(["simulate", "--frames", "1"]) == 2
-    assert "frames >= 2" in capsys.readouterr().err
+    # Two frames give two equal centred products, so a zero stderr that
+    # would pass any peak: they are refused with one.
+    for frames in ("1", "2"):
+        assert main(["simulate", "--frames", frames]) == 2
+        assert "frames >= 3" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -250,7 +253,7 @@ def test_out_at_an_existing_file_exits_2_before_any_work(tmp_path, capsys, monke
     assert taken.read_text() == "keep me\n"
 
 
-def _small_sim_args(outdir, frames=300, extra=()):
+def _small_sim_args(outdir, frames=1024, extra=()):
     return ["simulate", "--frames", str(frames), "--out", str(outdir),
             "--set", "source_pitch=2e-3", "--set", "ref_pixels=24",
             "--set", "object_pixels=5", *extra]
@@ -265,7 +268,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     record = json.loads((outdir / "run.json").read_text())
     assert record["command"] == "simulate"
     assert record["peak"]["status"] == "ok"
-    assert record["config"]["frames"] == 300
+    assert record["config"]["frames"] == 1024
     assert set(record["versions"]) == {"ghost_turb", "numpy", "python"}
     assert record["wall_time_s"] > 0
     assert record["batch_frames"] == BATCH_FRAMES
@@ -275,7 +278,7 @@ def test_simulate_writes_artifacts(tmp_path, capsys):
     assert metrics["status"] == "ok"
     assert float(metrics["fwhm_x_m"]) > 0
     out = capsys.readouterr().out
-    assert "simulated 300 frames" in out
+    assert "simulated 1024 frames" in out
 
 
 def test_simulate_outputs_are_deterministic(tmp_path):
@@ -329,9 +332,9 @@ def test_rho0_verdict_of_coupled_and_detector_plane_screens_is_immune(capsys, se
 
 def test_simulate_undecidable_exits_3(tmp_path, capsys):
     outdir = tmp_path / "out"
-    # Two frames satisfy the config check but cannot yield a significant
+    # Three frames satisfy the config check but cannot yield a significant
     # covariance peak.
-    assert main(_small_sim_args(outdir, frames=2)) == 3
+    assert main(_small_sim_args(outdir, frames=3)) == 3
     assert "add frames" in capsys.readouterr().err
     record = json.loads((outdir / "run.json").read_text())
     assert record["peak"]["status"] == "no_detection"
@@ -494,7 +497,7 @@ def test_compare_refuses_a_bad_sweep_point_before_any_simulation(tmp_path, capsy
 
 def test_compare_insufficient_frames_exits_3(tmp_path, capsys):
     outdir = tmp_path / "out"
-    assert main(_compare_args(outdir, frames=2)) == 3
+    assert main(_compare_args(outdir, frames=3)) == 3
     assert "add frames" in capsys.readouterr().err
     rows = _read_csv(outdir / "compare.csv")
     assert rows[0]["status"] == "undecidable"

@@ -132,12 +132,17 @@ def test_estimate_matches_direct_moments(rng):
     assert res.frames == 50
 
 
-def test_estimate_needs_two_frames():
+def test_estimate_needs_three_frames():
+    # At two frames the two centred products are equal, and the plug-in
+    # stderr is zero up to rounding.
     g = Grid2D.centered(3, 3, 1e-5)
     est = GhostImageEstimate(g)
-    add_frame(est, 1.0, np.ones((3, 3)))
-    with pytest.raises(InsufficientDataError, match="at least 2"):
-        est.finalize()
+    for frame in range(2):
+        add_frame(est, 1.0 + frame, np.full((3, 3), 2.0 - frame))
+        with pytest.raises(InsufficientDataError, match="at least 3"):
+            est.finalize()
+    add_frame(est, 0.5, np.ones((3, 3)))
+    assert est.finalize().frames == 3
 
 
 def test_estimate_rejects_bad_frames():

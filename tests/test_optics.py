@@ -10,7 +10,8 @@ from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import (PARAXIAL_PHASE_LIMIT, Grid2D, LatticeFold, LatticePropagator,
                                OpticalConfig, check_paraxial, intensity_moments)
 from ghost_turb.simulate import FramePipeline
-from oracles import dropped_phase, fresnel_kernel, greens_function, propagate_subsources
+from oracles import (dropped_phase, fresnel_kernel, greens_function, propagate_subsources,
+                     unchirped)
 from ghost_turb.source import SubsourceSet, make_source_grid
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -100,11 +101,13 @@ def test_expanded_kernel_matches_direct_differences_at_the_default_geometry():
 def _assert_matches_dense_kernel(prop, fold, sources, grid, amps, tilt=None):
     # The propagator drops a unit-modulus phase per pixel, and a tilted
     # fold the frame's exp(i g . centre); put back, the field is the
-    # dense Fresnel field of amps exp(i g . rho_m) to rounding.
+    # dense Fresnel field of amps exp(-iq |rho_m|^2) exp(i g . rho_m) to
+    # rounding, the fold having left out the node chirp.
     n = amps.shape[0]
     planar = prop(fold(amps, tilt))
     assert planar.shape == (2, grid.ny, grid.nx, n)
     field = (planar[0] + 1j * planar[1]) * dropped_phase(fold, grid, CFG)[..., None]
+    amps = unchirped(amps, sources.positions, CFG)
     if tilt is not None:
         amps = amps * np.exp(1j * tilt @ sources.positions.T)
         field *= np.exp(1j * tilt @ np.asarray(fold.center))
@@ -123,7 +126,7 @@ def _amplitudes(rng, n, count):
 def test_lattice_propagator_matches_dense_kernel(rng, diameter, pitch, ref_n):
     sources = make_source_grid(diameter, pitch)
     grid = Grid2D.centered(ref_n, ref_n, 12e-6)
-    fold = LatticeFold(sources, CFG, 3)
+    fold = LatticeFold(sources, 3)
     _assert_matches_dense_kernel(LatticePropagator(fold, grid, CFG), fold, sources, grid,
                                  _amplitudes(rng, 3, sources.count))
 
@@ -144,7 +147,7 @@ DISC = make_source_grid(11e-3, 11e-3 / 16.0)
 def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes, grid, tilted):
     # Tilts at rho0 = 2 mm: about 0.7 rad per millimetre per component.
     sources = SubsourceSet(nodes=nodes, pitch=DISC.pitch, mean_power=1.0)
-    fold = LatticeFold(sources, CFG, 4)
+    fold = LatticeFold(sources, 4)
     tilt = math.sqrt(2.0) / 2e-3 * rng.normal(size=(4, 2)) if tilted else None
     _assert_matches_dense_kernel(LatticePropagator(fold, grid, CFG), fold, sources, grid,
                                  _amplitudes(rng, 4, sources.count), tilt)
@@ -153,11 +156,11 @@ def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes,
 def test_lattice_fold_folds_the_box_in_half_per_axis():
     # 17 nodes per axis fold to 9 offsets, 0 to 8 pitches; the cut disc's
     # 14 rows fold to 7 offsets, 1/2 to 13/2 pitches, about its centre.
-    fold = LatticeFold(DISC, CFG, 1)
+    fold = LatticeFold(DISC, 1)
     assert fold.center == (0.0, 0.0)
     assert np.array_equal(fold.offsets[0], np.arange(9) * DISC.pitch)
     assert fold(np.ones((1, DISC.count))).shape == (4 * 9, 2 * 9, 1)
-    cut = LatticeFold(SubsourceSet(DISC.nodes[DISC.nodes[:, 1] <= 5], DISC.pitch, 1.0), CFG, 1)
+    cut = LatticeFold(SubsourceSet(DISC.nodes[DISC.nodes[:, 1] <= 5], DISC.pitch, 1.0), 1)
     assert cut.center == pytest.approx((0.0, -1.5 * DISC.pitch), rel=1e-15, abs=0)
     assert np.allclose(cut.offsets[1], (np.arange(7) + 0.5) * DISC.pitch, rtol=1e-15, atol=0)
 
@@ -167,7 +170,7 @@ def test_lattice_fold_takes_only_its_frame_count(rng):
     # stay zero; another frame count is refused, not broadcast or cut.
     sources = make_source_grid(2e-3, 0.5e-3)
     grid = Grid2D.centered(5, 4, 12e-6)
-    fold = LatticeFold(sources, CFG, 8)
+    fold = LatticeFold(sources, 8)
     prop = LatticePropagator(fold, grid, CFG)
     for _ in range(2):
         _assert_matches_dense_kernel(prop, fold, sources, grid, _amplitudes(rng, 8, sources.count))
@@ -176,11 +179,25 @@ def test_lattice_fold_takes_only_its_frame_count(rng):
             fold(np.ones((n, sources.count), dtype=complex))
 
 
+def test_lattice_fold_takes_one_tilt_per_frame():
+    # A tilt of one row, or of any other count, is refused, not broadcast
+    # to every frame; real amplitudes are read as complex.
+    sources = make_source_grid(2e-3, 0.5e-3)
+    fold = LatticeFold(sources, 8)
+    ones = np.ones((8, sources.count))
+    for rows in (1, 7, 9):
+        with pytest.raises(ValueError):
+            fold(ones, np.tile([300.0, -200.0], (rows, 1)))
+    tilt = np.tile([300.0, -200.0], (8, 1))
+    real = fold(ones, tilt).copy()
+    assert np.array_equal(fold(ones.astype(complex), tilt), real)
+
+
 def test_lattice_propagator_takes_only_its_fold_frame_count():
     sources = make_source_grid(2e-3, 0.5e-3)
-    prop = LatticePropagator(LatticeFold(sources, CFG, 8), Grid2D.centered(5, 4, 12e-6), CFG)
+    prop = LatticePropagator(LatticeFold(sources, 8), Grid2D.centered(5, 4, 12e-6), CFG)
     for n in (1, 7, 9):
-        other = LatticeFold(sources, CFG, n)
+        other = LatticeFold(sources, n)
         with pytest.raises(ValueError):
             prop(other(np.ones((n, sources.count), dtype=complex)))
 

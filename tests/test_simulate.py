@@ -13,7 +13,7 @@ from ghost_turb.correlator import GhostImageEstimate, ObjectMask, point_mask, th
 from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
 from oracles import (PER_PATH_RHO0_FACTOR, add_frame, bucket_signals, intensity,
-                     per_path_screen_model, propagate_subsources)
+                     per_path_screen_model, propagate_subsources, unchirped)
 from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, UNIT_BATCHES, FramePipeline,
                                  RunSetup, _openblas, merge_units, one_blas_thread, run_simulation)
 from ghost_turb.source import (RNG_DOMAIN_SOURCE, batch_generator, draw_amplitudes,
@@ -96,13 +96,14 @@ def _manual_run(setup):
     """Amplitudes, buckets and result of a vacuum run, frame by frame, dense kernel.
 
     Every batch is drawn whole, and the run keeps the head of each batch
-    that it reaches.
+    that it reaches.  The amplitudes are the drawn ones without the node
+    chirp, as the lattice path propagates them.
     """
     pos = setup.sources.positions
-    amps = np.concatenate([
+    amps = unchirped(np.concatenate([
         draw_amplitudes(setup.sources, batch_generator(setup.seed, b, RNG_DOMAIN_SOURCE),
                         BATCH_FRAMES)[:setup.frames - start]
-        for b, start in enumerate(range(0, setup.frames, BATCH_FRAMES))])
+        for b, start in enumerate(range(0, setup.frames, BATCH_FRAMES))]), pos, CFG)
     est = GhostImageEstimate(setup.ref_grid)
     buckets = np.empty(setup.frames)
     for i in range(setup.frames):
@@ -167,8 +168,9 @@ def test_cropped_support_buckets_equal_full_grid_buckets(name):
     assert support.grid.nx * support.grid.ny == {"point": 1, "three_bar": 45, "gray": 16,
                                                  "edge": 6}[name]
     buckets, _ = pipeline.batch(0)
-    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
-                           BATCH_FRAMES)
+    amps = unchirped(draw_amplitudes(
+        setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE), BATCH_FRAMES),
+        setup.sources.positions, CFG)
     for i in range(BATCH_FRAMES):
         obj = propagate_subsources(amps[i], setup.sources.positions, grid, CFG)
         assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), mask)),
@@ -181,8 +183,8 @@ def test_turbulent_engine_matches_manual_screen_loop():
     setup = _setup(rho0=5e-3, fraction=0.0, frames=5)
     buckets, moments = FramePipeline(setup).batch(0)
     pos = setup.sources.positions
-    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
-                           setup.frames)
+    amps = unchirped(draw_amplitudes(
+        setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE), setup.frames), pos, CFG)
     tilts = setup.model.tilt_std * batch_generator(
         setup.seed, 0, RNG_DOMAIN_SCREEN).standard_normal((5, 2))
     for i in range(setup.frames):
@@ -250,8 +252,9 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
     pipeline = _default_turbulent_pipeline(overrides)
     setup = pipeline.setup
     _, moments = pipeline.batch(0)
-    amps = draw_amplitudes(setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE),
-                           BATCH_FRAMES)
+    amps = unchirped(draw_amplitudes(
+        setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE), BATCH_FRAMES),
+        setup.sources.positions, setup.cfg)
     tilts = pipeline.tilt_std * batch_generator(
         setup.seed, 0, RNG_DOMAIN_SCREEN).standard_normal((BATCH_FRAMES, 2))
     shifts = tilts * setup.cfg.path_length / setup.cfg.wavenumber
