@@ -20,11 +20,13 @@ from .simulate import RunSetup
 from .source import SubsourceSet, make_source_grid
 from .turbulence import CnSquaredProfile, TurbulenceModel, coherence_length
 
-# Keys that all determine the same coherence length: rho0 itself, a
-# uniform cn2 in m^(-2/3), a profile file path, or the text of an inline
-# [profile] section.  Setting one from the command line silences the
+# Keys that all determine the same coherence length, each with the
+# rho0_origin it records: rho0 itself, a uniform cn2 in m^(-2/3), a
+# profile file path, or profile text (the profile key or an inline
+# [profile] section).  Setting one from the command line silences the
 # others from the file.
-_RHO0_FAMILY = ("rho0", "cn2", "cn2_profile", "profile")
+_RHO0_FAMILY = {"rho0": "explicit", "cn2": "cn2_uniform",
+                "cn2_profile": "cn2_profile", "profile": "inline_profile"}
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -98,21 +100,20 @@ def _as_text(key: str, value: str) -> str:
     return value
 
 
+def _as_length(key: str, text: str, unit: float = 1.0) -> float:
+    """A coherence length in meters: a positive number of units, or inf/infinity/vacuum."""
+    word = text.strip()
+    if word.lower() in ("inf", "infinity", "vacuum"):
+        return math.inf
+    value = _as_float(key, word) * unit
+    if value <= 0:
+        raise ConfigurationError(f"{key} must be positive, got {word}")
+    return value
+
+
 def _parse_sweep(key: str, text: str) -> tuple[float, ...]:
-    """rho0_sweep_mm entries, for compare: numbers in millimeters, or inf/vacuum."""
-    values = []
-    for item in text.split(","):
-        word = item.strip().lower()
-        if not word:
-            continue
-        if word in ("inf", "infinity", "vacuum"):
-            values.append(math.inf)
-            continue
-        value = _as_float(key, word) * 1e-3
-        if value <= 0:
-            raise ConfigurationError(f"{key} entries must be positive, got {word}")
-        values.append(value)
-    return tuple(values)
+    """rho0_sweep_mm entries, for compare: lengths in millimeters; empty ones skipped."""
+    return tuple(_as_length(key, item, 1e-3) for item in text.split(",") if item.strip())
 
 
 def _row(default: str | None, parse, record: str | None, key: str | None = None):
@@ -197,42 +198,34 @@ _DEFAULTS = {**{_key(f): f.metadata["default"] for f in fields(RunConfig)
              **dict.fromkeys(_RHO0_FAMILY, "")}
 
 
-def _check_profile_length(profile: CnSquaredProfile, path_length: float,
-                          what: str) -> CnSquaredProfile:
-    if abs(profile.path_length - path_length) > 1e-9 * path_length:
-        raise ConfigurationError(
-            f"{what} covers {profile.path_length} m but path_length is {path_length} m")
-    return profile
-
-
 def _resolve_rho0(raw: dict[str, str], wavelength: float,
                   path_length: float) -> tuple[float, str]:
+    """rho0 and its origin from the one coherence-length key that is set.
+
+    rho0 is read as a length; every other key becomes a Cn2 profile,
+    which must cover the path, and rho0 is its coherence length.
+    """
     given = [k for k in _RHO0_FAMILY if raw.get(k, "")]
     if len(given) > 1:
         raise ConfigurationError(
             f"set only one of {', '.join(_RHO0_FAMILY)} (got {given})")
-    if raw.get("rho0", ""):
-        text = raw["rho0"].lower()
-        if text in ("inf", "infinity", "vacuum"):
-            return math.inf, "explicit"
-        value = _as_float("rho0", raw["rho0"])
-        if value <= 0:
-            raise ConfigurationError(f"rho0 must be positive, got {value}")
-        return value, "explicit"
-    if raw.get("cn2_profile", ""):
-        profile = _check_profile_length(CnSquaredProfile.from_file(raw["cn2_profile"]),
-                                        path_length, "cn2_profile")
-        return coherence_length(profile, wavelength), "cn2_profile"
-    if raw.get("profile", ""):
-        profile = _check_profile_length(
-            CnSquaredProfile.from_lines(raw["profile"].splitlines()),
-            path_length, "[profile] section")
-        return coherence_length(profile, wavelength), "inline_profile"
-    if raw.get("cn2", ""):
-        cn2 = _as_float("cn2", raw["cn2"])
-        profile = CnSquaredProfile.uniform(path_length, cn2)
-        return coherence_length(profile, wavelength), "cn2_uniform"
-    return math.inf, "vacuum"
+    if not given:
+        return math.inf, "vacuum"
+    key = given[0]
+    text = raw[key]
+    if key == "rho0":
+        return _as_length(key, text), _RHO0_FAMILY[key]
+    if key == "cn2":
+        profile = CnSquaredProfile.uniform(path_length, _as_float(key, text))
+    elif key == "cn2_profile":
+        profile = CnSquaredProfile.from_file(text)
+    else:
+        profile = CnSquaredProfile.from_lines(text.splitlines())
+    if abs(profile.path_length - path_length) > 1e-9 * path_length:
+        what = "[profile] section" if key == "profile" else key
+        raise ConfigurationError(
+            f"{what} covers {profile.path_length} m but path_length is {path_length} m")
+    return coherence_length(profile, wavelength), _RHO0_FAMILY[key]
 
 
 def build_config(raw_items: dict[str, str]) -> RunConfig:

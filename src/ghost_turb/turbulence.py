@@ -81,8 +81,9 @@ class CnSquaredProfile:
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "CnSquaredProfile":
-        """Parse profile text: either one 'uniform L cn2' line or rows of
-        'z_start z_end cn2'.  '#' starts a comment, blank lines ignored."""
+        """Parse profile text: either one 'uniform L cn2' line, read as the
+        row '0 L cn2', or rows of 'z_start z_end cn2'.  '#' starts a
+        comment, blank lines ignored."""
         rows = []
         for raw in lines:
             text = raw.split("#", 1)[0].strip()
@@ -96,11 +97,7 @@ class CnSquaredProfile:
                 raise ConfigurationError(
                     "a 'uniform' profile must be a single line: uniform <path_length> <cn2>"
                 )
-            try:
-                length, cn2 = float(rows[0][1]), float(rows[0][2])
-            except ValueError as exc:
-                raise ConfigurationError(f"bad uniform profile numbers: {exc}")
-            return cls.uniform(length, cn2)
+            rows[0][0] = "0"
         segments = []
         for i, row in enumerate(rows):
             if len(row) != 3:

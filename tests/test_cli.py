@@ -562,6 +562,62 @@ def test_sweep_parsing():
         load_config(None, {"rho0_sweep_mm": "-3"})
 
 
+@pytest.mark.parametrize("word", ["INF", "Infinity", "vacuum"])
+def test_rho0_and_sweep_take_every_vacuum_word(word):
+    rc = load_config(None, {"rho0": word, "rho0_sweep_mm": f"2,, {word} ,"})
+    assert rc.rho0 == math.inf and rc.rho0_origin == "explicit"
+    assert rc.rho0_sweep == (2e-3, math.inf)
+
+
+def _rho0_routes(tmp_path):
+    """The coherence-length routes to cn2 = 1.5e-12 over the default 1.4 m path."""
+    uniform = tmp_path / "uniform.txt"
+    uniform.write_text("uniform 1.4 1.5e-12\n")
+    row = tmp_path / "row.txt"
+    row.write_text("0 1.4 1.5e-12\n")
+    section = tmp_path / "section.cfg"
+    section.write_text("[profile]\n0 1.4 1.5e-12\n")
+    return {"cn2_uniform": (None, {"cn2": "1.5e-12"}),
+            "cn2_profile_uniform": (None, {"cn2_profile": str(uniform)}),
+            "cn2_profile_row": (None, {"cn2_profile": str(row)}),
+            "section": (section, {}),
+            "profile_key": (None, {"profile": "0 1.4 1.5e-12"})}
+
+
+def test_every_rho0_route_gives_the_same_coherence_length(tmp_path):
+    configs = {name: load_config(path, overrides)
+               for name, (path, overrides) in _rho0_routes(tmp_path).items()}
+    assert {name: rc.rho0_origin for name, rc in configs.items()} == {
+        "cn2_uniform": "cn2_uniform", "cn2_profile_uniform": "cn2_profile",
+        "cn2_profile_row": "cn2_profile", "section": "inline_profile",
+        "profile_key": "inline_profile"}
+    rho0 = configs["cn2_uniform"].rho0
+    assert rho0 == pytest.approx(0.0497292, rel=1e-6)
+    assert all(rc.rho0 == rho0 for rc in configs.values())
+
+
+@pytest.mark.parametrize("form", ["file", "section"])
+def test_profile_shorter_than_the_path_exits_2(tmp_path, capsys, form):
+    path = tmp_path / "short"
+    if form == "file":
+        path.write_text("0 1.3 1.5e-12\n")
+        argv, key = ["--set", f"cn2_profile={path}"], "cn2_profile"
+    else:
+        path.write_text("[profile]\n0 1.3 1.5e-12\n")
+        argv, key = ["--config", str(path)], "[profile] section"
+    assert main(["rho0", *argv]) == 2
+    assert f"{key} covers 1.3 m but path_length is 1.4 m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rho0", "-1"), ("rho0", "0"), ("rho0", "abc"), ("rho0_sweep_mm", "2,-3"),
+    ("rho0_sweep_mm", "2,x"), ("cn2", "abc"), ("rho0_sweep_mm", "-INF"),
+])
+def test_invalid_coherence_length_exits_2_and_names_its_key(capsys, key, value):
+    assert main(["rho0", "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
 def test_parse_mask_forms(tmp_path):
     grid = Grid2D.centered(9, 9, 12e-6)
     assert parse_mask("point", grid).transmissivity.sum() == 1.0

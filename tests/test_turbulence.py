@@ -39,6 +39,7 @@ def test_profile_needs_segments():
 def test_from_lines_uniform_and_rows():
     p1 = CnSquaredProfile.from_lines(["# laser path", "uniform 1.4 1.5e-12", ""])
     assert p1 == CnSquaredProfile.uniform(1.4, 1.5e-12)
+    assert CnSquaredProfile.from_lines(["0 1.4 1.5e-12"]) == p1
     p2 = CnSquaredProfile.from_lines([
         "0.0 0.7 1.0e-12  # near half",
         "0.7 1.4 2.0e-12",
