@@ -12,9 +12,9 @@ rho_m and rho_mp.  With independently turbulent paths the average is
 so every subsource pair separated by more than the coherence length
 rho0 loses its interference term, while pairs inside rho0 keep it.  The
 prefactor cancels in every normalized output, so the law this module
-owns is the bracket, and in it the pair weight exp(-|d|^2 / rho0^2),
-which pair_coherence_factor and predicted_ghost_image both take from
-_pair_weight.
+owns is the bracket.  Its pair weight exp(-|d|^2 / rho0^2) is the
+turbulence law's: pair_coherence_factor and predicted_ghost_image both
+take it from TurbulenceModel.pair_weight.
 
 Behind an object mask of transmissivity T_b the ghost image is
 sum_b T_b sum_{m,m'} exp(-|rho_m - rho_m'|^2 / rho0^2)
@@ -76,16 +76,7 @@ def pair_coherence_factor(rho_b, rho_p, rho_m, rho_mp, cfg: OpticalConfig,
     d_det = rb - rp
     d_src = rm - rmp
     geometric = cfg.wavenumber * np.sum(d_det * d_src, axis=-1) / cfg.path_length
-    return 1.0 + np.cos(geometric) * _pair_weight(np.sum(d_src**2, axis=-1), model)
-
-
-def _pair_weight(r2: np.ndarray, model: TurbulenceModel) -> np.ndarray:
-    """exp(-r2 / rho0^2) at rho0 = model.image_rho0, or ones in vacuum.
-
-    r2 holds squared subsource separations |rho_m - rho_m'|^2.
-    """
-    rho0 = model.image_rho0
-    return np.ones_like(r2) if math.isinf(rho0) else np.exp(-r2 / rho0**2)
+    return 1.0 + np.cos(geometric) * model.pair_weight(np.sum(d_src**2, axis=-1))
 
 
 def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
@@ -103,9 +94,9 @@ def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
         image = Re(E_y (N * w * C_hat) E_x^T),
 
     where N(d) is the number of subsource pairs with difference d
-    (setup.sources.lags), w(d) = exp(-|d|^2 / rho0^2)
-    the pair weight (ones in vacuum), C_hat = F_y^T T F_x the mask's
-    mutual intensity sum_b T_b exp(i q rho_b . d), and
+    (setup.sources.lags), w(d) = exp(-|d|^2 / rho0^2) the pair weight
+    (TurbulenceModel.pair_weight; ones in vacuum), C_hat = F_y^T T F_x the
+    mask's mutual intensity sum_b T_b exp(i q rho_b . d), and
     E[p, d] = exp(-i q rho_p d), F[b, d] = exp(i q rho_b d) the Fourier
     factors of one axis on the reference and object grids.
 
@@ -115,7 +106,7 @@ def predicted_ghost_image(setup: RunSetup) -> np.ndarray:
     """
     mask, ref = setup.mask, setup.ref_grid
     counts, dx, dy = setup.sources.lags
-    weights = counts * _pair_weight(dy[:, None] ** 2 + dx[None, :] ** 2, setup.model)
+    weights = counts * setup.model.pair_weight(dy[:, None] ** 2 + dx[None, :] ** 2)
     q = setup.cfg.wavenumber / setup.cfg.path_length
     mutual = (_fourier(q, mask.grid.y(), dy).T @ mask.transmissivity
               @ _fourier(q, mask.grid.x(), dx))

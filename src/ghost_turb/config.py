@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .correlator import ObjectMask, double_slit_mask, point_mask, three_bar_mask
+from .correlator import MIN_FRAMES, ObjectMask, double_slit_mask, point_mask, three_bar_mask
 from .errors import ConfigurationError
 from .optics import Grid2D, OpticalConfig
 from .simulate import RunSetup
@@ -215,14 +215,19 @@ def _resolve_rho0(raw: dict[str, str], wavelength: float,
     text = raw[key]
     if key == "rho0":
         return _as_length(key, text), _RHO0_FAMILY[key]
-    if key == "cn2":
-        profile = CnSquaredProfile.uniform(path_length, _as_float(key, text))
-    elif key == "cn2_profile":
-        profile = CnSquaredProfile.from_file(text)
-    else:
-        profile = CnSquaredProfile.from_lines(text.splitlines())
+    what = "[profile] section" if key == "profile" else key
+    # Outside the try: a bad number's error already names its key.
+    cn2 = _as_float(key, text) if key == "cn2" else None
+    try:
+        if key == "cn2":
+            profile = CnSquaredProfile.uniform(path_length, cn2)
+        elif key == "cn2_profile":
+            profile = CnSquaredProfile.from_file(text)
+        else:
+            profile = CnSquaredProfile.from_lines(text.splitlines())
+    except (ValueError, OSError) as exc:
+        raise ConfigurationError(f"{what}: {exc}") from None
     if abs(profile.path_length - path_length) > 1e-9 * path_length:
-        what = "[profile] section" if key == "profile" else key
         raise ConfigurationError(
             f"{what} covers {profile.path_length} m but path_length is {path_length} m")
     return coherence_length(profile, wavelength), _RHO0_FAMILY[key]
@@ -247,8 +252,8 @@ def build_config(raw_items: dict[str, str]) -> RunConfig:
     values["rho0"], values["rho0_origin"] = _resolve_rho0(raw, wavelength, path_length)
     cfg = RunConfig(**values)
     cfg.turbulence()   # the screen model owns the screen-plane rule
-    if cfg.frames < 3:
-        raise ConfigurationError(f"imaging runs need frames >= 3, got {cfg.frames}")
+    if cfg.frames < MIN_FRAMES:
+        raise ConfigurationError(f"imaging runs need frames >= {MIN_FRAMES}, got {cfg.frames}")
     if cfg.seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.workers < 1:

@@ -24,6 +24,9 @@ PEAK_SIGNIFICANCE = 5.0
 # Fallback flatness threshold (relative to the image scale) when no
 # uncertainty map is given, e.g. for noise-free analytic images.
 FLATNESS_EPS = 1e-9
+# Fewest frames that form a covariance image: with two, every stderr is
+# zero and any peak passes the significance test.
+MIN_FRAMES = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,29 +87,23 @@ def double_slit_mask(grid: Grid2D, slit_width: float, separation: float,
     """Two vertical slits, center-to-center separation, centered on origin."""
     if slit_width <= 0 or separation <= 0 or height <= 0:
         raise ValidationError("slit_width, separation and height must be > 0")
-    xs = grid.x()
-    ys = grid.y()
-    in_y = np.abs(ys) <= height / 2.0
-    in_x = (np.abs(xs - separation / 2.0) <= slit_width / 2.0) | (
-        np.abs(xs + separation / 2.0) <= slit_width / 2.0
-    )
-    t = (in_y[:, None] & in_x[None, :]).astype(float)
-    return ObjectMask(grid=grid, transmissivity=t)
+    return _bars(grid, (-separation / 2.0, separation / 2.0), slit_width, height)
 
 
 def three_bar_mask(grid: Grid2D, bar_width: float, height: float) -> ObjectMask:
     """Three vertical bars of the given width, spaced one width apart."""
     if bar_width <= 0 or height <= 0:
         raise ValidationError("bar_width and height must be > 0")
-    xs = grid.x()
-    ys = grid.y()
-    in_y = np.abs(ys) <= height / 2.0
-    centers = (-2.0 * bar_width, 0.0, 2.0 * bar_width)
+    return _bars(grid, (-2.0 * bar_width, 0.0, 2.0 * bar_width), bar_width, height)
+
+
+def _bars(grid: Grid2D, centers, width: float, height: float) -> ObjectMask:
+    """Vertical bars of the given width and height, centred at x = centers and y = 0."""
     in_x = np.zeros(grid.nx, dtype=bool)
     for c in centers:
-        in_x |= np.abs(xs - c) <= bar_width / 2.0
-    t = (in_y[:, None] & in_x[None, :]).astype(float)
-    return ObjectMask(grid=grid, transmissivity=t)
+        in_x |= np.abs(grid.x() - c) <= width / 2.0
+    in_y = np.abs(grid.y()) <= height / 2.0
+    return ObjectMask(grid=grid, transmissivity=(in_y[:, None] & in_x[None, :]).astype(float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,9 +176,9 @@ class GhostImageEstimate:
 
     def finalize(self) -> GhostImageResult:
         """Biased (1/N) covariance image, flat background, stderr map."""
-        if self.n < 3:
+        if self.n < MIN_FRAMES:
             raise InsufficientDataError(
-                f"need at least 3 frames to form a covariance, have {self.n}"
+                f"need at least {MIN_FRAMES} frames to form a covariance, have {self.n}"
             )
         n = float(self.n)
         (s_i, s_bi, s_b2i), (s_i2, s_bi2, s_b2i2) = np.moveaxis(self.sums, -1, 1)
@@ -232,20 +229,23 @@ def _median(values: np.ndarray) -> float:
     return float((ordered[(n - 1) // 2] + ordered[n // 2]) / 2)
 
 
-def _half_crossing(profile: np.ndarray, coords: np.ndarray, peak_idx: int,
-                   half: float, direction: int) -> float:
-    idx = peak_idx
-    while True:
-        nxt = idx + direction
-        if nxt < 0 or nxt >= profile.size:
-            raise NoDetectionError(
-                "half-maximum level is not reached inside the grid; the peak is unresolved"
-            )
-        if profile[nxt] < half:
-            # Linear interpolation between the bracketing samples.
-            frac = (profile[idx] - half) / (profile[idx] - profile[nxt])
-            return float(coords[idx] + frac * (coords[nxt] - coords[idx]))
-        idx = nxt
+def _fwhm(profile: np.ndarray, coords: np.ndarray, peak: int, half: float) -> float:
+    """Distance between the half-maximum crossings on either side of profile[peak].
+
+    On each side the crossing lies between the first sample below half
+    and its neighbour toward the peak, by linear interpolation.
+    """
+    below = np.flatnonzero(profile < half)
+    left, right = below[below < peak], below[below > peak]
+    if left.size == 0 or right.size == 0:
+        raise NoDetectionError(
+            "half-maximum level is not reached inside the grid; the peak is unresolved"
+        )
+    crossings = []
+    for nxt, idx in ((left[-1], left[-1] + 1), (right[0], right[0] - 1)):
+        frac = (profile[idx] - half) / (profile[idx] - profile[nxt])
+        crossings.append(coords[idx] + frac * (coords[nxt] - coords[idx]))
+    return float(crossings[1] - crossings[0])
 
 
 def psf_metrics(image: np.ndarray, grid: Grid2D,
@@ -290,14 +290,10 @@ def psf_metrics(image: np.ndarray, grid: Grid2D,
             raise NoDetectionError("image is flat; no peak to measure")
 
     half = baseline + height / 2.0
-    row = img[iy, :]
-    col = img[:, ix]
     xs = grid.x()
     ys = grid.y()
-    x_left = _half_crossing(row, xs, ix, half, -1)
-    x_right = _half_crossing(row, xs, ix, half, +1)
-    y_left = _half_crossing(col, ys, iy, half, -1)
-    y_right = _half_crossing(col, ys, iy, half, +1)
+    fwhm_x = _fwhm(img[iy, :], xs, ix, half)
+    fwhm_y = _fwhm(img[:, ix], ys, iy, half)
 
     v = np.clip(img - baseline, 0.0, None)
     total = float(v.sum())
@@ -308,8 +304,8 @@ def psf_metrics(image: np.ndarray, grid: Grid2D,
     width = float(math.sqrt((v * r2).sum() / total))
 
     return PsfMetrics(
-        fwhm_x=x_right - x_left,
-        fwhm_y=y_right - y_left,
+        fwhm_x=fwhm_x,
+        fwhm_y=fwhm_y,
         second_moment_width=width,
         peak_x=float(xs[ix]),
         peak_y=float(ys[iy]),

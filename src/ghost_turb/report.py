@@ -14,7 +14,7 @@ import platform
 import numpy as np
 
 from . import __version__
-from .analytic import immunity_criterion, pair_coherence_factor
+from .analytic import immunity_criterion
 from .config import RunConfig
 from .correlator import PsfMetrics, psf_metrics
 from .errors import NoDetectionError
@@ -68,13 +68,12 @@ def rho0_lines(rc: RunConfig) -> list[str]:
     # Coupled paths and a detector-plane screen leave the image as in vacuum.
     model = rc.turbulence()
     verdict = immunity_criterion(rc.source_diameter, model.image_rho0)
-    margin = "inf" if math.isinf(verdict.margin) else f"{verdict.margin:.4f}"
     state = "immune" if verdict.immune else "degraded"
     lines = [f"coherence length rho0 = {_fmt_len(rc.rho0)}  [{rc.rho0_origin}]",
              f"wavenumber k          = {rc.optical().wavenumber:.6g} rad/m",
              f"weighted path integral= {integral:.6g} m^(1/3)",
              f"source diameter       = {_fmt_len(rc.source_diameter)}",
-             f"turbulence immunity   = {state} (rho0 / diameter = {margin})"]
+             f"turbulence immunity   = {state} (rho0 / diameter = {verdict.margin:.4f})"]
     if model.tilt_std > 0.0:
         # A turbulent frame is the vacuum frame moved by a Gaussian random shift.
         sigma = model.blur_sigma(rc.optical())
@@ -129,14 +128,13 @@ def analytic_report(rc: RunConfig, setup: RunSetup, image: np.ndarray,
 def bracket_curve(setup: RunSetup, diameter: float) -> list[tuple[float, float]]:
     """Pair coherence factor at 121 subsource separations, coincident detectors.
 
-    The separations run from 0 to 3 rho0, or to the source diameter in vacuum.
+    At coincident detectors the bracket's cosine is 1, so the factor is
+    1 + the pair weight.  The separations run from 0 to 3 rho0, or to
+    the source diameter in vacuum.
     """
     rho0 = setup.model.image_rho0
     seps = np.linspace(0.0, 3.0 * rho0 if math.isfinite(rho0) else diameter, 121)
-    half = np.stack([seps / 2.0, np.zeros_like(seps)], axis=-1)
-    values = pair_coherence_factor((0.0, 0.0), (0.0, 0.0), half, -half, setup.cfg,
-                                   setup.model)
-    return list(zip(seps.tolist(), values.tolist()))
+    return list(zip(seps.tolist(), (1.0 + setup.model.pair_weight(seps**2)).tolist()))
 
 
 def compare_report(rc: RunConfig, rows: list[dict]) -> tuple[dict, dict, list[str]]:
@@ -154,8 +152,7 @@ def compare_point(setup: RunSetup, output: SimulationOutput, image: np.ndarray,
     the point is within tolerance when the larger error is.  Without a
     significant peak in either image the point is undecidable: None.
     """
-    rho0 = setup.model.rho0
-    row = {"rho0_mm": "inf" if math.isinf(rho0) else f"{rho0 * 1e3:g}"}
+    row = {"rho0_mm": f"{setup.model.rho0 * 1e3:g}"}
     try:
         sim = psf_metrics(output.result.ghost, output.result.grid, stderr=output.result.stderr)
         ana = psf_metrics(image, setup.ref_grid)

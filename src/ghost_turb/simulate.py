@@ -66,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .correlator import GhostImageEstimate, GhostImageResult, ObjectMask
+from .correlator import MIN_FRAMES, GhostImageEstimate, GhostImageResult, ObjectMask
 from .errors import ValidationError
 from .optics import (Grid2D, LatticeFold, LatticePropagator, OpticalConfig, check_paraxial,
                      intensity_moments)
@@ -95,8 +95,8 @@ class RunSetup:
     workers: int = 1
 
     def __post_init__(self):
-        if self.frames < 1:
-            raise ValidationError(f"frames must be >= 1, got {self.frames}")
+        if self.frames < MIN_FRAMES:
+            raise ValidationError(f"imaging runs need frames >= {MIN_FRAMES}, got {self.frames}")
         if self.seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 1:

@@ -18,8 +18,9 @@ by g L / k, so a turbulent frame is the vacuum frame moved by a Gaussian
 random shift of standard deviation sigma_blur = sqrt(2) L / (k rho0) per
 axis (TurbulenceModel.blur_sigma), and the ghost image is the vacuum
 image blurred by that Gaussian.  The closed form's pair weight
-exp(-|d|^2 / rho0^2) is that blur's Fourier transform, taken at the
-spatial frequency k d / L of the subsource difference d.
+exp(-|d|^2 / rho0^2) (TurbulenceModel.pair_weight) is that blur's
+Fourier transform, taken at the spatial frequency k d / L of the
+subsource difference d.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
+
+import numpy as np
 
 from .errors import ConfigurationError, ValidationError
 
@@ -161,8 +164,6 @@ def weighted_path_integral_for(rho0: float, wavelength: float) -> float:
         raise ValidationError(f"wavelength must be finite and > 0, got {wavelength}")
     if math.isnan(rho0) or rho0 <= 0:
         raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {rho0}")
-    if math.isinf(rho0):
-        return 0.0
     k = 2.0 * math.pi / wavelength
     return rho0 ** (-5.0 / 3.0) / (PHASE_STRUCTURE_COEFF * k * k)
 
@@ -209,6 +210,14 @@ class TurbulenceModel:
             return self.rho0
         return math.inf
 
+    def pair_weight(self, r2: np.ndarray) -> np.ndarray:
+        """exp(-r2 / image_rho0^2), the closed form's weight of a subsource pair.
+
+        r2 holds squared subsource separations |rho_m - rho_m'|^2.  The
+        weight is the Fourier transform of the blur of blur_sigma, and
+        exactly 1 when the image sees no turbulence (r2 / inf = 0).
+        """
+        return np.exp(-r2 / self.image_rho0**2)
 
     @property
     def tilt_std(self) -> float:

@@ -24,7 +24,7 @@ MODEL = TurbulenceModel(rho0=RHO0)
 def _setup(ref_grid, mask, sources, rho0=RHO0):
     """The closed form's inputs: a run of the module's optics at rho0."""
     return RunSetup(cfg=CFG, sources=sources, model=TurbulenceModel(rho0=rho0), mask=mask,
-                    ref_grid=ref_grid, frames=1, seed=0)
+                    ref_grid=ref_grid, frames=3, seed=0)
 
 
 def test_bracket_is_two_at_coincident_subsources(rng):

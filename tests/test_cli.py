@@ -73,6 +73,12 @@ def test_rho0_command_vacuum_default(capsys):
     assert "immune" in out
 
 
+def test_rho0_command_prints_an_infinite_margin_in_vacuum(capsys):
+    assert main(["rho0", "--set", "rho0=inf"]) == 0
+    assert ("turbulence immunity   = immune (rho0 / diameter = inf)"
+            in capsys.readouterr().out.splitlines())
+
+
 def test_rho0_inline_profile_section(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -616,6 +622,27 @@ def test_profile_shorter_than_the_path_exits_2(tmp_path, capsys, form):
 def test_invalid_coherence_length_exits_2_and_names_its_key(capsys, key, value):
     assert main(["rho0", "--set", f"{key}={value}"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
+@pytest.mark.parametrize("key, text, message", [
+    ("cn2", "-1", "cn2: segment 0 has negative Cn2 = -1.0"),
+    ("cn2", "abc", "cn2: expected a number, got 'abc'"),
+    ("cn2_profile", "uniform -1 1e-12\n", "cn2_profile: path_length must be finite and > 0"),
+    ("cn2_profile", None, "cn2_profile: [Errno 2] No such file or directory"),
+    ("cn2_profile", "0 1.4\n", "cn2_profile: profile line 1 needs 3 columns"),
+    ("profile", "0 1.4 -1", "[profile] section: segment 0 has negative Cn2 = -1.0"),
+], ids=["negative_cn2", "not_a_number", "negative_length", "missing_file", "two_columns",
+        "inline"])
+def test_invalid_profile_exits_2_and_names_its_key(tmp_path, capsys, key, text, message):
+    # A profile's own error is prefixed once with the key that gave it; a
+    # cn2_profile value is a file holding the text (None: no such file).
+    value = text
+    if key == "cn2_profile":
+        value = tmp_path / "profile.txt"
+        if text is not None:
+            value.write_text(text)
+    assert main(["rho0", "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_parse_mask_forms(tmp_path):

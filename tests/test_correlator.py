@@ -288,6 +288,23 @@ def test_psf_metrics_off_center_peak():
     assert m.peak_y == pytest.approx(-48e-6)
 
 
+def test_psf_metrics_width_is_between_the_two_interpolated_crossings():
+    # The row falls to half maximum 4/7 of a pixel out on the left and
+    # 2/3 on the right; the column symmetrically, 1/3 of a pixel out each side.
+    g = Grid2D.centered(9, 9, 6e-6)
+    img = np.zeros((9, 9))
+    img[4, :] = [0.0, 0.0, 0.2, 0.9, 1.0, 0.7, 0.4, 0.0, 0.0]
+    img[:, 4] = [0.0, 0.0, 0.0, 0.75, 1.0, 0.75, 0.0, 0.0, 0.0]
+    m = psf_metrics(img, g)
+    xs, ys = g.x(), g.y()
+    left = xs[3] + (0.9 - 0.5) / (0.9 - 0.2) * (xs[2] - xs[3])
+    right = xs[5] + (0.7 - 0.5) / (0.7 - 0.4) * (xs[6] - xs[5])
+    assert m.fwhm_x == right - left
+    bottom = ys[3] + (0.75 - 0.5) / (0.75 - 0.0) * (ys[2] - ys[3])
+    top = ys[5] + (0.75 - 0.5) / (0.75 - 0.0) * (ys[6] - ys[5])
+    assert m.fwhm_y == top - bottom
+
+
 def test_psf_metrics_flat_image_has_no_peak():
     g = Grid2D.centered(16, 16, 1e-5)
     with pytest.raises(NoDetectionError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ghost_turb import simulate
-from ghost_turb.analytic import _pair_weight, predicted_ghost_image
+from ghost_turb.analytic import predicted_ghost_image
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.correlator import GhostImageEstimate, ObjectMask, point_mask, three_bar_mask
 from ghost_turb.errors import ValidationError
@@ -61,6 +61,10 @@ def test_merge_units_layout():
 def test_run_setup_validation():
     with pytest.raises(ValidationError):
         _setup(frames=0)
+    # Refused before any draw, with the CLI's text, not at finalize.
+    for frames in (1, 2):
+        with pytest.raises(ValidationError, match=f"imaging runs need frames >= 3, got {frames}"):
+            _setup(frames=frames)
     with pytest.raises(ValidationError):
         _setup(seed=-1)
     with pytest.raises(ValidationError):
@@ -306,7 +310,7 @@ def test_relative_screen_weights_are_the_closed_form_weights():
     pos = setup.sources.positions
     d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
     weights = np.exp(-0.5 * pipeline.tilt_std**2 * d2)
-    assert np.max(np.abs(weights - _pair_weight(d2, setup.model))) <= 1e-12
+    assert np.max(np.abs(weights - setup.model.pair_weight(d2))) <= 1e-12
     # The same weights in predicted_ghost_image's product give its image.
     assert setup.model.image_rho0 == setup.model.rho0
     q = setup.cfg.wavenumber / setup.cfg.path_length

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -171,6 +172,19 @@ def test_tilt_std_is_sqrt2_over_image_rho0():
     assert TurbulenceModel(rho0=math.inf).tilt_std == 0.0
     assert TurbulenceModel(rho0=5e-3, paths_independent=False).tilt_std == 0.0
     assert TurbulenceModel(rho0=5e-3, screen_position_fraction=1.0).tilt_std == 0.0
+
+
+def test_pair_weight_is_the_square_law_and_exactly_one_without_turbulence():
+    r2 = np.array([[0.0, 1e-6], [4e-6, 1.21e-4]])
+    rho0 = 5e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for model in (TurbulenceModel(rho0=math.inf),
+                      TurbulenceModel(rho0=rho0, paths_independent=False),
+                      TurbulenceModel(rho0=rho0, screen_position_fraction=1.0)):
+            assert np.array_equal(model.pair_weight(r2), np.ones_like(r2))
+        assert np.array_equal(TurbulenceModel(rho0=rho0).pair_weight(r2),
+                              np.exp(-r2 / rho0**2))
 
 
 def test_screen_structure_function_tracks_square_law():
