@@ -198,6 +198,16 @@ _DEFAULTS = {**{_key(f): f.metadata["default"] for f in fields(RunConfig)
              **dict.fromkeys(_RHO0_FAMILY, "")}
 
 
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of a config or profile file; what names the file in errors."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except IsADirectoryError:
+        raise ConfigurationError(f"{what} {path} is a directory") from None
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{what} {path} is not UTF-8 text") from None
+
+
 def _resolve_rho0(raw: dict[str, str], wavelength: float,
                   path_length: float) -> tuple[float, str]:
     """rho0 and its origin from the one coherence-length key that is set.
@@ -215,21 +225,20 @@ def _resolve_rho0(raw: dict[str, str], wavelength: float,
     text = raw[key]
     if key == "rho0":
         return _as_length(key, text), _RHO0_FAMILY[key]
-    what = "[profile] section" if key == "profile" else key
     # Outside the try: a bad number's error already names its key.
     cn2 = _as_float(key, text) if key == "cn2" else None
     try:
         if key == "cn2":
             profile = CnSquaredProfile.uniform(path_length, cn2)
-        elif key == "cn2_profile":
-            profile = CnSquaredProfile.from_file(text)
         else:
+            if key == "cn2_profile":
+                text = _read_text(text, "profile file")
             profile = CnSquaredProfile.from_lines(text.splitlines())
     except (ValueError, OSError) as exc:
-        raise ConfigurationError(f"{what}: {exc}") from None
+        raise ConfigurationError(f"{key}: {exc}") from None
     if abs(profile.path_length - path_length) > 1e-9 * path_length:
         raise ConfigurationError(
-            f"{what} covers {profile.path_length} m but path_length is {path_length} m")
+            f"{key} covers {profile.path_length} m but path_length is {path_length} m")
     return coherence_length(profile, wavelength), _RHO0_FAMILY[key]
 
 
@@ -274,13 +283,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
     """
     raw: dict[str, str] = {}
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except IsADirectoryError:
-            raise ConfigurationError(f"config file {path} is a directory") from None
-        except UnicodeDecodeError:
-            raise ConfigurationError(f"config file {path} is not UTF-8 text") from None
-        raw.update(parse_config_text(text, source=str(path)))
+        raw.update(parse_config_text(_read_text(path, "config file"), source=str(path)))
     overrides = {k.lower(): v for k, v in (overrides or {}).items()}
     if any(key in overrides for key in _RHO0_FAMILY):
         for key in _RHO0_FAMILY:

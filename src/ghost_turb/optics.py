@@ -1,11 +1,10 @@
 """Paraxial propagation from point subsources to detector-plane grids.
 
 The propagation kernel is the free-space quadratic-phase (Fresnel) kernel
-for a path of length L.  Turbulence enters only as a source-plane tilt
-g per frame, the phase g . rho_m on the subsource amplitudes, which
-LatticeFold applies as one factor per lattice column and one per row; a
-detector-plane screen is a unit-modulus factor per pixel that no
-intensity can see.
+for a path of length L.  This module only propagates: a source-plane
+screen is a phase on the subsource amplitudes, applied before they
+reach it (see simulate), and a detector-plane screen is a unit-modulus
+factor per pixel that no intensity can see.
 
 Sources on a square lattice (SubsourceSet's nodes) are propagated a
 fixed number of frames at a time, into buffers of that many frames,
@@ -177,24 +176,21 @@ class LatticeFold:
 
     def __init__(self, sources: SubsourceSet, frames: int):
         ix, iy, xs, ys = sources.lattice()
-        self._ix, self._iy = ix, iy
         # Half-axis offsets: 0, 1, ... pitches for odd extents, 1/2, 3/2, ... for even.
         self.offsets = tuple((np.arange((c.size + 1) // 2) + 0.5 * (1 - c.size % 2))
                              * sources.pitch for c in (xs, ys))
         self.center = (0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1]))
-        # Signed offsets of the lattice's columns and rows from the centre.
-        self._u, self._v = xs - self.center[0], ys - self.center[1]
         self.frames = frames
+        self._shape = (frames, sources.count)
         hx, hy = (o.size for o in self.offsets)
         block = 8 * hy * hx * frames
-        buffer = _buffer(2 * block + 2 * frames * sources.count)
+        buffer = _buffer(2 * block)
         # The memory map starts zero-filled, and every call writes the same
         # slots, so the slots of nodes without a subsource stay zero.
         self._quadrants = buffer[:block].reshape(hy, 8, hx * frames)
         self._rows = self._quadrants.reshape(-1, frames)
         self._folded = buffer[block:2 * block].reshape(hy, 8, hx * frames)
         self._block = self._folded.reshape(4 * hy, 2 * hx, frames)
-        self._amps = buffer[2 * block:].view(complex).reshape(frames, sources.count)
         # _rows is the quadrant block (Hy, 8, Hx, n) as (Hy 8 Hx, n): one row
         # per (half-axis v, y sign, x sign, re/im, half-axis u).  A node's
         # row is a part set by its lattice row plus a part set by its
@@ -206,28 +202,18 @@ class LatticeFold:
         # Each node's real part, then its imaginary part Hx rows on.
         self._slots = np.add.outer(row[iy] + col[ix], (0, hx)).ravel()
 
-    def __call__(self, amplitudes, tilt: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, amplitudes) -> np.ndarray:
         """Folded block (4 Hy, 2 Hx, n) of amplitudes (n, M), n the fold's frames.
 
-        amplitudes is any (n, M) array_like, read as complex.  tilt
-        (n, 2), when given, is a source-plane tilt g per frame, in rad/m:
-        node m is multiplied by exp(i g . rho_m), without the frame's
-        constant exp(i g . centre), which no intensity sees.  On the
-        lattice that factor is exp(i g_x u) exp(i g_y v), Lx + Ly
-        exponentials per frame.  Rows are (v, y factor, plane) and
-        columns (x factor, u), with factor 0 the cosine and 1 the sine
-        and plane 0 the real part; the frame is the last axis.  The
-        block is a view of a buffer that the next call overwrites.
+        amplitudes is any (n, M) array_like, read as complex; the block
+        holds a copy, so the caller may change them afterwards.  Rows
+        are (v, y factor, plane) and columns (x factor, u), with factor
+        0 the cosine and 1 the sine and plane 0 the real part; the frame
+        is the last axis.  The block is a view of a buffer that the next
+        call overwrites.
         """
         # A reshape refuses any other frame count, where the scatter would broadcast one frame.
-        amps = np.ascontiguousarray(amplitudes, dtype=complex).reshape(self._amps.shape)
-        if tilt is not None:
-            # Any other tilt count is refused too: the products would broadcast one row.
-            if np.shape(tilt) != (self.frames, 2):
-                raise ValueError(f"{self.frames}-frame fold got tilts of shape {np.shape(tilt)}")
-            column = np.exp(1j * np.multiply.outer(tilt[:, 0], self._u))
-            amps = np.multiply(amps, column[:, self._ix], out=self._amps)
-            amps *= np.exp(1j * np.multiply.outer(tilt[:, 1], self._v))[:, self._iy]
+        amps = np.ascontiguousarray(amplitudes, dtype=complex).reshape(self._shape)
         self._rows[self._slots] = amps.view(float).T
         np.matmul(_FOLD_SIGNS, self._quadrants, out=self._folded)
         return self._block

@@ -13,8 +13,9 @@ planar (re, im) fields with the frame as the fastest axis: to the
 bounding box of the mask's transmissive pixels for the bucket, and to
 the reference grid.  Mirror nodes are folded into sums and differences
 that depend only on the lattice, so a vacuum batch folds its amplitudes
-once for both planes; with independent source-plane screens the
-reference path folds its tilted amplitudes a second time.  The bucket is
+once for both planes; with independent source-plane screens the batch
+tilts its amplitudes in place after the first fold and folds them a
+second time for the reference path.  The bucket is
 one transmissivity-weighted product of the box intensities.  The
 reference intensities I and their squares overwrite the two planes of
 the field buffer, and the batch's moment sums are one matrix product of
@@ -39,9 +40,10 @@ which is a screen at the configured pair rho0.
 
 The relative screen's structure function is the square law
 2 r^2 / rho0^2 exactly, so it is a random tilt g: two standard normals
-per frame, times TurbulenceModel.tilt_std.  The fold applies it per
-lattice column and row, exactly at every subsource, and the reference
-frame is the vacuum frame moved by g L / k.  Coupled paths
+per frame, times TurbulenceModel.tilt_std (FramePipeline.tilts).  The
+pipeline applies it to the amplitudes as one factor per lattice column
+and one per row, exactly at every subsource, and the reference frame is
+the vacuum frame moved by g L / k.  Coupled paths
 (phi_r = phi_b) and a detector-plane screen leave the law of every
 intensity as in vacuum, so nothing is drawn for them and such a run
 equals the vacuum run frame by frame.
@@ -138,6 +140,22 @@ class FramePipeline:
         # 0.0 unless independent source-plane screens change the law of
         # the intensities; their difference has the configured pair rho0.
         self.tilt_std = setup.model.tilt_std
+        # Each node's lattice column and row, and the columns' and rows'
+        # signed offsets u, v from the fold's centre.
+        ix, iy, xs, ys = setup.sources.lattice()
+        self._lattice = ix, iy, xs - self.fold.center[0], ys - self.fold.center[1]
+
+    def tilts(self, index: int) -> np.ndarray | None:
+        """The relative screen's tilts g (B, 2) of batch index, in rad/m, or None.
+
+        Frame i's tilt is the batch's screen generator's normals 2i and
+        2i + 1 times tilt_std.  None when tilt_std is 0: no screen is
+        drawn.
+        """
+        if self.tilt_std == 0.0:
+            return None
+        rng = batch_generator(self.setup.seed, index, RNG_DOMAIN_SCREEN)
+        return self.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
 
     def batch(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (B,) and reference moments [I; I^2] (2, ny, nx, B) of one batch.
@@ -153,10 +171,15 @@ class FramePipeline:
         folded = self.fold(amps)
         intensity = intensity_moments(self.box(folded))[0]
         buckets = self._weights @ intensity.reshape(self._weights.size, -1)
-        if self.tilt_std != 0.0:
-            draws = batch_generator(setup.seed, index, RNG_DOMAIN_SCREEN).standard_normal(
-                (BATCH_FRAMES, 2))
-            folded = self.fold(amps, self.tilt_std * draws)
+        tilts = self.tilts(index)
+        if tilts is not None:
+            # Node m times exp(i g . (rho_m - centre)): the frame's constant
+            # exp(i g . centre) is left out, as no intensity sees it.  The
+            # fold keeps its own copy, so the amplitudes are tilted in place.
+            ix, iy, u, v = self._lattice
+            amps *= np.exp(1j * np.multiply.outer(tilts[:, 0], u))[:, ix]
+            amps *= np.exp(1j * np.multiply.outer(tilts[:, 1], v))[:, iy]
+            folded = self.fold(amps)
         return buckets, intensity_moments(self.ref(folded))
 
 

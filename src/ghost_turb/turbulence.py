@@ -113,17 +113,6 @@ class CnSquaredProfile:
                 raise ConfigurationError(f"profile line {i + 1}: {exc}")
         return cls(segments=tuple(segments), path_length=segments[-1][1])
 
-    @classmethod
-    def from_file(cls, path) -> "CnSquaredProfile":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except IsADirectoryError:
-            raise ConfigurationError(f"profile file {path} is a directory") from None
-        except UnicodeDecodeError:
-            raise ConfigurationError(f"profile file {path} is not UTF-8 text") from None
-        return cls.from_lines(lines)
-
 
 def weighted_path_integral(profile: CnSquaredProfile) -> float:
     """integral_0^L Cn2(z) (1 - z/L)^(5/3) dz, exactly per segment.

@@ -19,6 +19,7 @@ from ghost_turb.errors import ConfigurationError
 from ghost_turb.io_formats import read_pgm8
 from ghost_turb.optics import Grid2D
 from ghost_turb.simulate import BATCH_FRAMES
+from ghost_turb.turbulence import CnSquaredProfile, coherence_length
 
 NOMINAL_REGIME = ["--set", "cn2=1.5e-12"]
 
@@ -602,6 +603,18 @@ def test_every_rho0_route_gives_the_same_coherence_length(tmp_path):
     assert all(rc.rho0 == rho0 for rc in configs.values())
 
 
+def test_profile_file_rows_read_like_inline_rows(tmp_path):
+    # A cn2_profile file is split into lines like the profile key's text:
+    # a CRLF line end and a '#' comment change nothing.
+    path = tmp_path / "two_rows.txt"
+    path.write_bytes(b"0.0 0.7 1.5e-12\r\n0.7 1.4 0.5e-12  # upper half\n")
+    from_file = load_config(None, {"cn2_profile": str(path)})
+    inline = load_config(None, {"profile": "0.0 0.7 1.5e-12\n0.7 1.4 0.5e-12"})
+    profile = CnSquaredProfile(((0.0, 0.7, 1.5e-12), (0.7, 1.4, 0.5e-12)), 1.4)
+    assert from_file.rho0_origin == "cn2_profile"
+    assert from_file.rho0 == inline.rho0 == coherence_length(profile, from_file.wavelength)
+
+
 @pytest.mark.parametrize("form", ["file", "section"])
 def test_profile_shorter_than_the_path_exits_2(tmp_path, capsys, form):
     path = tmp_path / "short"
@@ -610,7 +623,7 @@ def test_profile_shorter_than_the_path_exits_2(tmp_path, capsys, form):
         argv, key = ["--set", f"cn2_profile={path}"], "cn2_profile"
     else:
         path.write_text("[profile]\n0 1.3 1.5e-12\n")
-        argv, key = ["--config", str(path)], "[profile] section"
+        argv, key = ["--config", str(path)], "profile"
     assert main(["rho0", *argv]) == 2
     assert f"{key} covers 1.3 m but path_length is 1.4 m" in capsys.readouterr().err
 
@@ -630,7 +643,7 @@ def test_invalid_coherence_length_exits_2_and_names_its_key(capsys, key, value):
     ("cn2_profile", "uniform -1 1e-12\n", "cn2_profile: path_length must be finite and > 0"),
     ("cn2_profile", None, "cn2_profile: [Errno 2] No such file or directory"),
     ("cn2_profile", "0 1.4\n", "cn2_profile: profile line 1 needs 3 columns"),
-    ("profile", "0 1.4 -1", "[profile] section: segment 0 has negative Cn2 = -1.0"),
+    ("profile", "0 1.4 -1", "profile: segment 0 has negative Cn2 = -1.0"),
 ], ids=["negative_cn2", "not_a_number", "negative_length", "missing_file", "two_columns",
         "inline"])
 def test_invalid_profile_exits_2_and_names_its_key(tmp_path, capsys, key, text, message):

@@ -98,19 +98,15 @@ def test_expanded_kernel_matches_direct_differences_at_the_default_geometry():
     assert np.max(np.abs(kernel - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def _assert_matches_dense_kernel(prop, fold, sources, grid, amps, tilt=None):
-    # The propagator drops a unit-modulus phase per pixel, and a tilted
-    # fold the frame's exp(i g . centre); put back, the field is the
-    # dense Fresnel field of amps exp(-iq |rho_m|^2) exp(i g . rho_m) to
+def _assert_matches_dense_kernel(prop, fold, sources, grid, amps):
+    # The propagator drops a unit-modulus phase per pixel; put back, the
+    # field is the dense Fresnel field of amps exp(-iq |rho_m|^2) to
     # rounding, the fold having left out the node chirp.
     n = amps.shape[0]
-    planar = prop(fold(amps, tilt))
+    planar = prop(fold(amps))
     assert planar.shape == (2, grid.ny, grid.nx, n)
     field = (planar[0] + 1j * planar[1]) * dropped_phase(fold, grid, CFG)[..., None]
     amps = unchirped(amps, sources.positions, CFG)
-    if tilt is not None:
-        amps = amps * np.exp(1j * tilt @ sources.positions.T)
-        field *= np.exp(1j * tilt @ np.asarray(fold.center))
     dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(grid.ny, grid.nx, n)
     assert np.max(np.abs(field - dense)) <= 1e-12 * np.max(np.abs(dense))
 
@@ -143,14 +139,13 @@ DISC = make_source_grid(11e-3, 11e-3 / 16.0)
     (DISC.nodes, Grid2D(nx=7, ny=9, pitch=30e-6, center=(1e-4, -2e-4))),
     (DISC.nodes, Grid2D(nx=1, ny=1, pitch=12e-6, center=(30e-6, -18e-6))),
 ], ids=["cut_disc", "even_extents", "off_centre_grid", "one_pixel_box"])
-@pytest.mark.parametrize("tilted", [False, True], ids=["vacuum", "tilted"])
-def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes, grid, tilted):
-    # Tilts at rho0 = 2 mm: about 0.7 rad per millimetre per component.
+def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes, grid):
+    # Tilted, the same lattices and grids are checked through the frame
+    # pipeline (test_turbulent_engine_matches_manual_screen_loop).
     sources = SubsourceSet(nodes=nodes, pitch=DISC.pitch, mean_power=1.0)
     fold = LatticeFold(sources, 4)
-    tilt = math.sqrt(2.0) / 2e-3 * rng.normal(size=(4, 2)) if tilted else None
     _assert_matches_dense_kernel(LatticePropagator(fold, grid, CFG), fold, sources, grid,
-                                 _amplitudes(rng, 4, sources.count), tilt)
+                                 _amplitudes(rng, 4, sources.count))
 
 
 def test_lattice_fold_folds_the_box_in_half_per_axis():
@@ -167,7 +162,8 @@ def test_lattice_fold_folds_the_box_in_half_per_axis():
 
 def test_lattice_fold_takes_only_its_frame_count(rng):
     # Every call fills the same buffers, whose slots without a subsource
-    # stay zero; another frame count is refused, not broadcast or cut.
+    # stay zero; another frame count is refused, not broadcast or cut,
+    # and real amplitudes are read as complex.
     sources = make_source_grid(2e-3, 0.5e-3)
     grid = Grid2D.centered(5, 4, 12e-6)
     fold = LatticeFold(sources, 8)
@@ -177,20 +173,9 @@ def test_lattice_fold_takes_only_its_frame_count(rng):
     for n in (1, 7, 9):
         with pytest.raises(ValueError):
             fold(np.ones((n, sources.count), dtype=complex))
-
-
-def test_lattice_fold_takes_one_tilt_per_frame():
-    # A tilt of one row, or of any other count, is refused, not broadcast
-    # to every frame; real amplitudes are read as complex.
-    sources = make_source_grid(2e-3, 0.5e-3)
-    fold = LatticeFold(sources, 8)
-    ones = np.ones((8, sources.count))
-    for rows in (1, 7, 9):
-        with pytest.raises(ValueError):
-            fold(ones, np.tile([300.0, -200.0], (rows, 1)))
-    tilt = np.tile([300.0, -200.0], (8, 1))
-    real = fold(ones, tilt).copy()
-    assert np.array_equal(fold(ones.astype(complex), tilt), real)
+    real = rng.normal(size=(8, sources.count))
+    folded = fold(real).copy()
+    assert np.array_equal(fold(real.astype(complex)), folded)
 
 
 def test_lattice_propagator_takes_only_its_fold_frame_count():

@@ -16,8 +16,8 @@ from oracles import (PER_PATH_RHO0_FACTOR, add_frame, bucket_signals, intensity,
                      per_path_screen_model, propagate_subsources, unchirped)
 from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, UNIT_BATCHES, FramePipeline,
                                  RunSetup, _openblas, merge_units, one_blas_thread, run_simulation)
-from ghost_turb.source import (RNG_DOMAIN_SOURCE, batch_generator, draw_amplitudes,
-                               make_source_grid)
+from ghost_turb.source import (RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
+                               draw_amplitudes, make_source_grid)
 from ghost_turb.turbulence import TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -181,10 +181,43 @@ def test_cropped_support_buckets_equal_full_grid_buckets(name):
                                            rel=1e-12)
 
 
-def test_turbulent_engine_matches_manual_screen_loop():
+DISC = make_source_grid(11e-3, 11e-3 / 16.0)
+
+
+def _tilted_setup(case):
+    """A turbulent setup on a lattice and grids of the named shape.
+
+    The lattices are the cut disc (14 rows, even, by 17 columns, odd,
+    asymmetric in y), a 16 x 16 corner of the disc (even extents, off
+    centre in both axes) and the whole disc, once on an off-centre
+    reference grid and once with an off-centre one-pixel bucket box, at
+    rho0 = 2 mm: tilts of about 0.7 rad per millimetre per component.
+    """
+    if case == "default":
+        return _setup(rho0=5e-3, frames=5)
+    centred = Grid2D.centered(5, 5, 12e-6)
+    nodes, ref_grid, obj_grid, point = {
+        "cut_disc": (DISC.nodes[DISC.nodes[:, 1] <= 5], Grid2D.centered(64, 64, 12e-6),
+                     centred, (0.0, 0.0)),
+        "even_extents": (DISC.nodes[(DISC.nodes[:, 0] <= 7) & (DISC.nodes[:, 1] <= 7)],
+                         Grid2D.centered(16, 16, 12e-6), centred, (0.0, 0.0)),
+        "off_centre_grid": (DISC.nodes, Grid2D(nx=7, ny=9, pitch=30e-6, center=(1e-4, -2e-4)),
+                            centred, (0.0, 0.0)),
+        "one_pixel_box": (DISC.nodes, Grid2D.centered(16, 16, 12e-6),
+                          Grid2D(nx=5, ny=5, pitch=12e-6, center=(6e-6, -6e-6)),
+                          (30e-6, -18e-6)),
+    }[case]
+    return replace(_setup(rho0=2e-3, frames=5),
+                   sources=SubsourceSet(nodes=nodes, pitch=DISC.pitch, mean_power=1.0),
+                   ref_grid=ref_grid, mask=point_mask(obj_grid, point))
+
+
+@pytest.mark.parametrize("case", ["default", "cut_disc", "even_extents", "off_centre_grid",
+                                  "one_pixel_box"])
+def test_turbulent_engine_matches_manual_screen_loop(case):
     # The bucket path propagates the drawn amplitudes as they are; the
     # reference path carries one relative screen at the configured rho0.
-    setup = _setup(rho0=5e-3, fraction=0.0, frames=5)
+    setup = _tilted_setup(case)
     buckets, moments = FramePipeline(setup).batch(0)
     pos = setup.sources.positions
     amps = unchirped(draw_amplitudes(
@@ -269,35 +302,18 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
         assert _close(moments[0, ..., i], intensity(vacuum))
 
 
-def _recorded_tilts(pipeline, index):
-    """The tilts (B, 2) that batch(index) hands the fold, or None if it hands none."""
-    fold, tilts = pipeline.fold, [None]
-
-    def recording(amps, tilt=None):
-        if tilt is not None:
-            tilts[0] = tilt.copy()
-        return fold(amps, tilt)
-
-    pipeline.fold = recording
-    try:
-        pipeline.batch(index)
-    finally:
-        pipeline.fold = fold
-    return tilts[0]
-
-
 def test_screen_tilts_are_tilt_std_times_the_screen_stream():
     # A frame's screen is the next two standard normals of its batch's
     # screen generator, in frame order, times tilt_std, and the same
     # batch draws the same bits.
     pipeline = FramePipeline(_setup(rho0=5e-3, frames=2 * BATCH_FRAMES))
     assert pipeline.tilt_std == math.sqrt(2.0) / 5e-3
-    tilts = _recorded_tilts(pipeline, 1)
+    tilts = pipeline.tilts(1)
     normals = batch_generator(pipeline.setup.seed, 1, RNG_DOMAIN_SCREEN).standard_normal(
         2 * BATCH_FRAMES)
     assert np.array_equal(tilts, pipeline.tilt_std * normals.reshape(BATCH_FRAMES, 2))
-    assert np.array_equal(_recorded_tilts(FramePipeline(pipeline.setup), 1), tilts)
-    assert not np.array_equal(_recorded_tilts(pipeline, 0), tilts)
+    assert np.array_equal(FramePipeline(pipeline.setup).tilts(1), tilts)
+    assert not np.array_equal(pipeline.tilts(0), tilts)
 
 
 def test_relative_screen_weights_are_the_closed_form_weights():
@@ -345,7 +361,7 @@ def test_frames_of_a_batch_do_not_depend_on_its_length():
     whole_buckets, whole_moments = whole.batch(1)
     assert np.array_equal(buckets, whole_buckets)
     assert np.array_equal(moments, whole_moments)
-    assert np.array_equal(_recorded_tilts(short, 1), _recorded_tilts(whole, 1))
+    assert np.array_equal(short.tilts(1), whole.tilts(1))
 
 
 def test_shared_screen_when_paths_coupled():
@@ -353,7 +369,7 @@ def test_shared_screen_when_paths_coupled():
     # so none is drawn and the frames are the vacuum frames.
     coupled = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES, paths_independent=False))
     assert coupled.tilt_std == 0.0
-    assert _recorded_tilts(coupled, 0) is None
+    assert coupled.tilts(0) is None
     buckets, moments = coupled.batch(0)
     moments = moments.copy()
     vacuum = FramePipeline(_setup(frames=BATCH_FRAMES))

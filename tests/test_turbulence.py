@@ -60,13 +60,6 @@ def test_from_lines_rejects_malformed(lines):
         CnSquaredProfile.from_lines(lines)
 
 
-def test_from_file(tmp_path):
-    path = tmp_path / "profile.txt"
-    path.write_text("0.0 0.7 1.5e-12\n0.7 1.4 0.5e-12\n")
-    p = CnSquaredProfile.from_file(path)
-    assert p.segments[1] == (0.7, 1.4, 0.5e-12)
-
-
 @pytest.mark.parametrize("segments", [
     ((0.0, 1.4, 1.5e-12),),
     ((0.0, 0.4, 2e-12), (0.4, 1.4, 5e-13)),
