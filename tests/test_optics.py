@@ -162,8 +162,7 @@ def test_lattice_fold_folds_the_box_in_half_per_axis():
 
 def test_lattice_fold_takes_only_its_frame_count(rng):
     # Every call fills the same buffers, whose slots without a subsource
-    # stay zero; another frame count is refused, not broadcast or cut,
-    # and real amplitudes are read as complex.
+    # stay zero; another frame count is refused, not broadcast or cut.
     sources = make_source_grid(2e-3, 0.5e-3)
     grid = Grid2D.centered(5, 4, 12e-6)
     fold = LatticeFold(sources, 8)
@@ -173,9 +172,22 @@ def test_lattice_fold_takes_only_its_frame_count(rng):
     for n in (1, 7, 9):
         with pytest.raises(ValueError):
             fold(np.ones((n, sources.count), dtype=complex))
+
+
+def test_lattice_fold_reads_real_amplitudes_as_complex_and_keeps_a_copy(rng):
+    # Real amplitudes fold as their complex cast.  The block holds a copy:
+    # the frame pipeline tilts its amplitudes in place after the first
+    # fold, and that must not reach a block already returned.
+    sources = make_source_grid(2e-3, 0.5e-3)
+    fold = LatticeFold(sources, 8)
     real = rng.normal(size=(8, sources.count))
     folded = fold(real).copy()
     assert np.array_equal(fold(real.astype(complex)), folded)
+    amps = _amplitudes(rng, 8, sources.count)
+    block = fold(amps)
+    kept = block.copy()
+    amps *= 2.0
+    assert np.array_equal(block, kept)
 
 
 def test_lattice_propagator_takes_only_its_fold_frame_count():
