@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .correlator import MIN_FRAMES, ObjectMask, double_slit_mask, point_mask, three_bar_mask
+from .correlator import ObjectMask, double_slit_mask, point_mask, three_bar_mask
 from .errors import ConfigurationError
 from .optics import Grid2D, OpticalConfig
-from .simulate import RunSetup
+from .simulate import RunSetup, check_run
 from .source import SubsourceSet, make_source_grid
 from .turbulence import CnSquaredProfile, TurbulenceModel, coherence_length
 
@@ -253,20 +253,14 @@ def build_config(raw_items: dict[str, str]) -> RunConfig:
     values = {f.name: f.metadata["parse"](_key(f), raw[_key(f)])
               for f in fields(RunConfig) if f.metadata["parse"]}
     wavelength, path_length = values["wavelength"], values["path_length"]
-    if wavelength <= 0 or path_length <= 0:
-        raise ConfigurationError("wavelength and path_length must be positive")
+    OpticalConfig(wavelength, path_length)   # the optics own the wavelength and path rules
     pitch_text = raw["source_pitch"]
     values["source_pitch"] = _as_float("source_pitch", pitch_text) if pitch_text \
         else values["source_diameter"] / 16.0
     values["rho0"], values["rho0_origin"] = _resolve_rho0(raw, wavelength, path_length)
     cfg = RunConfig(**values)
     cfg.turbulence()   # the screen model owns the screen-plane rule
-    if cfg.frames < MIN_FRAMES:
-        raise ConfigurationError(f"imaging runs need frames >= {MIN_FRAMES}, got {cfg.frames}")
-    if cfg.seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {cfg.workers}")
+    check_run(cfg.frames, cfg.seed, cfg.workers)
     if cfg.source_power <= 0:
         raise ConfigurationError(f"source_power must be positive, got {cfg.source_power}")
     if cfg.compare_tolerance <= 0:

@@ -1,9 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one positive-number rule.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 2, tolerance failures with 1, statistically undecidable results
 with 3.
 """
+
+import math
 
 
 class ValidationError(ValueError):
@@ -20,3 +22,9 @@ class InsufficientDataError(RuntimeError):
 
 class NoDetectionError(RuntimeError):
     """An image has no statistically significant, resolvable peak."""
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise ValidationError unless value is finite and > 0; name heads the message."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and > 0, got {value}")

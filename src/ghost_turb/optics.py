@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, require_positive
 
 if TYPE_CHECKING:
     from .source import SubsourceSet
@@ -50,10 +50,8 @@ class OpticalConfig:
     path_length: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ValidationError(f"wavelength must be finite and > 0, got {self.wavelength}")
-        if not (math.isfinite(self.path_length) and self.path_length > 0):
-            raise ValidationError(f"path_length must be finite and > 0, got {self.path_length}")
+        require_positive("wavelength", self.wavelength)
+        require_positive("path_length", self.path_length)
 
     @property
     def wavenumber(self) -> float:
@@ -77,8 +75,7 @@ class Grid2D:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
             raise ValidationError(f"grid needs nx, ny >= 1, got {self.nx} x {self.ny}")
-        if not (math.isfinite(self.pitch) and self.pitch > 0):
-            raise ValidationError(f"grid pitch must be finite and > 0, got {self.pitch}")
+        require_positive("grid pitch", self.pitch)
         cx, cy = self.center
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise ValidationError(f"grid center must be finite, got {self.center}")
@@ -151,7 +148,8 @@ def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> N
 class LatticeFold:
     """Subsource amplitudes folded about the centre of their lattice's bounding box.
 
-    Write a node as the box centre (x_c, y_c) plus an offset (u, v).  The
+    Write a node as the box centre (x_c, y_c) plus its column's and row's
+    offsets (u, v), as SubsourceSet.lattice gives them.  The
     Fresnel phase q |p - rho|^2, q = k / 2L, of pixel p = (x_p, y_p) is
     then q (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c) + q |rho|^2
     - 2q (x_p u + y_p v).  The first term is one unit-modulus factor per
@@ -165,21 +163,22 @@ class LatticeFold:
 
     The bounding box is symmetric about its centre whatever its extents,
     so each node falls in one of four mirror quadrants, on a half axis of
-    ceil(L / 2) offsets, without collisions.  Every call holds exactly
-    `frames` frames and writes the real and imaginary parts of all nodes
-    into that (Hy, 8, Hx, n) block, rows (quadrant, re/im), with one
-    scatter through a fixed slot table; nodes without a subsource stay
-    zero.  One product of the block with the constant sign matrix
-    _FOLD_SIGNS gives the folded block.  In vacuum both detector planes
-    read the same fold.
+    ceil(L / 2) offsets, without collisions.  offsets holds those half
+    axes, the non-negative halves of the lattice's u and v; the centre
+    enters only the dropped pixel factor, so the fold keeps none.  Every
+    call holds exactly `frames` frames and writes the real and imaginary
+    parts of all nodes into that (Hy, 8, Hx, n) block, rows (quadrant,
+    re/im), with one scatter through a fixed slot table; nodes without a
+    subsource stay zero.  One product of the block with the constant sign
+    matrix _FOLD_SIGNS gives the folded block.  In vacuum both detector
+    planes read the same fold.
     """
 
     def __init__(self, sources: SubsourceSet, frames: int):
-        ix, iy, xs, ys = sources.lattice()
-        # Half-axis offsets: 0, 1, ... pitches for odd extents, 1/2, 3/2, ... for even.
-        self.offsets = tuple((np.arange((c.size + 1) // 2) + 0.5 * (1 - c.size % 2))
-                             * sources.pitch for c in (xs, ys))
-        self.center = (0.5 * (xs[0] + xs[-1]), 0.5 * (ys[0] + ys[-1]))
+        ix, iy, u, v = sources.lattice
+        # Half-axis offsets, the non-negative halves of the lattice's u and v:
+        # 0, 1, ... pitches for odd extents, 1/2, 3/2, ... for even.
+        self.offsets = (u[u.size // 2:], v[v.size // 2:])
         self.frames = frames
         self._shape = (frames, sources.count)
         hx, hy = (o.size for o in self.offsets)
@@ -197,8 +196,8 @@ class LatticeFold:
         # column, each from t, twice that row's or column's offset from the
         # centre in pitches.
         row = np.array([hx * (8 * (abs(t) // 2) + 4 * (t < 0))
-                        for t in range(1 - ys.size, ys.size, 2)])
-        col = np.array([2 * hx * (t < 0) + abs(t) // 2 for t in range(1 - xs.size, xs.size, 2)])
+                        for t in range(1 - v.size, v.size, 2)])
+        col = np.array([2 * hx * (t < 0) + abs(t) // 2 for t in range(1 - u.size, u.size, 2)])
         # Each node's real part, then its imaginary part Hx rows on.
         self._slots = np.add.outer(row[iy] + col[ix], (0, hx)).ravel()
 

@@ -83,6 +83,16 @@ RNG_DOMAIN_SCREEN = 2
 UNIT_BATCHES = 16
 
 
+def check_run(frames: int, seed: int, workers: int) -> None:
+    """Raise ValidationError unless a run's frame, seed and worker counts are valid."""
+    if frames < MIN_FRAMES:
+        raise ValidationError(f"imaging runs need frames >= {MIN_FRAMES}, got {frames}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+
+
 @dataclass(frozen=True, eq=False)
 class RunSetup:
     """Fully resolved inputs of one simulation run."""
@@ -97,12 +107,7 @@ class RunSetup:
     workers: int = 1
 
     def __post_init__(self):
-        if self.frames < MIN_FRAMES:
-            raise ValidationError(f"imaging runs need frames >= {MIN_FRAMES}, got {self.frames}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ValidationError(f"workers must be >= 1, got {self.workers}")
+        check_run(self.frames, self.seed, self.workers)
         # Checked here: raised in a pool initializer, it would break the pool.
         check_paraxial(self.sources.positions, (self.mask.grid, self.ref_grid),
                        self.cfg.wavenumber, self.cfg.path_length)
@@ -140,10 +145,6 @@ class FramePipeline:
         # 0.0 unless independent source-plane screens change the law of
         # the intensities; their difference has the configured pair rho0.
         self.tilt_std = setup.model.tilt_std
-        # Each node's lattice column and row, and the columns' and rows'
-        # signed offsets u, v from the fold's centre.
-        ix, iy, xs, ys = setup.sources.lattice()
-        self._lattice = ix, iy, xs - self.fold.center[0], ys - self.fold.center[1]
 
     def tilts(self, index: int) -> np.ndarray | None:
         """The relative screen's tilts g (B, 2) of batch index, in rad/m, or None.
@@ -173,10 +174,12 @@ class FramePipeline:
         buckets = self._weights @ intensity.reshape(self._weights.size, -1)
         tilts = self.tilts(index)
         if tilts is not None:
-            # Node m times exp(i g . (rho_m - centre)): the frame's constant
-            # exp(i g . centre) is left out, as no intensity sees it.  The
-            # fold keeps its own copy, so the amplitudes are tilted in place.
-            ix, iy, u, v = self._lattice
+            # Node m times exp(i g . (u[ix[m]], v[iy[m]])), its offset from
+            # the centre of the lattice's box, read from the lattice the fold
+            # reads: the frame's constant exp(i g . centre) is left out, as no
+            # intensity sees it.  The fold keeps its own copy, so the
+            # amplitudes are tilted in place.
+            ix, iy, u, v = setup.sources.lattice
             amps *= np.exp(1j * np.multiply.outer(tilts[:, 0], u))[:, ix]
             amps *= np.exp(1j * np.multiply.outer(tilts[:, 1], v))[:, iy]
             folded = self.fold(amps)

@@ -1,6 +1,7 @@
 """Pseudothermal source: a lattice of independent point subsources.
 
-SubsourceSet.lags is the one home of the lattice's lag spectrum.
+SubsourceSet.lattice is the one home of the lattice's geometry, and
+SubsourceSet.lags of its lag spectrum.
 
 Each frame draws one circular complex Gaussian amplitude per subsource
 (zero mean, variance mean_power per subsource, independent between
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 
 # Stream tag separating source-amplitude draws from other consumers of
 # the same run seed.
@@ -63,10 +64,8 @@ class SubsourceSet:
         ordered = nodes[np.lexsort(nodes.T)]
         if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValidationError("two subsources share a lattice node")
-        if not (math.isfinite(self.pitch) and self.pitch > 0):
-            raise ValidationError(f"pitch must be finite and > 0, got {self.pitch}")
-        if not (math.isfinite(self.mean_power) and self.mean_power > 0):
-            raise ValidationError(f"mean_power must be finite and > 0, got {self.mean_power}")
+        require_positive("pitch", self.pitch)
+        require_positive("mean_power", self.mean_power)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "positions", nodes.astype(float) * self.pitch)
 
@@ -74,19 +73,20 @@ class SubsourceSet:
     def count(self) -> int:
         return self.nodes.shape[0]
 
+    @functools.cached_property
     def lattice(self) -> tuple[np.ndarray, ...]:
-        """Node indices (ix, iy) and node coordinates (xs, ys) of the bounding box.
+        """Node indices (ix, iy) and centred offsets (u, v) of the bounding box.
 
-        Subsource m sits at (xs[ix[m]], ys[iy[m]]); xs and ys are the
-        coordinates (i + lo) * pitch of the nodes of the lattice's
-        bounding box, whose lowest node is lo.
+        The one home of the lattice's geometry.  u and v are the offsets
+        (i - (n - 1) / 2) * pitch of the box's n columns, and rows, from
+        the box's centre, so u + u[::-1] == 0 exactly.  Subsource m sits
+        at the centre plus (u[ix[m]], v[iy[m]]).
         """
         lo = self.nodes.min(axis=0)
-        hi = self.nodes.max(axis=0)
         ix, iy = (self.nodes - lo).T
-        xs = np.arange(lo[0], hi[0] + 1) * self.pitch
-        ys = np.arange(lo[1], hi[1] + 1) * self.pitch
-        return ix, iy, xs, ys
+        u, v = ((np.arange(n) - (n - 1) / 2.0) * self.pitch
+                for n in self.nodes.max(axis=0) - lo + 1)
+        return ix, iy, u, v
 
     @functools.cached_property
     def lags(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,16 +96,16 @@ class SubsourceSet:
         ordered pairs (m, m') with nodes[m] - nodes[m'] = d: the
         autocorrelation of the lattice occupancy.  Lags run from 1 - L to L - 1.
         """
-        ix, iy, xs, ys = self.lattice()
-        occupancy = np.zeros((ys.size, xs.size))
+        ix, iy, u, v = self.lattice
+        occupancy = np.zeros((v.size, u.size))
         occupancy[iy, ix] = 1.0
         # Zero-padded to every lag, so the circular autocorrelation is the linear
         # one; rint recovers its integer values exactly from the FFT's rounding.
-        shape = (2 * ys.size - 1, 2 * xs.size - 1)
+        shape = (2 * v.size - 1, 2 * u.size - 1)
         spectrum = np.fft.rfft2(occupancy, shape)
         counts = np.fft.fftshift(np.rint(np.fft.irfft2(spectrum * spectrum.conj(), shape)))
-        dx = np.arange(1 - xs.size, xs.size) * self.pitch
-        dy = np.arange(1 - ys.size, ys.size) * self.pitch
+        dx = np.arange(1 - u.size, u.size) * self.pitch
+        dy = np.arange(1 - v.size, v.size) * self.pitch
         return counts.astype(np.int64), dx, dy
 
 
@@ -117,10 +117,8 @@ def make_source_grid(diameter: float, pitch: float, mean_power: float = 1.0) -> 
     ordered by j, then i.  The lattice must yield at least two
     subsources.
     """
-    if not (math.isfinite(diameter) and diameter > 0):
-        raise ValidationError(f"diameter must be finite and > 0, got {diameter}")
-    if not (math.isfinite(pitch) and pitch > 0):
-        raise ValidationError(f"pitch must be finite and > 0, got {pitch}")
+    require_positive("diameter", diameter)
+    require_positive("pitch", pitch)
     n = int(math.floor(diameter / (2.0 * pitch))) + 1
     idx = np.arange(-n, n + 1)
     ii, jj = np.meshgrid(idx, idx, indexing="xy")

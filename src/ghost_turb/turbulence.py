@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, require_positive
 
 if TYPE_CHECKING:
     from .optics import OpticalConfig
@@ -53,8 +53,7 @@ class CnSquaredProfile:
     path_length: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.path_length) and self.path_length > 0):
-            raise ValidationError(f"path_length must be finite and > 0, got {self.path_length}")
+        require_positive("path_length", self.path_length)
         if len(self.segments) == 0:
             raise ValidationError("profile needs at least one segment")
         tol = 1e-9 * self.path_length
@@ -86,31 +85,31 @@ class CnSquaredProfile:
     def from_lines(cls, lines: Iterable[str]) -> "CnSquaredProfile":
         """Parse profile text: either one 'uniform L cn2' line, read as the
         row '0 L cn2', or rows of 'z_start z_end cn2'.  '#' starts a
-        comment, blank lines ignored."""
+        comment, blank lines ignored.  An error names a row by its line
+        number in lines, comment and blank lines counted."""
         rows = []
-        for raw in lines:
+        for lineno, raw in enumerate(lines, start=1):
             text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            rows.append(text.split())
+            if text:
+                rows.append((lineno, text.split()))
         if not rows:
             raise ConfigurationError("profile text contains no data lines")
-        if rows[0][0].lower() == "uniform":
-            if len(rows) != 1 or len(rows[0]) != 3:
+        if rows[0][1][0].lower() == "uniform":
+            if len(rows) != 1 or len(rows[0][1]) != 3:
                 raise ConfigurationError(
                     "a 'uniform' profile must be a single line: uniform <path_length> <cn2>"
                 )
-            rows[0][0] = "0"
+            rows[0][1][0] = "0"
         segments = []
-        for i, row in enumerate(rows):
+        for lineno, row in rows:
             if len(row) != 3:
                 raise ConfigurationError(
-                    f"profile line {i + 1} needs 3 columns (z_start z_end cn2), got {len(row)}"
+                    f"profile line {lineno} needs 3 columns (z_start z_end cn2), got {len(row)}"
                 )
             try:
                 segments.append((float(row[0]), float(row[1]), float(row[2])))
             except ValueError as exc:
-                raise ConfigurationError(f"profile line {i + 1}: {exc}")
+                raise ConfigurationError(f"profile line {lineno}: {exc}")
         return cls(segments=tuple(segments), path_length=segments[-1][1])
 
 
@@ -134,8 +133,7 @@ def coherence_length(profile: CnSquaredProfile, wavelength: float) -> float:
 
     Returns math.inf when the weighted integral vanishes (no turbulence).
     """
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ValidationError(f"wavelength must be finite and > 0, got {wavelength}")
+    require_positive("wavelength", wavelength)
     integral = weighted_path_integral(profile)
     if integral == 0.0:
         return math.inf
@@ -149,8 +147,7 @@ def weighted_path_integral_for(rho0: float, wavelength: float) -> float:
     The inverse of the rho0 law, rho0^(-5/3) / (2.91 k^2) in m^(1/3);
     0.0 for rho0 = math.inf (no turbulence).
     """
-    if not (math.isfinite(wavelength) and wavelength > 0):
-        raise ValidationError(f"wavelength must be finite and > 0, got {wavelength}")
+    require_positive("wavelength", wavelength)
     if math.isnan(rho0) or rho0 <= 0:
         raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {rho0}")
     k = 2.0 * math.pi / wavelength

@@ -243,15 +243,15 @@ def path_prefactor(cfg) -> complex:
                    * np.exp(1j * cfg.wavenumber * cfg.path_length))
 
 
-def dropped_phase(fold, grid, cfg) -> np.ndarray:
+def dropped_phase(sources, grid, cfg) -> np.ndarray:
     """Unit-modulus factor (ny, nx) that turns a LatticePropagator field into the Fresnel field.
 
     exp(i arg c) exp(iq (x_p^2 - 2 x_p x_c + y_p^2 - 2 y_p y_c)), with c
     the kernel's constant factor, q = k / 2L and (x_c, y_c) the centre
-    of the fold's lattice box.
+    of the bounding box of the subsource positions.
     """
     q = cfg.wavenumber / (2.0 * cfg.path_length)
-    xc, yc = fold.center
+    xc, yc = 0.5 * (sources.positions.min(axis=0) + sources.positions.max(axis=0))
     x, y = grid.x(), grid.y()
     pixel = q * ((y * (y - 2.0 * yc))[:, None] + (x * (x - 2.0 * xc))[None, :])
     c = path_prefactor(cfg)

@@ -637,15 +637,25 @@ def test_invalid_coherence_length_exits_2_and_names_its_key(capsys, key, value):
     assert capsys.readouterr().err.startswith(f"error: {key}")
 
 
+@pytest.mark.parametrize("key, value", [("wavelength", "-1"), ("path_length", "0")])
+def test_invalid_optics_exits_2_and_names_its_key(capsys, key, value):
+    # OpticalConfig's own rule, so the error names the one bad key.
+    assert main(["rho0", "--set", f"{key}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be finite and > 0, got {float(value)}")
+
+
 @pytest.mark.parametrize("key, text, message", [
     ("cn2", "-1", "cn2: segment 0 has negative Cn2 = -1.0"),
     ("cn2", "abc", "cn2: expected a number, got 'abc'"),
     ("cn2_profile", "uniform -1 1e-12\n", "cn2_profile: path_length must be finite and > 0"),
     ("cn2_profile", None, "cn2_profile: [Errno 2] No such file or directory"),
     ("cn2_profile", "0 1.4\n", "cn2_profile: profile line 1 needs 3 columns"),
+    ("cn2_profile", "# header\n\n0 0.7 1.5e-12\n0.7 1.4 abc\n",
+     "cn2_profile: profile line 4: could not convert string to float: 'abc'"),
     ("profile", "0 1.4 -1", "profile: segment 0 has negative Cn2 = -1.0"),
 ], ids=["negative_cn2", "not_a_number", "negative_length", "missing_file", "two_columns",
-        "inline"])
+        "line_after_comments", "inline"])
 def test_invalid_profile_exits_2_and_names_its_key(tmp_path, capsys, key, text, message):
     # A profile's own error is prefixed once with the key that gave it; a
     # cn2_profile value is a file holding the text (None: no such file).

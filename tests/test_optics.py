@@ -105,7 +105,7 @@ def _assert_matches_dense_kernel(prop, fold, sources, grid, amps):
     n = amps.shape[0]
     planar = prop(fold(amps))
     assert planar.shape == (2, grid.ny, grid.nx, n)
-    field = (planar[0] + 1j * planar[1]) * dropped_phase(fold, grid, CFG)[..., None]
+    field = (planar[0] + 1j * planar[1]) * dropped_phase(sources, grid, CFG)[..., None]
     amps = unchirped(amps, sources.positions, CFG)
     dense = (fresnel_kernel(sources.positions, grid, CFG) @ amps.T).reshape(grid.ny, grid.nx, n)
     assert np.max(np.abs(field - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -148,16 +148,25 @@ def test_lattice_propagator_matches_dense_kernel_on_any_box_and_grid(rng, nodes,
                                  _amplitudes(rng, 4, sources.count))
 
 
-def test_lattice_fold_folds_the_box_in_half_per_axis():
-    # 17 nodes per axis fold to 9 offsets, 0 to 8 pitches; the cut disc's
-    # 14 rows fold to 7 offsets, 1/2 to 13/2 pitches, about its centre.
-    fold = LatticeFold(DISC, 1)
-    assert fold.center == (0.0, 0.0)
+@pytest.mark.parametrize("nodes, half_rows", [
+    (DISC.nodes, np.arange(9)),
+    (DISC.nodes[DISC.nodes[:, 1] <= 5], np.arange(7) + 0.5),
+    (DISC.nodes + (3, -20), np.arange(9)),
+], ids=["disc", "cut_disc", "off_centre"])
+def test_lattice_fold_folds_the_box_in_half_per_axis(nodes, half_rows):
+    # The disc's 17 columns and rows fold to 9 offsets, 0 to 8 pitches, and
+    # so do those of the disc moved off the origin; the cut disc's 14 rows
+    # fold to 7 offsets, 1/2 to 13/2 pitches.  The fold's offsets are the
+    # non-negative halves of the lattice's centred u and v, bit for bit.
+    sources = SubsourceSet(nodes, DISC.pitch, 1.0)
+    ix, iy, u, v = sources.lattice
+    fold = LatticeFold(sources, 1)
     assert np.array_equal(fold.offsets[0], np.arange(9) * DISC.pitch)
-    assert fold(np.ones((1, DISC.count))).shape == (4 * 9, 2 * 9, 1)
-    cut = LatticeFold(SubsourceSet(DISC.nodes[DISC.nodes[:, 1] <= 5], DISC.pitch, 1.0), 1)
-    assert cut.center == pytest.approx((0.0, -1.5 * DISC.pitch), rel=1e-15, abs=0)
-    assert np.allclose(cut.offsets[1], (np.arange(7) + 0.5) * DISC.pitch, rtol=1e-15, atol=0)
+    assert np.array_equal(fold.offsets[1], half_rows * DISC.pitch)
+    for axis, offsets in zip((u, v), fold.offsets):
+        assert np.all(axis + axis[::-1] == 0.0)
+        assert np.array_equal(axis[axis.size // 2:], offsets)
+    assert fold(np.ones((1, sources.count))).shape == (4 * half_rows.size, 2 * 9, 1)
 
 
 def test_lattice_fold_takes_only_its_frame_count(rng):

@@ -8,7 +8,7 @@ import pytest
 
 from ghost_turb import simulate
 from ghost_turb.analytic import predicted_ghost_image
-from ghost_turb.config import config_to_setup, load_config
+from ghost_turb.config import build_config, config_to_setup, load_config
 from ghost_turb.correlator import GhostImageEstimate, ObjectMask, point_mask, three_bar_mask
 from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
@@ -61,14 +61,17 @@ def test_merge_units_layout():
 def test_run_setup_validation():
     with pytest.raises(ValidationError):
         _setup(frames=0)
-    # Refused before any draw, with the CLI's text, not at finalize.
-    for frames in (1, 2):
-        with pytest.raises(ValidationError, match=f"imaging runs need frames >= 3, got {frames}"):
-            _setup(frames=frames)
-    with pytest.raises(ValidationError):
-        _setup(seed=-1)
-    with pytest.raises(ValidationError):
-        _setup(workers=0)
+    # Refused before any draw, not at finalize, by the rule that refuses
+    # the same counts in a config, with the same class and text.
+    for key, value, text in (("frames", 1, "imaging runs need frames >= 3, got 1"),
+                             ("frames", 2, "imaging runs need frames >= 3, got 2"),
+                             ("seed", -1, "seed must be >= 0, got -1"),
+                             ("workers", 0, "workers must be >= 1, got 0")):
+        with pytest.raises(ValidationError) as setup:
+            _setup(**{key: value})
+        with pytest.raises(ValidationError) as config:
+            build_config({key: str(value)})
+        assert str(setup.value) == str(config.value) == text
 
 
 def _close(actual, expected, rel=1e-12):

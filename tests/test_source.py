@@ -73,14 +73,18 @@ def test_subsource_set_validation():
 
 @pytest.mark.parametrize("pitch", [11e-3 / 16.0, 0.5e-3, 0.1e-3])
 def test_lattice_places_every_subsource_on_its_position(pitch):
+    # The disc is centred on the origin, so its box's centre is the origin
+    # and the centred offsets u, v are the positions themselves.
     s = make_source_grid(11e-3, pitch)
-    ix, iy, xs, ys = s.lattice()
-    assert np.array_equal(xs[ix], s.positions[:, 0])
-    assert np.array_equal(ys[iy], s.positions[:, 1])
+    ix, iy, u, v = s.lattice
+    assert np.array_equal(u[ix], s.positions[:, 0])
+    assert np.array_equal(v[iy], s.positions[:, 1])
+    assert np.all(u + u[::-1] == 0.0) and np.array_equal(u, v)
     assert np.array_equal(s.positions, s.nodes.astype(float) * s.pitch)
     # The bounding box is the disc's: a node at each end of both axes.
     assert ix.min() == iy.min() == 0
-    assert (ix.max(), iy.max()) == (xs.size - 1, ys.size - 1)
+    assert (ix.max(), iy.max()) == (u.size - 1, v.size - 1)
+    assert s.lattice is s.lattice
 
 
 def _cut(disc):
