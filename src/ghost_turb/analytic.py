@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_length, require_positive
 from .optics import OpticalConfig
 from .turbulence import TurbulenceModel
 
@@ -215,9 +215,7 @@ def immunity_criterion(diameter: float, rho0: float) -> ImmunityVerdict:
     only for diameter strictly below rho0; margin is rho0 / diameter.
     """
     diameter = float(diameter)
-    if math.isnan(diameter) or diameter <= 0:
-        raise ValidationError(f"source diameter must be > 0, got {diameter}")
-    if math.isnan(rho0) or rho0 <= 0:
-        raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {rho0}")
+    require_positive("source diameter", diameter)
+    require_length("rho0", rho0)
     margin = rho0 / diameter
     return ImmunityVerdict(immune=bool(diameter < rho0), margin=margin)

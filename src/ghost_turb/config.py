@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .correlator import ObjectMask, double_slit_mask, point_mask, three_bar_mask
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_length, require_positive
 from .optics import Grid2D, OpticalConfig
 from .simulate import RunSetup, check_run
 from .source import SubsourceSet, make_source_grid
@@ -28,6 +28,15 @@ from .turbulence import CnSquaredProfile, TurbulenceModel, coherence_length
 _RHO0_FAMILY = {"rho0": "explicit", "cn2": "cn2_uniform",
                 "cn2_profile": "cn2_profile", "profile": "inline_profile"}
 
+# Turbulent blur widths (sigma_blur) that the reference grid's half-span
+# must reach past the Airy radius.  On the default 64 x 12 um grid the
+# closed-form FWHM, against a grid wide enough not to matter, is biased
+# by -1.4% (open mask) at margin 2.00 and by -2.0% at margin 1.87, so 2
+# keeps every admitted width there within 2%, a fifth of the default
+# compare_tolerance.  The bias at a given margin grows with sigma_blur
+# over the Airy radius: -2.5% at margin 2 on a 100-pixel grid.
+SPAN_BLUR_SIGMAS = 2.0
+
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
 
@@ -35,13 +44,16 @@ _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Parse key=value lines (plus an optional [profile] section).
 
-    Returns a raw string map; inline profile rows are joined under the
-    "profile" key, one row per line.
+    Returns a raw string map.  An inline profile's text goes under the
+    "profile" key with blank lines in place of the lines above its
+    rows, so that CnSquaredProfile.from_lines numbers each row by its
+    line in the file.
     """
     out: dict[str, str] = {}
-    profile_rows: list[str] = []
-    in_profile = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    header = 0   # line number of the [profile] header; 0: no section
+    has_rows = False
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -49,12 +61,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
             section = line[1:-1].strip().lower()
             if section != "profile":
                 raise ConfigurationError(f"{source}:{lineno}: unknown section [{section}]")
-            if in_profile or profile_rows:
+            if header:
                 raise ConfigurationError(f"{source}:{lineno}: duplicate [profile] section")
-            in_profile = True
+            header = lineno
             continue
-        if in_profile:
-            profile_rows.append(line)
+        if header:
+            has_rows = True
             continue
         if "=" not in line:
             raise ConfigurationError(f"{source}:{lineno}: expected key = value, got {raw!r}")
@@ -63,12 +75,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         if key in out:
             raise ConfigurationError(f"{source}:{lineno}: duplicate key {key!r}")
         out[key] = value.strip()
-    if in_profile and not profile_rows:
+    if header and not has_rows:
         raise ConfigurationError(f"{source}: [profile] section is empty")
-    if profile_rows:
+    if has_rows:
         if out.get("profile", ""):
             raise ConfigurationError(f"{source}: both profile key and [profile] section set")
-        out["profile"] = "\n".join(profile_rows)
+        out["profile"] = "\n" * header + "\n".join(lines[header:])
     return out
 
 
@@ -105,10 +117,9 @@ def _as_length(key: str, text: str, unit: float = 1.0) -> float:
     word = text.strip()
     if word.lower() in ("inf", "infinity", "vacuum"):
         return math.inf
-    value = _as_float(key, word) * unit
-    if value <= 0:
-        raise ConfigurationError(f"{key} must be positive, got {word}")
-    return value
+    value = _as_float(key, word)
+    require_length(key, value)
+    return value * unit
 
 
 def _parse_sweep(key: str, text: str) -> tuple[float, ...]:
@@ -261,10 +272,8 @@ def build_config(raw_items: dict[str, str]) -> RunConfig:
     cfg = RunConfig(**values)
     cfg.turbulence()   # the screen model owns the screen-plane rule
     check_run(cfg.frames, cfg.seed, cfg.workers)
-    if cfg.source_power <= 0:
-        raise ConfigurationError(f"source_power must be positive, got {cfg.source_power}")
-    if cfg.compare_tolerance <= 0:
-        raise ConfigurationError("compare_tolerance must be positive")
+    require_positive("source_power", cfg.source_power)
+    require_positive("compare_tolerance", cfg.compare_tolerance)
     return cfg
 
 
@@ -330,11 +339,6 @@ def parse_mask(spec: str, grid: Grid2D) -> ObjectMask:
 def config_to_setup(rc: RunConfig) -> RunSetup:
     """Materialize the simulation inputs described by a RunConfig.
 
-    The reference grid must span the vacuum image's Airy core,
-    2.44 wavelength L / source_diameter across: on a narrower grid the
-    border baseline of psf_metrics lies on the peak, and every width
-    measured there is wrong.
-
     The source lattice must not alias.  Its image repeats every period
     wavelength L / source_pitch on each axis, and each replica reaches
     1.22 wavelength L / source_diameter (the Airy first zero) plus
@@ -342,28 +346,23 @@ def config_to_setup(rc: RunConfig) -> RunSetup:
     not reach any offset x_p - x_b between a reference pixel and a pixel
     of the mask's transmissive box.  Checked after RunSetup's paraxial
     check, which a short path fails first.
+
+    The reference grid must then hold the blurred peak: its half-span
+    must reach SPAN_BLUR_SIGMAS sigma_blur past the Airy radius, so it
+    spans at least the Airy core 2.44 wavelength L / source_diameter
+    plus 2 SPAN_BLUR_SIGMAS sigma_blur.  On a narrower grid the border
+    baseline of psf_metrics lies on the peak's wings, and every width
+    measured there is biased low.
     """
-    grid = rc.object_grid()
-    ref_grid = rc.reference_grid()
+    setup = RunSetup(cfg=rc.optical(), sources=rc.subsources(), model=rc.turbulence(),
+                     mask=parse_mask(rc.mask, rc.object_grid()), ref_grid=rc.reference_grid(),
+                     frames=rc.frames, seed=rc.seed, workers=rc.workers)
     core = 2.44 * rc.wavelength * rc.path_length / rc.source_diameter
-    span = min(ref_grid.nx, ref_grid.ny) * ref_grid.pitch
-    if span < core:
-        raise ConfigurationError(
-            f"the reference grid spans {span * 1e6:.1f} um, less than the Airy core "
-            f"2.44 wavelength path_length / source_diameter = {core * 1e6:.1f} um; "
-            f"raise ref_pixels or ref_pitch")
-    setup = RunSetup(cfg=rc.optical(),
-                     sources=rc.subsources(),
-                     model=rc.turbulence(),
-                     mask=parse_mask(rc.mask, grid),
-                     ref_grid=ref_grid,
-                     frames=rc.frames,
-                     seed=rc.seed,
-                     workers=rc.workers)
+    sigma = setup.model.blur_sigma(setup.cfg)
     period = rc.wavelength * rc.path_length / rc.source_pitch
-    reach = core / 2.0 + 3.0 * setup.model.blur_sigma(setup.cfg)
+    reach = core / 2.0 + 3.0 * sigma
     offset = max(max(ref[1] - box[0], box[1] - ref[0])
-                 for ref, box in zip(ref_grid.span(), setup.mask.support.grid.span()))
+                 for ref, box in zip(setup.ref_grid.span(), setup.mask.support.grid.span()))
     if period - reach <= offset:
         raise ConfigurationError(
             f"the source lattice aliases: its image repeats with period wavelength "
@@ -372,4 +371,13 @@ def config_to_setup(rc: RunConfig) -> RunSetup:
             f"{reach * 1e6:.1f} um, and period - reach must exceed the span "
             f"max |x_p - x_b| = {offset * 1e6:.1f} um between the reference pixels and "
             f"the mask's transmissive pixels; lower source_pitch or shrink the grids")
+    span = rc.ref_pixels * rc.ref_pitch
+    need = core + 2.0 * SPAN_BLUR_SIGMAS * sigma
+    if span < need:
+        raise ConfigurationError(
+            f"the reference grid spans {span * 1e6:.1f} um, less than the Airy core "
+            f"2.44 wavelength path_length / source_diameter = {core * 1e6:.1f} um plus "
+            f"{2.0 * SPAN_BLUR_SIGMAS:g} sigma_blur = {(need - core) * 1e6:.1f} um, so the "
+            f"half-span must be at least {need / 2.0 * 1e6:.1f} um; raise ref_pixels or "
+            f"ref_pitch")
     return setup

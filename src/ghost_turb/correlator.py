@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, NoDetectionError, ValidationError
+from .errors import InsufficientDataError, NoDetectionError, ValidationError, require_positive
 from .optics import Grid2D
 
 # A peak must clear the image baseline by this many standard errors to
@@ -85,15 +85,16 @@ def point_mask(grid: Grid2D, position=(0.0, 0.0)) -> ObjectMask:
 def double_slit_mask(grid: Grid2D, slit_width: float, separation: float,
                      height: float) -> ObjectMask:
     """Two vertical slits, center-to-center separation, centered on origin."""
-    if slit_width <= 0 or separation <= 0 or height <= 0:
-        raise ValidationError("slit_width, separation and height must be > 0")
+    require_positive("slit_width", slit_width)
+    require_positive("separation", separation)
+    require_positive("height", height)
     return _bars(grid, (-separation / 2.0, separation / 2.0), slit_width, height)
 
 
 def three_bar_mask(grid: Grid2D, bar_width: float, height: float) -> ObjectMask:
     """Three vertical bars of the given width, spaced one width apart."""
-    if bar_width <= 0 or height <= 0:
-        raise ValidationError("bar_width and height must be > 0")
+    require_positive("bar_width", bar_width)
+    require_positive("height", height)
     return _bars(grid, (-2.0 * bar_width, 0.0, 2.0 * bar_width), bar_width, height)
 
 

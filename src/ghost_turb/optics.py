@@ -133,8 +133,8 @@ def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> N
     The farthest pixel of a grid from a subsource is one of the grid's
     corners, so the largest offset d costs O(M) per grid.
     """
-    corners = np.array([(x, y) for grid in grids for x in grid.span()[0]
-                        for y in grid.span()[1]])
+    spans = [grid.span() for grid in grids]
+    corners = np.array([(x, y) for xs, ys in spans for x in xs for y in ys])
     d2 = float(np.max(np.sum((positions[:, None, :] - corners[None, :, :]) ** 2, axis=-1)))
     phase = wavenumber * d2 * d2 / (8.0 * path_length**3)
     if phase > PARAXIAL_PHASE_LIMIT:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, require_positive
+from .errors import ConfigurationError, ValidationError, require_length, require_positive
 
 if TYPE_CHECKING:
     from .optics import OpticalConfig
@@ -128,17 +128,23 @@ def weighted_path_integral(profile: CnSquaredProfile) -> float:
     return total
 
 
+def _law_coefficient(wavelength: float) -> float:
+    """2.91 k^2, the rho0 law's coefficient: rho0 = (2.91 k^2 integral)^(-3/5)."""
+    require_positive("wavelength", wavelength)
+    k = 2.0 * math.pi / wavelength
+    return PHASE_STRUCTURE_COEFF * k * k
+
+
 def coherence_length(profile: CnSquaredProfile, wavelength: float) -> float:
     """Source-plane transverse coherence length rho0 in meters.
 
     Returns math.inf when the weighted integral vanishes (no turbulence).
     """
-    require_positive("wavelength", wavelength)
+    coeff = _law_coefficient(wavelength)
     integral = weighted_path_integral(profile)
     if integral == 0.0:
         return math.inf
-    k = 2.0 * math.pi / wavelength
-    return (PHASE_STRUCTURE_COEFF * k * k * integral) ** (-3.0 / 5.0)
+    return (coeff * integral) ** (-3.0 / 5.0)
 
 
 def weighted_path_integral_for(rho0: float, wavelength: float) -> float:
@@ -147,11 +153,9 @@ def weighted_path_integral_for(rho0: float, wavelength: float) -> float:
     The inverse of the rho0 law, rho0^(-5/3) / (2.91 k^2) in m^(1/3);
     0.0 for rho0 = math.inf (no turbulence).
     """
-    require_positive("wavelength", wavelength)
-    if math.isnan(rho0) or rho0 <= 0:
-        raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {rho0}")
-    k = 2.0 * math.pi / wavelength
-    return rho0 ** (-5.0 / 3.0) / (PHASE_STRUCTURE_COEFF * k * k)
+    coeff = _law_coefficient(wavelength)
+    require_length("rho0", rho0)
+    return rho0 ** (-5.0 / 3.0) / coeff
 
 
 @dataclass(frozen=True)
@@ -176,8 +180,7 @@ class TurbulenceModel:
     paths_independent: bool = True
 
     def __post_init__(self):
-        if math.isnan(self.rho0) or self.rho0 <= 0:
-            raise ValidationError(f"rho0 must be > 0 (math.inf for none), got {self.rho0}")
+        require_length("rho0", self.rho0)
         f = self.screen_position_fraction
         if f not in (0.0, 1.0):
             raise ValidationError(

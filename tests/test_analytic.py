@@ -8,8 +8,8 @@ import oracles
 from ghost_turb.analytic import (corrected_mds_lhs, immunity_criterion, mds_demo_rows,
                                  pair_coherence_factor, predicted_ghost_image)
 from ghost_turb.config import config_to_setup, load_config
-from ghost_turb.correlator import ObjectMask, point_mask, three_bar_mask
-from ghost_turb.errors import ValidationError
+from ghost_turb.correlator import ObjectMask, point_mask, psf_metrics, three_bar_mask
+from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
 from ghost_turb.simulate import RunSetup
 from ghost_turb.source import SubsourceSet, make_source_grid
@@ -331,6 +331,29 @@ def test_mds_rejects_a_leading_axis_other_than_4(which, shape):
         corrected_mds_lhs(**args)
 
 
+@pytest.mark.parametrize("mask", ["point", "open"])
+def test_every_admitted_width_is_within_two_percent_of_the_wide_grid_width(mask):
+    # The span rule's bias table: the closed-form FWHM on the default grid
+    # against a 200-pixel grid with a D/32 lattice, wide enough not to
+    # matter.  No admitted rho0 may be biased beyond 2%, a fifth of the
+    # default compare_tolerance.
+    admitted = []
+    for rho0_mm in (5.0, 3.0, 2.5, 2.2, 2.0, 1.9, 1.85, 1.8, 1.75, 1.7, 1.5, 1.2, 1.0):
+        overrides = {"rho0": repr(rho0_mm * 1e-3), "mask": mask}
+        try:
+            narrow = config_to_setup(load_config(None, overrides))
+        except ConfigurationError as exc:
+            assert "half-span must be at least" in str(exc)
+            continue
+        wide = config_to_setup(load_config(None, {**overrides, "ref_pixels": "200",
+                                                  "source_pitch": repr(11e-3 / 32)}))
+        got, want = (psf_metrics(predicted_ghost_image(s), s.ref_grid) for s in (narrow, wide))
+        assert abs(got.fwhm_x / want.fwhm_x - 1.0) <= 0.02, rho0_mm
+        assert abs(got.fwhm_y / want.fwhm_y - 1.0) <= 0.02, rho0_mm
+        admitted.append(rho0_mm)
+    assert 2.0 in admitted and 1.5 not in admitted
+
+
 def test_immunity_criterion_boundary():
     assert immunity_criterion(11e-3, 0.0497).immune
     assert immunity_criterion(11e-3, 0.0497).margin == pytest.approx(0.0497 / 11e-3)
@@ -342,5 +365,8 @@ def test_immunity_criterion_boundary():
 def test_immunity_criterion_validation():
     with pytest.raises(ValidationError):
         immunity_criterion(0.0, 0.05)
+    # An infinite source has no margin to any coherence length.
+    with pytest.raises(ValidationError, match="source diameter must be finite and > 0, got inf"):
+        immunity_criterion(math.inf, 1.0)
     with pytest.raises(ValidationError):
         immunity_criterion(11e-3, math.nan)

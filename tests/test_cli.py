@@ -15,7 +15,7 @@ from ghost_turb.analytic import mds_demo_rows, predicted_ghost_image
 from ghost_turb.cli import main
 from ghost_turb.config import (build_config, config_to_setup, load_config,
                                parse_config_text, parse_mask)
-from ghost_turb.errors import ConfigurationError
+from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.io_formats import read_pgm8
 from ghost_turb.optics import Grid2D
 from ghost_turb.simulate import BATCH_FRAMES
@@ -208,16 +208,23 @@ def test_non_paraxial_geometry_exits_2_without_output_directory(tmp_path, capsys
 
 
 @pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
-@pytest.mark.parametrize("pixels", [5, 9])
-def test_reference_grid_narrower_than_the_airy_core_exits_2(tmp_path, capsys, command, pixels):
+@pytest.mark.parametrize("setting, span, half", [
+    (["--set", "ref_pixels=5"], "60.0", "121.1"),
+    (["--set", "ref_pixels=9"], "108.0", "121.1"),
+    (["--rho0-mm", "1.5"], "768.0", "448.8"),
+], ids=["5", "9", "blur_1.5mm"])
+def test_reference_grid_narrower_than_the_airy_core_exits_2(tmp_path, capsys, command,
+                                                            setting, span, half):
     # 5 and 9 px of 12 um would report FWHMs of about 35 and 70 um for a
-    # 103 um image; the core is 2.44 wavelength L / D = 242.2 um.
+    # 103 um image; the core is 2.44 wavelength L / D = 242.2 um.  At
+    # 1.5 mm the default 768 um grid holds only 1.60 sigma_blur (163.9 um)
+    # past the Airy radius, and the width it reports is 4% low.
     outdir = tmp_path / "out"
-    assert main([command, "--set", f"ref_pixels={pixels}", "--frames", "64",
-                 "--out", str(outdir)]) == 2
+    assert main([command, *setting, "--frames", "64", "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
-    assert f"spans {pixels * 12.0:.1f} um, less than the Airy core" in err
+    assert f"spans {span} um, less than the Airy core" in err
     assert "= 242.2 um" in err
+    assert f"half-span must be at least {half} um; raise ref_pixels or ref_pitch" in err
     assert not outdir.exists()
 
 
@@ -565,7 +572,7 @@ def test_config_record_keeps_its_run_json_names():
 def test_sweep_parsing():
     rc = load_config(None, {"rho0_sweep_mm": "2, 5, 10, inf"})
     assert rc.rho0_sweep == (2e-3, 5e-3, 10e-3, math.inf)
-    with pytest.raises(ConfigurationError, match="positive"):
+    with pytest.raises(ValidationError, match="rho0_sweep_mm must be > 0"):
         load_config(None, {"rho0_sweep_mm": "-3"})
 
 
@@ -637,9 +644,10 @@ def test_invalid_coherence_length_exits_2_and_names_its_key(capsys, key, value):
     assert capsys.readouterr().err.startswith(f"error: {key}")
 
 
-@pytest.mark.parametrize("key, value", [("wavelength", "-1"), ("path_length", "0")])
+@pytest.mark.parametrize("key, value", [("wavelength", "-1"), ("path_length", "0"),
+                                        ("source_power", "-1"), ("compare_tolerance", "0")])
 def test_invalid_optics_exits_2_and_names_its_key(capsys, key, value):
-    # OpticalConfig's own rule, so the error names the one bad key.
+    # One rule, errors.require_positive, so the error names the one bad key.
     assert main(["rho0", "--set", f"{key}={value}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} must be finite and > 0, got {float(value)}")
@@ -666,6 +674,13 @@ def test_invalid_profile_exits_2_and_names_its_key(tmp_path, capsys, key, text, 
             value.write_text(text)
     assert main(["rho0", "--set", f"{key}={value}"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_profile_section_error_names_the_line_in_the_config_file(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 1\n\n[profile]\n# lower half\n0 1.4\n")
+    assert main(["rho0", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: profile: profile line 5 needs 3 columns")
 
 
 def test_parse_mask_forms(tmp_path):

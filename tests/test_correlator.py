@@ -84,6 +84,18 @@ def test_three_bar_mask_geometry():
         three_bar_mask(g, bar_width=-1.0, height=1e-4)
 
 
+@pytest.mark.parametrize("name, build", [
+    ("slit_width", lambda g: double_slit_mask(g, slit_width=-1.0, separation=1e-4, height=1e-4)),
+    ("separation", lambda g: double_slit_mask(g, slit_width=1e-5, separation=-1.0, height=1e-4)),
+    ("height", lambda g: double_slit_mask(g, slit_width=1e-5, separation=1e-4, height=-1.0)),
+    ("bar_width", lambda g: three_bar_mask(g, bar_width=-1.0, height=1e-4)),
+    ("height", lambda g: three_bar_mask(g, bar_width=1e-5, height=-1.0)),
+], ids=["slit_width", "separation", "slit_height", "bar_width", "bar_height"])
+def test_bar_mask_error_names_the_bad_dimension(name, build):
+    with pytest.raises(ValidationError, match=f"^{name} must be finite and > 0, got -1.0$"):
+        build(Grid2D.centered(21, 21, 10e-6))
+
+
 def test_bucket_signal_manual(rng):
     g = Grid2D.centered(6, 6, 2e-5)
     vals = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

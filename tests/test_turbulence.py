@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from ghost_turb.analytic import immunity_criterion
+from ghost_turb.config import build_config
 from ghost_turb.errors import ConfigurationError, ValidationError
 from ghost_turb.turbulence import (CnSquaredProfile, TurbulenceModel, coherence_length,
                                    weighted_path_integral, weighted_path_integral_for)
@@ -135,6 +137,30 @@ def test_inverse_rho0_law_of_no_turbulence_is_zero():
 def test_inverse_rho0_law_rejects_bad_inputs(rho0, wavelength):
     with pytest.raises(ValidationError):
         weighted_path_integral_for(rho0, wavelength)
+
+
+# Every entry point of the coherence-length rule, errors.require_length.
+RHO0_ENTRY_POINTS = {
+    "TurbulenceModel": lambda rho0: TurbulenceModel(rho0=rho0),
+    "weighted_path_integral_for": lambda rho0: weighted_path_integral_for(rho0, LAM),
+    "immunity_criterion": lambda rho0: immunity_criterion(11e-3, rho0),
+    "build_config_rho0": lambda rho0: build_config({"rho0": repr(rho0)}),
+    "build_config_sweep": lambda rho0: build_config({"rho0_sweep_mm": f"2,{rho0!r}"}),
+}
+
+
+@pytest.mark.parametrize("rho0", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("entry", RHO0_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_bad_coherence_length_with_one_text(entry, rho0):
+    name = "rho0_sweep_mm" if entry == "build_config_sweep" else "rho0"
+    cls, text = ValidationError, f"{name} must be > 0 (inf for no turbulence), got {rho0}"
+    if entry.startswith("build_config") and math.isnan(rho0):
+        # A config value is a finite number before it is a length.
+        cls, text = ConfigurationError, f"{name}: expected a finite number, got 'nan'"
+    with pytest.raises(ValueError) as caught:
+        RHO0_ENTRY_POINTS[entry](rho0)
+    assert type(caught.value) is cls
+    assert str(caught.value) == text
 
 
 def test_coherence_length_rejects_bad_wavelength():
