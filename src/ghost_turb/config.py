@@ -29,13 +29,14 @@ _RHO0_FAMILY = {"rho0": "explicit", "cn2": "cn2_uniform",
                 "cn2_profile": "cn2_profile", "profile": "inline_profile"}
 
 # Turbulent blur widths (sigma_blur) that the reference grid's half-span
-# must reach past the Airy radius.  On the default 64 x 12 um grid the
-# closed-form FWHM, against a grid wide enough not to matter, is biased
-# by -1.4% (open mask) at margin 2.00 and by -2.0% at margin 1.87, so 2
-# keeps every admitted width there within 2%, a fifth of the default
-# compare_tolerance.  The bias at a given margin grows with sigma_blur
-# over the Airy radius: -2.5% at margin 2 on a 100-pixel grid.
-SPAN_BLUR_SIGMAS = 2.0
+# must reach, added in quadrature to the Airy radius.  The half-span
+# hypot(r_airy, Z sigma_blur) is 2.75 hypot(1.056 sigma_a, sigma_blur),
+# with sigma_a = 0.42 wavelength L / D the Airy core's Gaussian
+# equivalent.  The closed-form FWHM against a grid 3x as wide is biased
+# by at most -1.71% at this edge on seven grids from 48 x 12 um to
+# 100 x 12 um, for the point and open masks, so every admitted width
+# stays within 2%, a fifth of the default compare_tolerance.
+SPAN_BLUR_Z = 2.75
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -348,19 +349,19 @@ def config_to_setup(rc: RunConfig) -> RunSetup:
     check, which a short path fails first.
 
     The reference grid must then hold the blurred peak: its half-span
-    must reach SPAN_BLUR_SIGMAS sigma_blur past the Airy radius, so it
-    spans at least the Airy core 2.44 wavelength L / source_diameter
-    plus 2 SPAN_BLUR_SIGMAS sigma_blur.  On a narrower grid the border
-    baseline of psf_metrics lies on the peak's wings, and every width
-    measured there is biased low.
+    must be at least hypot(r_airy, SPAN_BLUR_Z sigma_blur), the Airy
+    radius r_airy = 1.22 wavelength L / source_diameter widened by the
+    blur in quadrature; in vacuum, a grid as wide as the Airy core.  On
+    a narrower grid the border baseline of psf_metrics lies on the
+    peak's wings, and every width measured there is biased low.
     """
     setup = RunSetup(cfg=rc.optical(), sources=rc.subsources(), model=rc.turbulence(),
                      mask=parse_mask(rc.mask, rc.object_grid()), ref_grid=rc.reference_grid(),
                      frames=rc.frames, seed=rc.seed, workers=rc.workers)
-    core = 2.44 * rc.wavelength * rc.path_length / rc.source_diameter
+    r_airy = 1.22 * rc.wavelength * rc.path_length / rc.source_diameter
     sigma = setup.model.blur_sigma(setup.cfg)
     period = rc.wavelength * rc.path_length / rc.source_pitch
-    reach = core / 2.0 + 3.0 * sigma
+    reach = r_airy + 3.0 * sigma
     offset = max(max(ref[1] - box[0], box[1] - ref[0])
                  for ref, box in zip(setup.ref_grid.span(), setup.mask.support.grid.span()))
     if period - reach <= offset:
@@ -372,12 +373,12 @@ def config_to_setup(rc: RunConfig) -> RunSetup:
             f"max |x_p - x_b| = {offset * 1e6:.1f} um between the reference pixels and "
             f"the mask's transmissive pixels; lower source_pitch or shrink the grids")
     span = rc.ref_pixels * rc.ref_pitch
-    need = core + 2.0 * SPAN_BLUR_SIGMAS * sigma
-    if span < need:
+    need = math.hypot(r_airy, SPAN_BLUR_Z * sigma)
+    if span / 2.0 < need:
         raise ConfigurationError(
             f"the reference grid spans {span * 1e6:.1f} um, less than the Airy core "
-            f"2.44 wavelength path_length / source_diameter = {core * 1e6:.1f} um plus "
-            f"{2.0 * SPAN_BLUR_SIGMAS:g} sigma_blur = {(need - core) * 1e6:.1f} um, so the "
-            f"half-span must be at least {need / 2.0 * 1e6:.1f} um; raise ref_pixels or "
-            f"ref_pitch")
+            f"2.44 wavelength path_length / source_diameter = {2.0 * r_airy * 1e6:.1f} um "
+            f"widened in quadrature by {2.0 * SPAN_BLUR_Z:g} sigma_blur = "
+            f"{2.0 * SPAN_BLUR_Z * sigma * 1e6:.1f} um, so the half-span must be at least "
+            f"{need * 1e6:.1f} um; raise ref_pixels or ref_pitch")
     return setup

@@ -1,11 +1,12 @@
 """Batched ghost imaging runs.
 
 Frames run in whole batches of BATCH_FRAMES, and every buffer of the
-frame loop holds one batch.  A batch draws its subsource amplitudes
-and, when independent source-plane screens are on, one relative
-screen's two tilt normals per frame, as frame-major blocks, each from
-one generator keyed (seed, batch_index, stream), so a frame's draws do
-not depend on the run's length.  A run whose length is not a multiple
+frame loop holds one batch.  A batch draws from one generator, keyed
+by the seed and the batch index: its subsource amplitudes as a
+frame-major block, then, only when independent source-plane screens are
+on, one relative screen's two tilt normals per frame.  So a frame's
+draws do not depend on the run's length, and a turbulent batch's
+amplitudes are the vacuum batch's.  A run whose length is not a multiple
 of BATCH_FRAMES computes its last batch whole and adds only the frames
 before its end.  A batch propagates with the separable lattice form of
 the Fresnel kernel (the only propagation path) in real arithmetic on
@@ -40,7 +41,7 @@ which is a screen at the configured pair rho0.
 
 The relative screen's structure function is the square law
 2 r^2 / rho0^2 exactly, so it is a random tilt g: two standard normals
-per frame, times TurbulenceModel.tilt_std (FramePipeline.tilts).  The
+per frame, times TurbulenceModel.tilt_std (FramePipeline.batch).  The
 pipeline applies it to the amplitudes as one factor per lattice column
 and one per row, exactly at every subsource, and the reference frame is
 the vacuum frame moved by g L / k.  Coupled paths
@@ -72,12 +73,8 @@ from .correlator import MIN_FRAMES, GhostImageEstimate, GhostImageResult, Object
 from .errors import ValidationError
 from .optics import (Grid2D, LatticeFold, LatticePropagator, OpticalConfig, check_paraxial,
                      intensity_moments)
-from .source import (BATCH_FRAMES, RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
-                     draw_amplitudes)
+from .source import BATCH_FRAMES, SubsourceSet, batch_generator, draw_amplitudes
 from .turbulence import TurbulenceModel
-
-# Stream of the per-batch relative screen draws (the source module owns 1).
-RNG_DOMAIN_SCREEN = 2
 
 # Batches per merge unit: the work of one pool task, and of one merge.
 UNIT_BATCHES = 16
@@ -146,18 +143,6 @@ class FramePipeline:
         # the intensities; their difference has the configured pair rho0.
         self.tilt_std = setup.model.tilt_std
 
-    def tilts(self, index: int) -> np.ndarray | None:
-        """The relative screen's tilts g (B, 2) of batch index, in rad/m, or None.
-
-        Frame i's tilt is the batch's screen generator's normals 2i and
-        2i + 1 times tilt_std.  None when tilt_std is 0: no screen is
-        drawn.
-        """
-        if self.tilt_std == 0.0:
-            return None
-        rng = batch_generator(self.setup.seed, index, RNG_DOMAIN_SCREEN)
-        return self.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
-
     def batch(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (B,) and reference moments [I; I^2] (2, ny, nx, B) of one batch.
 
@@ -165,15 +150,20 @@ class FramePipeline:
         (index + 1) * B - 1 whatever the run's length; frame i of the
         batch is the last index i.  The moments are a view of a buffer
         that the next call overwrites.
+
+        The batch's one generator draws the amplitudes, then, when
+        tilt_std is not 0, the relative screen's tilts g (B, 2) in rad/m:
+        frame i's tilt is normals 2i and 2i + 1 of those drawn after the
+        amplitudes, times tilt_std.
         """
         setup = self.setup
-        rng = batch_generator(setup.seed, index, RNG_DOMAIN_SOURCE)
+        rng = batch_generator(setup.seed, index)
         amps = draw_amplitudes(setup.sources, rng, BATCH_FRAMES)
         folded = self.fold(amps)
         intensity = intensity_moments(self.box(folded))[0]
         buckets = self._weights @ intensity.reshape(self._weights.size, -1)
-        tilts = self.tilts(index)
-        if tilts is not None:
+        if self.tilt_std != 0.0:
+            tilts = self.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
             # Node m times exp(i g . (u[ix[m]], v[iy[m]])), its offset from
             # the centre of the lattice's box, read from the lattice the fold
             # reads: the frame's constant exp(i g . centre) is left out, as no

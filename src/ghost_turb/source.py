@@ -6,10 +6,11 @@ SubsourceSet.lags of its lag spectrum.
 Each frame draws one circular complex Gaussian amplitude per subsource
 (zero mean, variance mean_power per subsource, independent between
 subsources and frames).  Draws are keyed per batch: frames
-[b * BATCH_FRAMES, (b + 1) * BATCH_FRAMES) come from one generator keyed
-(seed, b, stream), drawn frame-major, so frame i's numbers are row
-i % BATCH_FRAMES of its batch block whatever the run length, worker
-count or order of evaluation.
+[b * BATCH_FRAMES, (b + 1) * BATCH_FRAMES) draw everything they need
+from one generator keyed (seed, b, RNG_DOMAIN_SOURCE), amplitudes first
+and frame-major, so frame i's amplitudes are row i % BATCH_FRAMES of its
+batch block whatever the run length, worker count or order of
+evaluation.
 """
 
 from __future__ import annotations
@@ -22,21 +23,21 @@ import numpy as np
 
 from .errors import ValidationError, require_positive
 
-# Stream tag separating source-amplitude draws from other consumers of
-# the same run seed.
+# Key tag separating a run's frame draws from other consumers of the
+# same run seed.
 RNG_DOMAIN_SOURCE = 1
 
-# Frames per draw block: one generator per (seed, batch, stream).  The
-# frame pipeline also uses it as its GEMM block; simulate.UNIT_BATCHES
-# batches make a merge unit.
+# Frames per draw block: one generator per (seed, batch).  The frame
+# pipeline also uses it as its GEMM block; simulate.UNIT_BATCHES batches
+# make a merge unit.
 BATCH_FRAMES = 32
 
 
-def batch_generator(seed: int, batch_index: int, stream: int) -> np.random.Generator:
-    """Generator of one batch's draws for one stream."""
+def batch_generator(seed: int, batch_index: int) -> np.random.Generator:
+    """Generator of all of one batch's draws."""
     if seed < 0 or batch_index < 0:
         raise ValidationError(f"seed and batch index must be >= 0, got {seed}, {batch_index}")
-    return np.random.default_rng((int(seed), int(batch_index), int(stream)))
+    return np.random.default_rng((int(seed), int(batch_index), RNG_DOMAIN_SOURCE))
 
 
 @dataclass(frozen=True, eq=False)

@@ -331,27 +331,39 @@ def test_mds_rejects_a_leading_axis_other_than_4(which, shape):
         corrected_mds_lhs(**args)
 
 
+# The span rule's bias table: reference grids (pixels, pitch in um) and
+# the rho0 in mm, to 1 um, at which the rule's edge lies on each.
+SPAN_GRIDS = [(48, 12, 2.587), (64, 8, 2.997), (64, 12, 1.855), (128, 6, 1.855),
+              (80, 12, 1.455), (64, 16, 1.359), (100, 12, 1.150)]
+
+
 @pytest.mark.parametrize("mask", ["point", "open"])
-def test_every_admitted_width_is_within_two_percent_of_the_wide_grid_width(mask):
-    # The span rule's bias table: the closed-form FWHM on the default grid
-    # against a 200-pixel grid with a D/32 lattice, wide enough not to
-    # matter.  No admitted rho0 may be biased beyond 2%, a fifth of the
-    # default compare_tolerance.
+@pytest.mark.parametrize("pixels, pitch_um, edge_mm", SPAN_GRIDS,
+                         ids=[f"{n}x{p}" for n, p, _ in SPAN_GRIDS])
+def test_every_admitted_width_is_within_two_percent_of_the_wide_grid_width(mask, pixels,
+                                                                          pitch_um, edge_mm):
+    # The closed-form FWHM, mean of x and y, on the D/16 lattice against a
+    # grid 3x as wide at the same pitch with a D/64 lattice, wide enough
+    # not to matter.  No admitted rho0 may be biased beyond 2%, a fifth of
+    # the default compare_tolerance, and the rule admits exactly the rho0
+    # above its edge.
+    grid = {"ref_pixels": str(pixels), "ref_pitch": repr(pitch_um * 1e-6), "mask": mask}
+    tried = (edge_mm + 0.001, edge_mm - 0.001, 2.0, 1.5)
     admitted = []
-    for rho0_mm in (5.0, 3.0, 2.5, 2.2, 2.0, 1.9, 1.85, 1.8, 1.75, 1.7, 1.5, 1.2, 1.0):
-        overrides = {"rho0": repr(rho0_mm * 1e-3), "mask": mask}
+    for rho0_mm in tried:
+        overrides = {**grid, "rho0": repr(rho0_mm * 1e-3)}
         try:
             narrow = config_to_setup(load_config(None, overrides))
         except ConfigurationError as exc:
             assert "half-span must be at least" in str(exc)
             continue
-        wide = config_to_setup(load_config(None, {**overrides, "ref_pixels": "200",
-                                                  "source_pitch": repr(11e-3 / 32)}))
+        wide = config_to_setup(load_config(None, {**overrides, "ref_pixels": str(3 * pixels),
+                                                  "source_pitch": repr(11e-3 / 64)}))
         got, want = (psf_metrics(predicted_ghost_image(s), s.ref_grid) for s in (narrow, wide))
-        assert abs(got.fwhm_x / want.fwhm_x - 1.0) <= 0.02, rho0_mm
-        assert abs(got.fwhm_y / want.fwhm_y - 1.0) <= 0.02, rho0_mm
+        bias = (got.fwhm_x + got.fwhm_y) / (want.fwhm_x + want.fwhm_y) - 1.0
+        assert abs(bias) <= 0.02, rho0_mm
         admitted.append(rho0_mm)
-    assert 2.0 in admitted and 1.5 not in admitted
+    assert admitted == [rho0_mm for rho0_mm in tried if rho0_mm > edge_mm]
 
 
 def test_immunity_criterion_boundary():

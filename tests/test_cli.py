@@ -211,14 +211,16 @@ def test_non_paraxial_geometry_exits_2_without_output_directory(tmp_path, capsys
 @pytest.mark.parametrize("setting, span, half", [
     (["--set", "ref_pixels=5"], "60.0", "121.1"),
     (["--set", "ref_pixels=9"], "108.0", "121.1"),
-    (["--rho0-mm", "1.5"], "768.0", "448.8"),
-], ids=["5", "9", "blur_1.5mm"])
+    (["--rho0-mm", "1.5"], "768.0", "466.6"),
+    (["--set", "ref_pixels=100", "--rho0-mm", "1.05"], "1200.0", "655.0"),
+], ids=["5", "9", "blur_1.5mm", "wide_1.05mm"])
 def test_reference_grid_narrower_than_the_airy_core_exits_2(tmp_path, capsys, command,
                                                             setting, span, half):
     # 5 and 9 px of 12 um would report FWHMs of about 35 and 70 um for a
     # 103 um image; the core is 2.44 wavelength L / D = 242.2 um.  At
-    # 1.5 mm the default 768 um grid holds only 1.60 sigma_blur (163.9 um)
-    # past the Airy radius, and the width it reports is 4% low.
+    # 1.5 mm the default grid's half-span of 384 um is short of the Airy
+    # radius and 2.75 sigma_blur (163.9 um) in quadrature, and the width
+    # it reports is 4% low.  100 px at 1.05 mm would report one 2.3% low.
     outdir = tmp_path / "out"
     assert main([command, *setting, "--frames", "64", "--out", str(outdir)]) == 2
     err = capsys.readouterr().err

@@ -14,10 +14,9 @@ from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
 from oracles import (PER_PATH_RHO0_FACTOR, add_frame, bucket_signals, intensity,
                      per_path_screen_model, propagate_subsources, unchirped)
-from ghost_turb.simulate import (BATCH_FRAMES, RNG_DOMAIN_SCREEN, UNIT_BATCHES, FramePipeline,
-                                 RunSetup, _openblas, merge_units, one_blas_thread, run_simulation)
-from ghost_turb.source import (RNG_DOMAIN_SOURCE, SubsourceSet, batch_generator,
-                               draw_amplitudes, make_source_grid)
+from ghost_turb.simulate import (BATCH_FRAMES, UNIT_BATCHES, FramePipeline, RunSetup, _openblas,
+                                 merge_units, one_blas_thread, run_simulation)
+from ghost_turb.source import SubsourceSet, batch_generator, draw_amplitudes, make_source_grid
 from ghost_turb.turbulence import TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -108,7 +107,7 @@ def _manual_run(setup):
     """
     pos = setup.sources.positions
     amps = unchirped(np.concatenate([
-        draw_amplitudes(setup.sources, batch_generator(setup.seed, b, RNG_DOMAIN_SOURCE),
+        draw_amplitudes(setup.sources, batch_generator(setup.seed, b),
                         BATCH_FRAMES)[:setup.frames - start]
         for b, start in enumerate(range(0, setup.frames, BATCH_FRAMES))]), pos, CFG)
     est = GhostImageEstimate(setup.ref_grid)
@@ -176,12 +175,23 @@ def test_cropped_support_buckets_equal_full_grid_buckets(name):
                                                  "edge": 6}[name]
     buckets, _ = pipeline.batch(0)
     amps = unchirped(draw_amplitudes(
-        setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE), BATCH_FRAMES),
+        setup.sources, batch_generator(setup.seed, 0), BATCH_FRAMES),
         setup.sources.positions, CFG)
     for i in range(BATCH_FRAMES):
         obj = propagate_subsources(amps[i], setup.sources.positions, grid, CFG)
         assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), mask)),
                                            rel=1e-12)
+
+
+def _batch_draws(setup, index=0):
+    """A batch's amplitudes (B, M) and its relative screen's tilts (B, 2).
+
+    Both come from the batch's one generator: the amplitudes, then
+    tilt_std times the next 2 B normals, frame-major.
+    """
+    rng = batch_generator(setup.seed, index)
+    amps = draw_amplitudes(setup.sources, rng, BATCH_FRAMES)
+    return amps, setup.model.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
 
 
 DISC = make_source_grid(11e-3, 11e-3 / 16.0)
@@ -223,10 +233,8 @@ def test_turbulent_engine_matches_manual_screen_loop(case):
     setup = _tilted_setup(case)
     buckets, moments = FramePipeline(setup).batch(0)
     pos = setup.sources.positions
-    amps = unchirped(draw_amplitudes(
-        setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE), setup.frames), pos, CFG)
-    tilts = setup.model.tilt_std * batch_generator(
-        setup.seed, 0, RNG_DOMAIN_SCREEN).standard_normal((5, 2))
+    drawn, tilts = _batch_draws(setup)
+    amps = unchirped(drawn, pos, CFG)
     for i in range(setup.frames):
         screen = pos @ tilts[i]
         obj = propagate_subsources(amps[i], pos, setup.mask.grid, CFG)
@@ -292,11 +300,8 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
     pipeline = _default_turbulent_pipeline(overrides)
     setup = pipeline.setup
     _, moments = pipeline.batch(0)
-    amps = unchirped(draw_amplitudes(
-        setup.sources, batch_generator(setup.seed, 0, RNG_DOMAIN_SOURCE), BATCH_FRAMES),
-        setup.sources.positions, setup.cfg)
-    tilts = pipeline.tilt_std * batch_generator(
-        setup.seed, 0, RNG_DOMAIN_SCREEN).standard_normal((BATCH_FRAMES, 2))
+    drawn, tilts = _batch_draws(setup)
+    amps = unchirped(drawn, setup.sources.positions, setup.cfg)
     shifts = tilts * setup.cfg.path_length / setup.cfg.wavenumber
     cx, cy = setup.ref_grid.center
     for i in range(BATCH_FRAMES):
@@ -305,18 +310,52 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
         assert _close(moments[0, ..., i], intensity(vacuum))
 
 
-def test_screen_tilts_are_tilt_std_times_the_screen_stream():
-    # A frame's screen is the next two standard normals of its batch's
-    # screen generator, in frame order, times tilt_std, and the same
-    # batch draws the same bits.
-    pipeline = FramePipeline(_setup(rho0=5e-3, frames=2 * BATCH_FRAMES))
-    assert pipeline.tilt_std == math.sqrt(2.0) / 5e-3
-    tilts = pipeline.tilts(1)
-    normals = batch_generator(pipeline.setup.seed, 1, RNG_DOMAIN_SCREEN).standard_normal(
-        2 * BATCH_FRAMES)
-    assert np.array_equal(tilts, pipeline.tilt_std * normals.reshape(BATCH_FRAMES, 2))
-    assert np.array_equal(FramePipeline(pipeline.setup).tilts(1), tilts)
-    assert not np.array_equal(pipeline.tilts(0), tilts)
+def _record_generators(monkeypatch):
+    """The generators that FramePipeline.batch builds, in order, with their batch indices."""
+    built = []
+
+    def recording(seed, index):
+        built.append((index, batch_generator(seed, index)))
+        return built[-1][1]
+
+    monkeypatch.setattr(simulate, "batch_generator", recording)
+    return built
+
+
+@pytest.mark.parametrize("rho0, fraction, independent, normals", [
+    (5e-3, 0.0, True, 2 * BATCH_FRAMES), (math.inf, 0.0, True, 0),
+    (5e-3, 0.0, False, 0), (5e-3, 1.0, True, 0),
+], ids=["independent", "vacuum", "coupled", "detector"])
+def test_screen_tilts_are_tilt_std_times_the_normals_after_the_amplitudes(
+        monkeypatch, rho0, fraction, independent, normals):
+    # A batch's generator draws its amplitudes, then, only with
+    # independent source-plane screens, tilt_std times 2 B normals for
+    # the relative screen (their values are checked against the manual
+    # screen loop), and nothing else.
+    built = _record_generators(monkeypatch)
+    setup = _setup(rho0=rho0, fraction=fraction, paths_independent=independent,
+                   frames=2 * BATCH_FRAMES)
+    pipeline = FramePipeline(setup)
+    assert pipeline.tilt_std == (math.sqrt(2.0) / 5e-3 if normals else 0.0)
+    buckets, moments = pipeline.batch(1)
+    ((index, used),) = built
+    rng = batch_generator(setup.seed, 1)
+    rng.standard_normal((BATCH_FRAMES, setup.sources.count, 2))
+    rng.standard_normal(normals)
+    assert index == 1
+    assert used.bit_generator.state == rng.bit_generator.state
+    # The same batch draws the same bits; another batch does not.
+    again = FramePipeline(setup).batch(1)
+    assert np.array_equal(again[0], buckets)
+    assert np.array_equal(again[1], moments)
+    assert not np.array_equal(pipeline.batch(0)[0], buckets)
+
+
+@pytest.mark.parametrize("rho0", [5e-3, math.inf], ids=["turbulent", "vacuum"])
+def test_a_batch_builds_exactly_one_generator(monkeypatch, rho0):
+    built = _record_generators(monkeypatch)
+    run_simulation(_setup(rho0=rho0, frames=2 * BATCH_FRAMES + 5))
+    assert [index for index, _ in built] == [0, 1, 2]
 
 
 def test_relative_screen_weights_are_the_closed_form_weights():
@@ -364,7 +403,6 @@ def test_frames_of_a_batch_do_not_depend_on_its_length():
     whole_buckets, whole_moments = whole.batch(1)
     assert np.array_equal(buckets, whole_buckets)
     assert np.array_equal(moments, whole_moments)
-    assert np.array_equal(short.tilts(1), whole.tilts(1))
 
 
 def test_shared_screen_when_paths_coupled():
@@ -372,7 +410,6 @@ def test_shared_screen_when_paths_coupled():
     # so none is drawn and the frames are the vacuum frames.
     coupled = FramePipeline(_setup(rho0=5e-3, frames=BATCH_FRAMES, paths_independent=False))
     assert coupled.tilt_std == 0.0
-    assert coupled.tilts(0) is None
     buckets, moments = coupled.batch(0)
     moments = moments.copy()
     vacuum = FramePipeline(_setup(frames=BATCH_FRAMES))
@@ -462,3 +499,21 @@ def test_source_plane_screen_changes_the_result():
     turb = run_simulation(_setup(rho0=2e-3, fraction=0.0, frames=40, seed=3))
     vac = run_simulation(_setup(rho0=math.inf, fraction=0.0, frames=40, seed=3))
     assert not np.array_equal(turb.result.ghost, vac.result.ghost)
+
+
+@pytest.mark.parametrize("mask", ["point", "open"])
+@pytest.mark.parametrize("rho0", [math.inf, 2e-3], ids=["vacuum", "2mm"])
+def test_image_depends_on_diameter_and_rho0_only_through_their_ratio(mask, rho0):
+    # Doubling D and rho0 and halving both grid pitches (source_pitch
+    # stays D / 16) keeps every phase of every frame: the maps scale by
+    # exactly 1/4, with the bucket's pixel area, and the closed form, which
+    # has no pixel area, not at all.
+    base = {"seed": "7", "frames": "512", "mask": mask, "rho0": repr(rho0)}
+    rc = load_config(None, base)
+    scaled = {**base, "source_diameter": repr(2 * rc.source_diameter), "rho0": repr(2 * rho0),
+              "object_pitch": repr(rc.object_pitch / 2), "ref_pitch": repr(rc.ref_pitch / 2)}
+    setups = [config_to_setup(load_config(None, overrides)) for overrides in (base, scaled)]
+    unscaled, doubled = (run_simulation(setup).result for setup in setups)
+    assert np.array_equal(4 * doubled.ghost, unscaled.ghost)
+    assert np.array_equal(4 * doubled.stderr, unscaled.stderr)
+    assert np.array_equal(*(predicted_ghost_image(setup) for setup in setups))
