@@ -11,8 +11,8 @@ the files and maps exceptions to exit codes.  Every run.json record,
 CSV row and printed line it writes comes from report.py.
 
 Exit codes: 0 success, 1 comparison outside tolerance, 2 bad
-configuration or inputs, 3 result undecidable (no significant peak or
-not enough frames).
+configuration or inputs, or an OS error on an input or output path,
+3 result undecidable (no significant peak or not enough frames).
 """
 
 from __future__ import annotations
@@ -177,8 +177,7 @@ def main(argv=None) -> int:
         # only leave idle BLAS threads spinning.
         with one_blas_thread():
             return args.func(args)
-    except (ConfigurationError, ValidationError, FileNotFoundError, FileExistsError,
-            NotADirectoryError) as exc:
+    except (ConfigurationError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NoDetectionError, InsufficientDataError) as exc:

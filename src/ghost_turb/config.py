@@ -16,7 +16,7 @@ from pathlib import Path
 from .correlator import ObjectMask, double_slit_mask, point_mask, three_bar_mask
 from .errors import ConfigurationError, require_length, require_positive
 from .optics import Grid2D, OpticalConfig
-from .simulate import RunSetup, check_run
+from .simulate import RunSetup, check_run, check_sampling
 from .source import SubsourceSet, make_source_grid
 from .turbulence import CnSquaredProfile, TurbulenceModel, coherence_length
 
@@ -27,16 +27,6 @@ from .turbulence import CnSquaredProfile, TurbulenceModel, coherence_length
 # others from the file.
 _RHO0_FAMILY = {"rho0": "explicit", "cn2": "cn2_uniform",
                 "cn2_profile": "cn2_profile", "profile": "inline_profile"}
-
-# Turbulent blur widths (sigma_blur) that the reference grid's half-span
-# must reach, added in quadrature to the Airy radius.  The half-span
-# hypot(r_airy, Z sigma_blur) is 2.75 hypot(1.056 sigma_a, sigma_blur),
-# with sigma_a = 0.42 wavelength L / D the Airy core's Gaussian
-# equivalent.  The closed-form FWHM against a grid 3x as wide is biased
-# by at most -1.71% at this edge on seven grids from 48 x 12 um to
-# 100 x 12 um, for the point and open masks, so every admitted width
-# stays within 2%, a fifth of the default compare_tolerance.
-SPAN_BLUR_Z = 2.75
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -324,14 +314,7 @@ def parse_mask(spec: str, grid: Grid2D) -> ObjectMask:
         if name == "open":
             return ObjectMask(grid=grid, transmissivity=np.ones((grid.ny, grid.nx)))
         if name == "pgm":
-            trans = io_formats.read_pgm8(args.strip())
-            if trans.shape != (grid.ny, grid.nx):
-                raise ConfigurationError(
-                    f"mask PGM is {trans.shape[1]}x{trans.shape[0]} but the object "
-                    f"grid is {grid.nx}x{grid.ny}")
-            return ObjectMask(grid=grid, transmissivity=trans)
-    except ConfigurationError:
-        raise
+            return ObjectMask(grid=grid, transmissivity=io_formats.read_pgm8(args.strip()))
     except (ValueError, OSError) as exc:
         raise ConfigurationError(f"bad mask spec {spec!r}: {exc}") from None
     raise ConfigurationError(f"unknown mask type {name!r} in {spec!r}")
@@ -340,45 +323,12 @@ def parse_mask(spec: str, grid: Grid2D) -> ObjectMask:
 def config_to_setup(rc: RunConfig) -> RunSetup:
     """Materialize the simulation inputs described by a RunConfig.
 
-    The source lattice must not alias.  Its image repeats every period
-    wavelength L / source_pitch on each axis, and each replica reaches
-    1.22 wavelength L / source_diameter (the Airy first zero) plus
-    3 sigma_blur (the turbulent blur) from its centre.  A replica must
-    not reach any offset x_p - x_b between a reference pixel and a pixel
-    of the mask's transmissive box.  Checked after RunSetup's paraxial
-    check, which a short path fails first.
-
-    The reference grid must then hold the blurred peak: its half-span
-    must be at least hypot(r_airy, SPAN_BLUR_Z sigma_blur), the Airy
-    radius r_airy = 1.22 wavelength L / source_diameter widened by the
-    blur in quadrature; in vacuum, a grid as wide as the Airy core.  On
-    a narrower grid the border baseline of psf_metrics lies on the
-    peak's wings, and every width measured there is biased low.
+    RunSetup refuses a geometry that is not paraxial, and check_sampling
+    then an aliased lattice or a reference grid too narrow for the
+    blurred peak (see simulate).
     """
     setup = RunSetup(cfg=rc.optical(), sources=rc.subsources(), model=rc.turbulence(),
                      mask=parse_mask(rc.mask, rc.object_grid()), ref_grid=rc.reference_grid(),
                      frames=rc.frames, seed=rc.seed, workers=rc.workers)
-    r_airy = 1.22 * rc.wavelength * rc.path_length / rc.source_diameter
-    sigma = setup.model.blur_sigma(setup.cfg)
-    period = rc.wavelength * rc.path_length / rc.source_pitch
-    reach = r_airy + 3.0 * sigma
-    offset = max(max(ref[1] - box[0], box[1] - ref[0])
-                 for ref, box in zip(setup.ref_grid.span(), setup.mask.support.grid.span()))
-    if period - reach <= offset:
-        raise ConfigurationError(
-            f"the source lattice aliases: its image repeats with period wavelength "
-            f"path_length / source_pitch = {period * 1e6:.1f} um, a replica's reach "
-            f"1.22 wavelength path_length / source_diameter + 3 sigma_blur is "
-            f"{reach * 1e6:.1f} um, and period - reach must exceed the span "
-            f"max |x_p - x_b| = {offset * 1e6:.1f} um between the reference pixels and "
-            f"the mask's transmissive pixels; lower source_pitch or shrink the grids")
-    span = rc.ref_pixels * rc.ref_pitch
-    need = math.hypot(r_airy, SPAN_BLUR_Z * sigma)
-    if span / 2.0 < need:
-        raise ConfigurationError(
-            f"the reference grid spans {span * 1e6:.1f} um, less than the Airy core "
-            f"2.44 wavelength path_length / source_diameter = {2.0 * r_airy * 1e6:.1f} um "
-            f"widened in quadrature by {2.0 * SPAN_BLUR_Z:g} sigma_blur = "
-            f"{2.0 * SPAN_BLUR_Z * sigma * 1e6:.1f} um, so the half-span must be at least "
-            f"{need * 1e6:.1f} um; raise ref_pixels or ref_pitch")
+    check_sampling(setup, rc.source_diameter)
     return setup

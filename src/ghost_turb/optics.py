@@ -31,15 +31,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, require_positive
+from .errors import ValidationError, require_positive
 
 if TYPE_CHECKING:
     from .source import SubsourceSet
-
-# Largest phase, in radians, the Fresnel kernel may drop: the quartic
-# term k d^4 / (8 L^3) of the path length sqrt(L^2 + d^2) over a
-# transverse source-to-pixel offset d.
-PARAXIAL_PHASE_LIMIT = 0.1
 
 
 @dataclass(frozen=True)
@@ -125,24 +120,6 @@ def intensity_moments(fields: np.ndarray) -> np.ndarray:
     re += im
     np.multiply(re, re, out=im)
     return fields
-
-
-def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> None:
-    """Raise ConfigurationError unless every subsource-to-pixel path is paraxial.
-
-    The farthest pixel of a grid from a subsource is one of the grid's
-    corners, so the largest offset d costs O(M) per grid.
-    """
-    spans = [grid.span() for grid in grids]
-    corners = np.array([(x, y) for xs, ys in spans for x in xs for y in ys])
-    d2 = float(np.max(np.sum((positions[:, None, :] - corners[None, :, :]) ** 2, axis=-1)))
-    phase = wavenumber * d2 * d2 / (8.0 * path_length**3)
-    if phase > PARAXIAL_PHASE_LIMIT:
-        raise ConfigurationError(
-            f"geometry is not paraxial: the Fresnel kernel drops a phase k d^4 / (8 L^3) "
-            f"= {phase:.3g} rad (limit {PARAXIAL_PHASE_LIMIT} rad) at the largest "
-            f"source-to-pixel offset d = {math.sqrt(d2):.6g} m over path_length "
-            f"{path_length:.6g} m")
 
 
 class LatticeFold:

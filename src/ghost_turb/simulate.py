@@ -56,6 +56,28 @@ whether it maps fold_unit over the units in this process or on a fork
 pool.  BLAS runs on one thread in every process: run_simulation pins it
 once, around the map, and forked workers inherit the pinned count.  The
 pool's modules are imported only by a run that forks.
+
+A run's widths hold only inside three validity rules, checked in this
+order; each raises ConfigurationError.  The geometry must be paraxial:
+at the largest subsource-to-pixel offset d the Fresnel kernel drops a
+phase k d^4 / (8 L^3) of at most PARAXIAL_PHASE_LIMIT (check_paraxial,
+which RunSetup applies).  The other two need the source diameter, which
+a RunSetup does not carry, and config_to_setup applies them
+(check_sampling).
+
+The source lattice must not alias.  Its image repeats every period
+wavelength L / source_pitch on each axis, and each replica reaches
+1.22 wavelength L / source_diameter (the Airy first zero) plus
+3 sigma_blur (the turbulent blur) from its centre.  A replica must
+not reach any offset x_p - x_b between a reference pixel and a pixel
+of the mask's transmissive box.
+
+The reference grid must then hold the blurred peak: its half-span
+must be at least hypot(r_airy, SPAN_BLUR_Z sigma_blur), the Airy
+radius r_airy = 1.22 wavelength L / source_diameter widened by the
+blur in quadrature; in vacuum, a grid as wide as the Airy core.  On
+a narrower grid the border baseline of psf_metrics lies on the
+peak's wings, and every width measured there is biased low.
 """
 
 from __future__ import annotations
@@ -63,6 +85,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,14 +93,28 @@ from pathlib import Path
 import numpy as np
 
 from .correlator import MIN_FRAMES, GhostImageEstimate, GhostImageResult, ObjectMask
-from .errors import ValidationError
-from .optics import (Grid2D, LatticeFold, LatticePropagator, OpticalConfig, check_paraxial,
-                     intensity_moments)
+from .errors import ConfigurationError, ValidationError
+from .optics import Grid2D, LatticeFold, LatticePropagator, OpticalConfig, intensity_moments
 from .source import BATCH_FRAMES, SubsourceSet, batch_generator, draw_amplitudes
 from .turbulence import TurbulenceModel
 
 # Batches per merge unit: the work of one pool task, and of one merge.
 UNIT_BATCHES = 16
+
+# Largest phase, in radians, the Fresnel kernel may drop: the quartic
+# term k d^4 / (8 L^3) of the path length sqrt(L^2 + d^2) over a
+# transverse source-to-pixel offset d.
+PARAXIAL_PHASE_LIMIT = 0.1
+
+# Turbulent blur widths (sigma_blur) that the reference grid's half-span
+# must reach, added in quadrature to the Airy radius.  The half-span
+# hypot(r_airy, Z sigma_blur) is 2.75 hypot(1.056 sigma_a, sigma_blur),
+# with sigma_a = 0.42 wavelength L / D the Airy core's Gaussian
+# equivalent.  The closed-form FWHM against a grid 3x as wide is biased
+# by at most -1.71% at this edge on seven grids from 48 x 12 um to
+# 100 x 12 um, for the point and open masks, so every admitted width
+# stays within 2%, a fifth of the default compare_tolerance.
+SPAN_BLUR_Z = 2.75
 
 
 def check_run(frames: int, seed: int, workers: int) -> None:
@@ -88,6 +125,24 @@ def check_run(frames: int, seed: int, workers: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
+
+
+def check_paraxial(positions, grids, wavenumber: float, path_length: float) -> None:
+    """Raise ConfigurationError unless every subsource-to-pixel path is paraxial.
+
+    The farthest pixel of a grid from a subsource is one of the grid's
+    corners, so the largest offset d costs O(M) per grid.
+    """
+    spans = [grid.span() for grid in grids]
+    corners = np.array([(x, y) for xs, ys in spans for x in xs for y in ys])
+    d2 = float(np.max(np.sum((positions[:, None, :] - corners[None, :, :]) ** 2, axis=-1)))
+    phase = wavenumber * d2 * d2 / (8.0 * path_length**3)
+    if phase > PARAXIAL_PHASE_LIMIT:
+        raise ConfigurationError(
+            f"geometry is not paraxial: the Fresnel kernel drops a phase k d^4 / (8 L^3) "
+            f"= {phase:.3g} rad (limit {PARAXIAL_PHASE_LIMIT} rad) at the largest "
+            f"source-to-pixel offset d = {math.sqrt(d2):.6g} m over path_length "
+            f"{path_length:.6g} m")
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,6 +163,38 @@ class RunSetup:
         # Checked here: raised in a pool initializer, it would break the pool.
         check_paraxial(self.sources.positions, (self.mask.grid, self.ref_grid),
                        self.cfg.wavenumber, self.cfg.path_length)
+
+
+def check_sampling(setup: RunSetup, diameter: float) -> None:
+    """Raise ConfigurationError if the source lattice aliases or the reference grid is too narrow.
+
+    diameter is the source disc's; every other length comes from the
+    setup.  The module docstring states both rules.
+    """
+    cfg, ref = setup.cfg, setup.ref_grid
+    r_airy = 1.22 * cfg.wavelength * cfg.path_length / diameter
+    sigma = setup.model.blur_sigma(cfg)
+    period = cfg.wavelength * cfg.path_length / setup.sources.pitch
+    reach = r_airy + 3.0 * sigma
+    offset = max(max(pixels[1] - box[0], box[1] - pixels[0])
+                 for pixels, box in zip(ref.span(), setup.mask.support.grid.span()))
+    if period - reach <= offset:
+        raise ConfigurationError(
+            f"the source lattice aliases: its image repeats with period wavelength "
+            f"path_length / source_pitch = {period * 1e6:.1f} um, a replica's reach "
+            f"1.22 wavelength path_length / source_diameter + 3 sigma_blur is "
+            f"{reach * 1e6:.1f} um, and period - reach must exceed the span "
+            f"max |x_p - x_b| = {offset * 1e6:.1f} um between the reference pixels and "
+            f"the mask's transmissive pixels; lower source_pitch or shrink the grids")
+    span = ref.nx * ref.pitch
+    need = math.hypot(r_airy, SPAN_BLUR_Z * sigma)
+    if span / 2.0 < need:
+        raise ConfigurationError(
+            f"the reference grid spans {span * 1e6:.1f} um, less than the Airy core "
+            f"2.44 wavelength path_length / source_diameter = {2.0 * r_airy * 1e6:.1f} um "
+            f"widened in quadrature by {2.0 * SPAN_BLUR_Z:g} sigma_blur = "
+            f"{2.0 * SPAN_BLUR_Z * sigma * 1e6:.1f} um, so the half-span must be at least "
+            f"{need * 1e6:.1f} um; raise ref_pixels or ref_pitch")
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,6 +78,7 @@ def detector_screen_run():
     return run_simulation(_imaging_setup(2e-3, fraction=1.0))
 
 
+@pytest.mark.law
 def test_criterion_1_coherence_length(capsys):
     profile = CnSquaredProfile.uniform(PATH_LENGTH, CN2)
     loops = 200
@@ -96,6 +97,7 @@ def test_criterion_1_coherence_length(capsys):
     assert rho0 == pytest.approx(reference, rel=1e-10)
 
 
+@pytest.mark.law
 def test_criterion_2_immunity_verdict(capsys, rho0_nominal):
     sources = make_source_grid(DIAMETER, DIAMETER / 16.0)
     verdict = immunity_criterion(oracles.max_pairwise_distance(sources.positions), rho0_nominal)
@@ -109,6 +111,7 @@ def test_criterion_2_immunity_verdict(capsys, rho0_nominal):
     assert nominal.margin == pytest.approx(rho0_nominal / DIAMETER, rel=1e-12)
 
 
+@pytest.mark.law
 def test_criterion_3_pair_term_vs_monte_carlo(capsys, rho0_nominal):
     t0 = time.perf_counter()
     rng = np.random.default_rng(424242)
@@ -163,6 +166,7 @@ def test_criterion_3_pair_term_vs_monte_carlo(capsys, rho0_nominal):
     assert ok
 
 
+@pytest.mark.law
 def test_criterion_4_psf_immune_at_nominal_rho0(capsys, vacuum_run, nominal_run):
     vac = psf_metrics(vacuum_run.result.ghost, vacuum_run.result.grid,
                       stderr=vacuum_run.result.stderr)
@@ -181,6 +185,7 @@ def test_criterion_4_psf_immune_at_nominal_rho0(capsys, vacuum_run, nominal_run)
     assert elapsed < 600.0
 
 
+@pytest.mark.law
 def test_criterion_5_degradation_and_monotonicity(capsys, vacuum_run, sweep_runs):
     vac = psf_metrics(vacuum_run.result.ghost, vacuum_run.result.grid,
                       stderr=vacuum_run.result.stderr)
@@ -211,6 +216,7 @@ def test_criterion_5_degradation_and_monotonicity(capsys, vacuum_run, sweep_runs
     assert elapsed < 2400.0
 
 
+@pytest.mark.law
 def test_criterion_6_phase_correction_identity(capsys):
     t0 = time.perf_counter()
     rows = mds_demo_rows(seed=20260815, matched_draws=10_000, random_draws=1_000_000)
@@ -229,6 +235,7 @@ def test_criterion_6_phase_correction_identity(capsys):
     assert elapsed < 60.0
 
 
+@pytest.mark.law
 def test_criterion_7_detector_screen_is_vacuum(capsys, tmp_path, vacuum_run,
                                                detector_screen_run):
     vac = vacuum_run.result
@@ -249,6 +256,7 @@ def test_criterion_7_detector_screen_is_vacuum(capsys, tmp_path, vacuum_run,
     assert elapsed < 600.0
 
 
+@pytest.mark.law
 def test_criterion_8_property_suites(capsys, rho0_nominal):
     t0 = time.perf_counter()
     notes = []

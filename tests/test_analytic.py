@@ -337,6 +337,7 @@ SPAN_GRIDS = [(48, 12, 2.587), (64, 8, 2.997), (64, 12, 1.855), (128, 6, 1.855),
               (80, 12, 1.455), (64, 16, 1.359), (100, 12, 1.150)]
 
 
+@pytest.mark.law
 @pytest.mark.parametrize("mask", ["point", "open"])
 @pytest.mark.parametrize("pixels, pitch_um, edge_mm", SPAN_GRIDS,
                          ids=[f"{n}x{p}" for n, p, _ in SPAN_GRIDS])

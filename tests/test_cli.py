@@ -269,6 +269,17 @@ def test_out_at_an_existing_file_exits_2_before_any_work(tmp_path, capsys, monke
     assert taken.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("command, option", [("rho0", "--config"), ("analytic", "--out")])
+def test_a_name_too_long_for_the_file_system_exits_2(tmp_path, capsys, command, option):
+    # 300 characters exceed the 255 a path component may have on common
+    # file systems: the OS error is a bad input, not a traceback with exit 1.
+    name = "x" * 300
+    assert main([command, option, str(tmp_path / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _small_sim_args(outdir, frames=1024, extra=()):
     return ["simulate", "--frames", str(frames), "--out", str(outdir),
             "--set", "source_pitch=2e-3", "--set", "ref_pixels=24",
@@ -704,7 +715,7 @@ def test_parse_mask_forms(tmp_path):
         parse_mask(f"pgm:{black}", grid)
     small = tmp_path / "small.pgm"
     small.write_bytes(b"P5\n3 3\n255\n" + bytes(9))
-    with pytest.raises(ConfigurationError, match="object"):
+    with pytest.raises(ConfigurationError, match="does not match grid"):
         parse_mask(f"pgm:{small}", grid)
 
 

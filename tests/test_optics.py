@@ -7,9 +7,9 @@ import pytest
 import oracles
 from ghost_turb.config import config_to_setup, load_config
 from ghost_turb.errors import ConfigurationError, ValidationError
-from ghost_turb.optics import (PARAXIAL_PHASE_LIMIT, Grid2D, LatticeFold, LatticePropagator,
-                               OpticalConfig, check_paraxial, intensity_moments)
-from ghost_turb.simulate import FramePipeline
+from ghost_turb.optics import (Grid2D, LatticeFold, LatticePropagator, OpticalConfig,
+                               intensity_moments)
+from ghost_turb.simulate import PARAXIAL_PHASE_LIMIT, FramePipeline, check_paraxial
 from oracles import (dropped_phase, fresnel_kernel, greens_function, propagate_subsources,
                      unchirped)
 from ghost_turb.source import SubsourceSet, make_source_grid

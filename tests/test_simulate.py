@@ -501,19 +501,33 @@ def test_source_plane_screen_changes_the_result():
     assert not np.array_equal(turb.result.ghost, vac.result.ghost)
 
 
+# How far the s = 3 maps may stray from the unscaled ones, relative: the
+# largest deviations measured (seed 7, 512 frames, both masks, vacuum and
+# 2 mm) are 5.3e-15 of the ghost peak, 7.3e-15 of the local stderr and
+# 4.5e-16 of the closed form's peak, so 1e-13 leaves a 13x margin.  At
+# s = 2 every length scales by a power of two, and the maps are exact.
+SCALE_BOUND = {2: 0.0, 3: 1e-13}
+
+
+@pytest.mark.law
+@pytest.mark.parametrize("scale", sorted(SCALE_BOUND), ids=lambda scale: f"s{scale}")
 @pytest.mark.parametrize("mask", ["point", "open"])
 @pytest.mark.parametrize("rho0", [math.inf, 2e-3], ids=["vacuum", "2mm"])
-def test_image_depends_on_diameter_and_rho0_only_through_their_ratio(mask, rho0):
-    # Doubling D and rho0 and halving both grid pitches (source_pitch
+def test_image_depends_on_diameter_and_rho0_only_through_their_ratio(mask, rho0, scale):
+    # Scaling D and rho0 by s and both grid pitches by 1/s (source_pitch
     # stays D / 16) keeps every phase of every frame: the maps scale by
-    # exactly 1/4, with the bucket's pixel area, and the closed form, which
-    # has no pixel area, not at all.
+    # 1/s^2, with the bucket's pixel area, and the closed form, which has
+    # no pixel area, not at all.
     base = {"seed": "7", "frames": "512", "mask": mask, "rho0": repr(rho0)}
     rc = load_config(None, base)
-    scaled = {**base, "source_diameter": repr(2 * rc.source_diameter), "rho0": repr(2 * rho0),
-              "object_pitch": repr(rc.object_pitch / 2), "ref_pitch": repr(rc.ref_pitch / 2)}
+    scaled = {**base, "source_diameter": repr(scale * rc.source_diameter),
+              "rho0": repr(scale * rho0), "object_pitch": repr(rc.object_pitch / scale),
+              "ref_pitch": repr(rc.ref_pitch / scale)}
     setups = [config_to_setup(load_config(None, overrides)) for overrides in (base, scaled)]
-    unscaled, doubled = (run_simulation(setup).result for setup in setups)
-    assert np.array_equal(4 * doubled.ghost, unscaled.ghost)
-    assert np.array_equal(4 * doubled.stderr, unscaled.stderr)
-    assert np.array_equal(*(predicted_ghost_image(setup) for setup in setups))
+    unscaled, shrunk = (run_simulation(setup).result for setup in setups)
+    bound, area = SCALE_BOUND[scale], scale**2
+    peak = np.max(np.abs(unscaled.ghost))
+    assert np.all(np.abs(area * shrunk.ghost - unscaled.ghost) <= bound * peak)
+    assert np.all(np.abs(area * shrunk.stderr - unscaled.stderr) <= bound * unscaled.stderr)
+    closed, closed_scaled = (predicted_ghost_image(setup) for setup in setups)
+    assert np.all(np.abs(closed_scaled - closed) <= bound * np.max(np.abs(closed)))
