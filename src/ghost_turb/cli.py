@@ -18,6 +18,7 @@ configuration or inputs, or an OS error on an input or output path,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -75,11 +76,28 @@ def _load(args) -> RunConfig:
 
 
 def _check_outdir(rc: RunConfig) -> Path:
-    """The output path; refused, before any work, if at or under an existing file."""
+    """The output path; refused, before any work, if it cannot be a directory.
+
+    It is refused at or under an existing file, and when a directory it
+    would create has a name longer than the file system of its nearest
+    existing ancestor allows.  A missing parent hides such a name from
+    the stat of the whole path, which fails at the parent.
+    """
     path = Path(rc.out_dir)
+    missing = []
     for part in (path, *path.parents):
-        if part.exists() and not part.is_dir():
-            raise ConfigurationError(f"output path {part} exists and is not a directory")
+        if part.exists():
+            break
+        missing.append(part)
+    if not part.is_dir():
+        raise ConfigurationError(f"output path {part} exists and is not a directory")
+    limit = os.pathconf(part, "PC_NAME_MAX")
+    for new in missing:
+        size = len(os.fsencode(new.name))
+        if size > limit:
+            raise ConfigurationError(
+                f"output path {new} has a name of {size} bytes, more than the {limit} "
+                f"that the file system of {part} allows")
     return path
 
 

@@ -5,6 +5,17 @@ The ghost image is the per-pixel covariance between the bucket signal
 reference-plane intensity, accumulated over frames as running sums: the
 frame count, two bucket sums and one array of map moments, so partial
 results merge by adding them.
+
+The sums are of centred values, x = I / mu - 1 and y = b / nu - 1,
+with mu and nu the exact means of a reference pixel's intensity and of
+the bucket.  The simulator knows both in closed form, so centring costs
+no pass over the data, and finalize maps the moments of x and y back.
+Raw sums would cancel in finalize: the covariance and its stderr are
+differences of sums whose terms are up to (mean / std)^2 and
+(mean / std)^4 times larger than the result.  Centred values keep
+their relative precision, so each batch's moment product runs in
+float32, and only the products' rounding within one batch reaches the
+float64 sums it is added to.
 """
 
 from __future__ import annotations
@@ -121,54 +132,62 @@ class GhostImageResult:
 class GhostImageEstimate:
     """Running sums for the bucket/reference covariance image.
 
-    Accumulation keeps raw first and second moments (through the fourth
-    mixed moment needed for the covariance standard error), so two
-    partial estimates merge by adding sums; merged and single-pass
-    results agree to floating-point reassociation.  Besides the frame
-    count n and the bucket sums s_b and s_b2, the map sums are one
-    (2, ny, nx, 3) array, sums[k, ..., j] = sum over frames of
-    I^(k+1) b^j: the layout of the product [I; I^2] @ [1, b, b^2].
+    Accumulation keeps raw first and second moments of the centred
+    values x = I / intensity_mean - 1 and y = b / bucket_mean - 1
+    (through the fourth mixed moment needed for the covariance standard
+    error), so two partial estimates merge by adding sums; merged and
+    single-pass results agree to floating-point reassociation.  Besides
+    the frame count n and the bucket sums s_b and s_b2 of y and y^2, the
+    map sums are one float64 (2, ny, nx, 3) array,
+    sums[k, ..., j] = sum over frames of x^(k+1) y^j: the layout of the
+    product [x; x^2] @ [1, y, y^2].
     """
 
-    def __init__(self, grid: Grid2D):
+    def __init__(self, grid: Grid2D, intensity_mean: float = 1.0, bucket_mean: float = 1.0):
+        require_positive("intensity_mean", intensity_mean)
+        require_positive("bucket_mean", bucket_mean)
         self.grid = grid
+        self.means = (float(intensity_mean), float(bucket_mean))
         self.n = 0
         self.s_b = 0.0
         self.s_b2 = 0.0
         self.sums = np.zeros((2, grid.ny, grid.nx, 3))
 
-    def add(self, bucket, intensity) -> "GhostImageEstimate":
+    def add(self, bucket, moments) -> "GhostImageEstimate":
         """Fold in a batch of n frames.
 
-        A batch is (n,) buckets and the (2, ny, nx, n) block [I; I^2] of
-        its maps and their squares, frames last, as intensity_moments
-        leaves it.  Its map sums are one matrix product of that block,
-        as (2 ny nx, n), with [1, b, b^2] (n, 3).
+        A batch is (n,) centred buckets y and the (2, ny, nx, n) block
+        [x; x^2] of its centred maps and their squares, frames last, as
+        intensity_moments leaves it; both are read as float32.  Its map
+        sums are one float32 matrix product of that block, as
+        (2 ny nx, n), with [1, y, y^2] (n, 3), added to the float64 sums.
         """
-        b = np.asarray(bucket, dtype=float)
-        block = np.asarray(intensity, dtype=float)
-        if b.ndim != 1 or block.shape != (2, self.grid.ny, self.grid.nx) + b.shape:
+        y = np.asarray(bucket, dtype=np.float32)
+        block = np.asarray(moments, dtype=np.float32)
+        if y.ndim != 1 or block.shape != (2, self.grid.ny, self.grid.nx) + y.shape:
             raise ValidationError(
-                f"intensity shape {block.shape} does not match {b.size} bucket value(s) on "
+                f"intensity shape {block.shape} does not match {y.size} bucket value(s) on "
                 f"grid {self.grid.ny} x {self.grid.nx}"
             )
-        powers = np.stack([np.ones_like(b), b, b * b], axis=1)
-        sums = block.reshape(-1, b.size) @ powers
         # Column 0 adds every block value with weight 1, and a non-finite
         # bucket enters every row of columns 1 and 2, so any NaN or inf
         # input leaves a non-finite sum: checking the (2 ny nx, 3) sums
-        # checks the inputs without another pass over the block.
+        # checks the inputs without another pass over the block.  Such an
+        # input, or an inf times a centred bucket of 0, would warn first.
+        with np.errstate(invalid="ignore", over="ignore"):
+            powers = np.stack([np.ones_like(y), y, y * y], axis=1)
+            sums = block.reshape(-1, y.size) @ powers
         if not np.all(np.isfinite(sums)):
             raise ValidationError("bucket and intensity must be finite")
-        self.n += b.size
-        self.s_b += float(np.sum(b))
-        self.s_b2 += float(np.sum(powers[:, 2]))
+        self.n += y.size
+        self.s_b += float(np.sum(y, dtype=float))
+        self.s_b2 += float(np.sum(powers[:, 2], dtype=float))
         self.sums += sums.reshape(self.sums.shape)
         return self
 
     def merge(self, other: "GhostImageEstimate") -> "GhostImageEstimate":
-        if self.grid != other.grid:
-            raise ValidationError("cannot merge estimates on different grids")
+        if self.grid != other.grid or self.means != other.means:
+            raise ValidationError("cannot merge estimates on different grids or means")
         self.n += other.n
         self.s_b += other.s_b
         self.s_b2 += other.s_b2
@@ -176,30 +195,35 @@ class GhostImageEstimate:
         return self
 
     def finalize(self) -> GhostImageResult:
-        """Biased (1/N) covariance image, flat background, stderr map."""
+        """Biased (1/N) covariance image, flat background, stderr map.
+
+        Formed in x and y, then mapped back with mu nu, the product of
+        the two means: the ghost image and its stderr scale by mu nu,
+        and the background is mu nu (1 + mean y)(1 + mean x).
+        """
         if self.n < MIN_FRAMES:
             raise InsufficientDataError(
                 f"need at least {MIN_FRAMES} frames to form a covariance, have {self.n}"
             )
         n = float(self.n)
-        (s_i, s_bi, s_b2i), (s_i2, s_bi2, s_b2i2) = np.moveaxis(self.sums, -1, 1)
-        mean_b = self.s_b / n
-        mean_i = s_i / n
-        ghost = s_bi / n - mean_b * mean_i
-        background = mean_b * mean_i
+        (s_x, s_yx, s_y2x), (s_x2, s_yx2, s_y2x2) = np.moveaxis(self.sums, -1, 1)
+        mean_y = self.s_b / n
+        mean_x = s_x / n
+        cov = s_yx / n - mean_y * mean_x
         # Var of the covariance estimator from the centered fourth moment:
-        # sum((B - mB)^2 (I - mI)^2) expanded over the raw sums.
-        central4 = (s_b2i2
-                    - 2.0 * mean_i * s_b2i
-                    - 2.0 * mean_b * s_bi2
-                    + mean_i**2 * self.s_b2
-                    + mean_b**2 * s_i2
-                    + 4.0 * mean_b * mean_i * s_bi
-                    - 3.0 * n * mean_b**2 * mean_i**2)
-        var_hat = np.maximum(central4 / n - ghost**2, 0.0)
-        stderr = np.sqrt(var_hat / n)
-        return GhostImageResult(grid=self.grid, ghost=ghost, background=background,
-                                stderr=stderr, frames=self.n)
+        # sum((y - my)^2 (x - mx)^2) expanded over the raw sums.
+        central4 = (s_y2x2
+                    - 2.0 * mean_x * s_y2x
+                    - 2.0 * mean_y * s_yx2
+                    + mean_x**2 * self.s_b2
+                    + mean_y**2 * s_x2
+                    + 4.0 * mean_y * mean_x * s_yx
+                    - 3.0 * n * mean_y**2 * mean_x**2)
+        var_hat = np.maximum(central4 / n - cov**2, 0.0)
+        scale = self.means[0] * self.means[1]
+        return GhostImageResult(grid=self.grid, ghost=scale * cov,
+                                background=scale * (1.0 + mean_y) * (1.0 + mean_x),
+                                stderr=scale * np.sqrt(var_hat / n), frames=self.n)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,16 @@ circular Gaussian a_m, so every field is exact in law.  Mirror nodes
 about the box centre are folded into sums and differences (LatticeFold)
 that depend only on the lattice, so one fold feeds every grid
 (LatticePropagator) that sees the same amplitudes.
+
+The fold's block, the propagation factors, the fields and their
+intensity moments are float32, which halves the memory traffic that
+bounds the frame loop; each factor is formed in float64 and rounded
+once.  A LatticePropagator scales its fields to unit mean intensity:
+its intensities are I / mu, with mu = M P / (wavelength L)^2 the exact
+mean intensity at every pixel (a source-plane screen is a unit-modulus
+factor and cannot move it).  intensity_moments then returns
+x = I / mu - 1, centred at no cost, and the sums of its moments are
+float64 (see correlator).
 """
 
 from __future__ import annotations
@@ -109,15 +119,17 @@ class Grid2D:
 
 
 def intensity_moments(fields: np.ndarray) -> np.ndarray:
-    """[I; I^2] of planar fields (2, ...), in place.
+    """[x; x^2] of planar fields (2, ...) of unit mean intensity, in place.
 
-    I = re^2 + im^2 overwrites the real plane and I^2 the imaginary
-    plane of the same buffer, which is returned.
+    x = re^2 + im^2 - 1, the intensity less its mean, overwrites the
+    real plane and x^2 the imaginary plane of the same buffer, which is
+    returned.
     """
     re, im = fields
     np.multiply(re, re, out=re)
     np.multiply(im, im, out=im)
     re += im
+    re -= 1.0
     np.multiply(re, re, out=im)
     return fields
 
@@ -148,7 +160,8 @@ class LatticeFold:
     re/im), with one scatter through a fixed slot table; nodes without a
     subsource stay zero.  One product of the block with the constant sign
     matrix _FOLD_SIGNS gives the folded block.  In vacuum both detector
-    planes read the same fold.
+    planes read the same fold.  norm = 1 / sqrt(M P) scales a field of
+    the fold's M subsources of power P to unit mean intensity.
     """
 
     def __init__(self, sources: SubsourceSet, frames: int):
@@ -157,6 +170,7 @@ class LatticeFold:
         # 0, 1, ... pitches for odd extents, 1/2, 3/2, ... for even.
         self.offsets = (u[u.size // 2:], v[v.size // 2:])
         self.frames = frames
+        self.norm = 1.0 / math.sqrt(sources.count * sources.mean_power)
         self._shape = (frames, sources.count)
         hx, hy = (o.size for o in self.offsets)
         block = 8 * hy * hx * frames
@@ -181,7 +195,7 @@ class LatticeFold:
     def __call__(self, amplitudes) -> np.ndarray:
         """Folded block (4 Hy, 2 Hx, n) of amplitudes (n, M), n the fold's frames.
 
-        amplitudes is any (n, M) array_like, read as complex; the block
+        amplitudes is any (n, M) array_like, read as complex64; the block
         holds a copy, so the caller may change them afterwards.  Rows
         are (v, y factor, plane) and columns (x factor, u), with factor
         0 the cosine and 1 the sine and plane 0 the real part; the frame
@@ -189,22 +203,23 @@ class LatticeFold:
         call overwrites.
         """
         # A reshape refuses any other frame count, where the scatter would broadcast one frame.
-        amps = np.ascontiguousarray(amplitudes, dtype=complex).reshape(self._shape)
-        self._rows[self._slots] = amps.view(float).T
+        amps = np.ascontiguousarray(amplitudes, dtype=np.complex64).reshape(self._shape)
+        self._rows[self._slots] = amps.view(np.float32).T
         np.matmul(_FOLD_SIGNS, self._quadrants, out=self._folded)
         return self._block
 
 
 class LatticePropagator:
-    """Intensity-exact fields on one grid from the folded block of a LatticeFold.
+    """Unit-mean-intensity fields on one grid from the folded block of a LatticeFold.
 
-    The field at pixel p is |c| sum_m a_m exp(-2iq (x_p u_m + y_p v_m)),
-    |c| = 1 / (wavelength L): the Fresnel field of a_m exp(-iq |rho_m|^2)
-    without the unit-modulus pixel factor that LatticeFold sets aside,
-    and without the phase of the kernel's constant c.  On the
-    folded block F it is Ky F Kx^T with real factors: Kx has columns
-    cos, sin(2q x_p u_k) over the half axis, Ky columns |c| cos,
-    |c| sin(2q y_p v_k).
+    The field at pixel p is s sum_m a_m exp(-2iq (x_p u_m + y_p v_m)),
+    s = fold.norm = 1 / sqrt(M P): the Fresnel field of
+    a_m exp(-iq |rho_m|^2) without the unit-modulus pixel factor that
+    LatticeFold sets aside, divided by c sqrt(M P), c the kernel's
+    constant factor of modulus 1 / (wavelength L).  Its intensity is
+    I / mu, mu = M P / (wavelength L)^2.  On the folded block F it is
+    Ky F Kx^T with real float32 factors: Kx has columns cos,
+    sin(2q x_p u_k) over the half axis, Ky columns s cos, s sin(2q y_p v_k).
 
     Frames are the fastest axis of every buffer: the x contraction gives
     (4 Hy, nx, n), and the y contraction is one real GEMM per plane over
@@ -216,13 +231,13 @@ class LatticePropagator:
         two_q = cfg.wavenumber / cfg.path_length
         u, v = fold.offsets
         x_angle = two_q * np.multiply.outer(grid.x(), u)
-        self.kx = np.concatenate([np.cos(x_angle), np.sin(x_angle)], axis=1)
+        self.kx = np.concatenate([np.cos(x_angle), np.sin(x_angle)], axis=1, dtype=np.float32)
         y_angle = two_q * np.multiply.outer(grid.y(), v)
         ky = np.empty((grid.ny, v.size, 2))
         np.cos(y_angle, out=ky[..., 0])
         np.sin(y_angle, out=ky[..., 1])
-        ky *= 1.0 / (cfg.wavelength * cfg.path_length)
-        self.ky = ky.reshape(grid.ny, 2 * v.size)
+        ky *= fold.norm
+        self.ky = ky.reshape(grid.ny, 2 * v.size).astype(np.float32)
         rows, frames = 4 * v.size, fold.frames
         buffer = _buffer((rows + 2 * grid.ny) * grid.nx * frames)
         self._half = buffer[:rows * grid.nx * frames].reshape(rows, grid.nx, frames)
@@ -245,7 +260,7 @@ class LatticePropagator:
 
 
 def _buffer(size: int) -> np.ndarray:
-    """Float buffer of size elements in a private anonymous memory map of its own.
+    """float32 buffer of size elements in a private anonymous memory map of its own.
 
     The frame loop's buffers are a run's largest allocations.  Once one
     run has freed its buffers, malloc serves the next run's from the
@@ -253,11 +268,11 @@ def _buffer(size: int) -> np.ndarray:
     peak RSS, by 2 MiB whenever a hole no longer fit them.  A map of its
     own is returned to the system when the buffer is freed.
     """
-    return np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), dtype=float)
+    return np.frombuffer(mmap.mmap(-1, 4 * size, flags=mmap.MAP_PRIVATE), dtype=np.float32)
 
 
 def _fold_signs() -> np.ndarray:
-    """The (8, 8) +-1 matrix from quadrant amplitudes to the folded block.
+    """The (8, 8) float32 +-1 matrix from quadrant amplitudes to the folded block.
 
     Columns are (y sign, x sign, re/im) of a node's quadrant, sign 1 for
     a negative offset; rows are (y factor, plane, x factor), factor 1
@@ -267,7 +282,8 @@ def _fold_signs() -> np.ndarray:
     """
     mirror = np.array([[1.0, 1.0], [1.0, -1.0]])
     rotate = np.array([np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]])
-    return np.einsum("ys,xt,ypa,xar->ypxstr", mirror, mirror, rotate, rotate).reshape(8, 8)
+    signs = np.einsum("ys,xt,ypa,xar->ypxstr", mirror, mirror, rotate, rotate)
+    return signs.reshape(8, 8).astype(np.float32)
 
 
 _FOLD_SIGNS = _fold_signs()

@@ -16,11 +16,21 @@ the reference grid.  Mirror nodes are folded into sums and differences
 that depend only on the lattice, so a vacuum batch folds its amplitudes
 once for both planes; with independent source-plane screens the batch
 tilts its amplitudes in place after the first fold and folds them a
-second time for the reference path.  The bucket is
-one transmissivity-weighted product of the box intensities.  The
-reference intensities I and their squares overwrite the two planes of
-the field buffer, and the batch's moment sums are one matrix product of
-that [I; I^2] block with the bucket powers [1, b, b^2].
+second time for the reference path.
+
+A batch propagates in float32 and hands on centred values; only the
+estimate's sums are float64.  A source-plane screen is a unit-modulus
+factor, so in every run a reference pixel's mean intensity is exactly
+mu = M P / (wavelength L)^2, and the bucket's exactly
+nu = pitch_o^2 sum(T) mu (exact_means).  The fields come out scaled to
+unit mean intensity (see optics).  The reference intensities less their
+mean, x = I / mu - 1, and their squares overwrite the two planes of the
+field buffer.  The centred bucket y = b / nu - 1 is one product of the
+box's x with T / sum(T).  The batch's moment sums are one float32
+matrix product of the [x; x^2] block with [1, y, y^2].  Centring by the
+exact means costs no pass over the data, and float32 needs it: raw
+I^2 b^2 reaches 1e40 at the default geometry, past float32's largest
+value, and raw sums cancel in finalize.
 
 Every statistic a run estimates depends on the amplitudes only through
 their law, and one law argument takes two phases out of the frame loop:
@@ -208,13 +218,13 @@ class FramePipeline:
     """Propagation factors and the screen tilt law of a run's frame loop.
 
     A batch of B = BATCH_FRAMES frames is processed as matrices: its
-    (B, M) amplitude block, the relative screen's (B, 2) tilts on the
-    reference path, the folded lattice propagation to both detector
-    planes in real arithmetic, and one GEMM of the reference moments
-    [I; I^2] for the running sums.
+    (B, M) amplitude block and the relative screen's (B, 2) tilts on the
+    reference path, drawn in float64, then the folded lattice propagation
+    to both detector planes in float32 real arithmetic, and one float32
+    GEMM of the centred reference moments [x; x^2] for the running sums.
     The bucket path propagates only to the bounding box of the mask's
-    transmissive pixels (one pixel for a point mask), and its bucket is
-    the product of the box intensities with pitch^2 T.
+    transmissive pixels (one pixel for a point mask), and its centred
+    bucket is the product of the box's x with T / sum(T).
     """
 
     def __init__(self, setup: RunSetup):
@@ -222,7 +232,8 @@ class FramePipeline:
         cfg = setup.cfg
         self.bucket_mask = setup.mask.support
         box_grid = self.bucket_mask.grid
-        self._weights = box_grid.pitch**2 * self.bucket_mask.transmissivity.ravel()
+        t = self.bucket_mask.transmissivity.ravel()
+        self._weights = (t / np.sum(t)).astype(np.float32)
         self.fold = LatticeFold(setup.sources, BATCH_FRAMES)
         self.box = LatticePropagator(self.fold, box_grid, cfg)
         self.ref = LatticePropagator(self.fold, setup.ref_grid, cfg)
@@ -231,11 +242,12 @@ class FramePipeline:
         self.tilt_std = setup.model.tilt_std
 
     def batch(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Buckets (B,) and reference moments [I; I^2] (2, ny, nx, B) of one batch.
+        """Centred buckets y (B,) and reference moments [x; x^2] (2, ny, nx, B) of one batch.
 
-        B is BATCH_FRAMES, and batch index holds run frames index * B to
-        (index + 1) * B - 1 whatever the run's length; frame i of the
-        batch is the last index i.  The moments are a view of a buffer
+        y = b / nu - 1 and x = I / mu - 1, both float32, with (mu, nu)
+        the run's exact_means.  B is BATCH_FRAMES, and batch index holds
+        run frames index * B to (index + 1) * B - 1 whatever the run's
+        length; frame i of the batch is the last index i.  The moments are a view of a buffer
         that the next call overwrites.
 
         The batch's one generator draws the amplitudes, then, when
@@ -247,8 +259,8 @@ class FramePipeline:
         rng = batch_generator(setup.seed, index)
         amps = draw_amplitudes(setup.sources, rng, BATCH_FRAMES)
         folded = self.fold(amps)
-        intensity = intensity_moments(self.box(folded))[0]
-        buckets = self._weights @ intensity.reshape(self._weights.size, -1)
+        box = intensity_moments(self.box(folded))[0]
+        buckets = self._weights @ box.reshape(self._weights.size, -1)
         if self.tilt_std != 0.0:
             tilts = self.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
             # Node m times exp(i g . (u[ix[m]], v[iy[m]])), its offset from
@@ -263,6 +275,18 @@ class FramePipeline:
         return buckets, intensity_moments(self.ref(folded))
 
 
+def exact_means(setup: RunSetup) -> tuple[float, float]:
+    """(mu, nu): the exact means of a reference pixel's intensity and of the bucket.
+
+    Every subsource adds its power P through a kernel of modulus
+    1 / (wavelength L), whatever unit-modulus screen it crosses, so
+    mu = M P / (wavelength L)^2 at every pixel and nu = pitch_o^2 sum(T) mu.
+    """
+    cfg, sources, mask = setup.cfg, setup.sources, setup.mask
+    mu = sources.count * sources.mean_power / (cfg.wavelength * cfg.path_length) ** 2
+    return mu, mask.grid.pitch**2 * float(np.sum(mask.transmissivity)) * mu
+
+
 def merge_units(frames: int) -> list[range]:
     """The batch indices of a run, UNIT_BATCHES to a merge unit; the last unit may be short."""
     batches = -(-frames // BATCH_FRAMES)
@@ -275,9 +299,10 @@ def fold_unit(pipeline: FramePipeline, unit: range) -> GhostImageEstimate:
     A run's last batch is computed whole, and only its frames before the
     run's end are added.
     """
-    estimate = GhostImageEstimate(pipeline.setup.ref_grid)
+    setup = pipeline.setup
+    estimate = GhostImageEstimate(setup.ref_grid, *exact_means(setup))
     for index in unit:
-        count = pipeline.setup.frames - index * BATCH_FRAMES
+        count = setup.frames - index * BATCH_FRAMES
         buckets, moments = pipeline.batch(index)
         estimate.add(buckets[:count], moments[..., :count])
     return estimate
@@ -346,7 +371,7 @@ def run_simulation(setup: RunSetup) -> SimulationOutput:
     t0 = time.perf_counter()
     units = merge_units(setup.frames)
     workers = min(setup.workers, len(units))
-    estimate = GhostImageEstimate(setup.ref_grid)
+    estimate = GhostImageEstimate(setup.ref_grid, *exact_means(setup))
     with one_blas_thread() as blas_threads, contextlib.ExitStack() as stack:
         if workers == 1:
             parts = map(functools.partial(fold_unit, FramePipeline(setup)), units)

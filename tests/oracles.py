@@ -8,7 +8,8 @@ per-path screens drawn separately for the relative screen, the
 two-mode sum as the squared modulus of two complex exponentials,
 |u|^2 of complex fields for the planar intensities of the frame pipeline,
 the dense Fresnel kernel for the folded lattice propagation (with the
-phases it drops put back), sum(I T) per map for the bucket, the
+phases it drops put back), sum(I T) per map for the bucket, a two-pass
+float64 covariance for the running moment sums, the
 dense product over subsource pairs for the lattice difference spectrum
 of the closed form, and a Hankel-transform quadrature for the closed
 form of the continuous disc the lattice stands in for.
@@ -108,11 +109,55 @@ def per_path_screen_model(model: TurbulenceModel) -> TurbulenceModel:
                            paths_independent=model.paths_independent)
 
 
+def float32_bound(terms: int) -> float:
+    """Rounding bound of a float32 contraction of `terms` products, relative to its scale.
+
+    A computed sum of k products errs by at most gamma_k = k u / (1 - k u)
+    times the sum of their magnitudes, u = eps / 2 the unit roundoff (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+    3.1).  This is k eps, twice k u: the other k u covers rounding the
+    inputs and the factors to float32.  Tests apply it to the largest
+    magnitude of the float64 result they compare against.
+    """
+    return terms * float(np.finfo(np.float32).eps)
+
+
+def lattice_terms(sources) -> int:
+    """Length of the float32 contraction behind each field element of the lattice route.
+
+    The fold sums 4 mirror nodes, then the x and y factors contract
+    2 Hx and 2 Hy columns, Hx and Hy the half axes of the lattice's
+    bounding box; the rounding of nested sums adds up over their lengths.
+    """
+    _, _, u, v = sources.lattice
+    return 4 + 2 * (u.size - u.size // 2) + 2 * (v.size - v.size // 2)
+
+
 def add_frame(estimate, bucket, image):
-    """Fold one frame, a bucket value and its (ny, nx) map, into estimate as a batch of one."""
-    im = np.asarray(image, dtype=float)
-    return estimate.add(np.reshape(np.asarray(bucket, dtype=float), 1),
-                        np.stack([im, im * im])[..., None])
+    """Fold one frame, a raw bucket value and its raw (ny, nx) map, into estimate as a batch of one.
+
+    Both are centred by the estimate's means, as the frame pipeline
+    centres its batches.
+    """
+    mu, nu = estimate.means
+    x = np.asarray(image, dtype=float) / mu - 1.0
+    y = np.reshape(np.asarray(bucket, dtype=float), 1) / nu - 1.0
+    return estimate.add(y, np.stack([x, x * x])[..., None])
+
+
+def covariance_image(buckets, maps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-pass float64 ghost image, background and stderr of (n,) buckets and (n, ny, nx) maps.
+
+    The means are taken first and the centred products second, so
+    nothing cancels however large the means are against the spread.
+    """
+    b = np.asarray(buckets, dtype=float)
+    maps = np.asarray(maps, dtype=float)
+    mean_map = maps.mean(axis=0)
+    products = (b - b.mean())[:, None, None] * (maps - mean_map)
+    ghost = products.mean(axis=0)
+    variance = np.maximum(np.mean(products**2, axis=0) - ghost**2, 0.0)
+    return ghost, b.mean() * mean_map, np.sqrt(variance / b.size)
 
 
 def pair_term_mc(rho_b, rho_p, rho_m, rho_mp, wavelength: float, path_length: float,

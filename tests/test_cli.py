@@ -280,6 +280,28 @@ def test_a_name_too_long_for_the_file_system_exits_2(tmp_path, capsys, command, 
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["simulate", "analytic", "compare"])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_a_long_name_under_a_missing_parent_exits_2_before_any_work(tmp_path, capsys,
+                                                                    monkeypatch, command,
+                                                                    depth):
+    # The stat of the whole path fails at the missing parent, so only the
+    # file system's name limit, read at the nearest existing ancestor,
+    # can refuse the 300-character name before the run and its mkdir.
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_simulation", no_work)
+    monkeypatch.setattr(cli, "predicted_ghost_image", no_work)
+    name = "x" * 300
+    out = tmp_path.joinpath(*["missing"] * depth, name)
+    assert main([command, "--frames", "64", "--out", str(out)]) == 2
+    limit = os.pathconf(tmp_path, "PC_NAME_MAX")
+    assert (f"error: output path {out} has a name of 300 bytes, more than the {limit} that "
+            f"the file system of {tmp_path} allows") in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _small_sim_args(outdir, frames=1024, extra=()):
     return ["simulate", "--frames", str(frames), "--out", str(outdir),
             "--set", "source_pitch=2e-3", "--set", "ref_pixels=24",

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import oracles
+from ghost_turb.source import BATCH_FRAMES
 from ghost_turb.correlator import (GhostImageEstimate, ObjectMask, _median, double_slit_mask,
                                    point_mask, psf_metrics, three_bar_mask)
 from ghost_turb.errors import (InsufficientDataError, NoDetectionError,
                                ValidationError)
 from ghost_turb.optics import Grid2D
-from oracles import add_frame, bucket_signals, intensity
+from oracles import add_frame, bucket_signals, covariance_image, float32_bound, intensity
 
 
 def test_object_mask_validation():
@@ -126,22 +127,60 @@ def _random_series(rng, n, shape):
     return buckets, frames
 
 
+def _assert_matches_two_pass(result, buckets, frames, terms):
+    """A finalized estimate within float32_bound(terms) of the two-pass float64 oracle.
+
+    The ghost image is compared on the scale of its largest magnitude,
+    the stderr and the background pixel by pixel.
+    """
+    ghost, background, stderr = covariance_image(buckets, frames)
+    bound = float32_bound(terms)
+    assert np.max(np.abs(result.ghost - ghost)) <= bound * np.max(np.abs(ghost))
+    assert np.all(np.abs(result.stderr - stderr) <= bound * stderr)
+    assert np.all(np.abs(result.background - background) <= bound * background)
+    assert result.frames == buckets.size
+
+
 def test_estimate_matches_direct_moments(rng):
+    # Centred by the gamma laws' exact means; each frame's products are
+    # rounded to float32 once, and summed in float64.
     g = Grid2D.centered(5, 4, 1e-5)
     buckets, frames = _random_series(rng, 50, (4, 5))
-    est = GhostImageEstimate(g)
+    est = GhostImageEstimate(g, intensity_mean=1.5, bucket_mean=2.0)
     for b, im in zip(buckets, frames):
         add_frame(est, b, im)
-    res = est.finalize()
-    mb = buckets.mean()
-    mi = frames.mean(axis=0)
-    ghost = (buckets[:, None, None] * frames).mean(axis=0) - mb * mi
-    assert np.allclose(res.ghost, ghost, rtol=1e-12, atol=1e-14)
-    assert np.allclose(res.background, mb * mi, rtol=1e-12)
-    central4 = ((buckets[:, None, None] - mb) ** 2 * (frames - mi) ** 2).mean(axis=0)
-    stderr = np.sqrt(np.maximum(central4 - ghost**2, 0.0) / 50.0)
-    assert np.allclose(res.stderr, stderr, rtol=1e-9, atol=1e-13)
-    assert res.frames == 50
+    _assert_matches_two_pass(est.finalize(), buckets, frames, 4)
+
+
+def test_estimate_needs_positive_means():
+    g = Grid2D.centered(3, 3, 1e-5)
+    for means in ((0.0, 1.0), (1.0, -1.0), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValidationError, match="_mean must be finite and > 0"):
+            GhostImageEstimate(g, *means)
+
+
+@pytest.mark.parametrize("batch", [1, BATCH_FRAMES])
+def test_centred_sums_do_not_cancel_at_a_large_offset(rng, batch):
+    # Mean / std about 1e5, with a correlation of 0.6 between the bucket
+    # and every pixel.  Raw sums of such a series cancel in finalize: the
+    # stderr came out wrong by a factor of several hundred.  Centred by
+    # their exact means, x and y are of order 1e-5 and keep float32's
+    # precision, so only the rounding of each batch's float32 product
+    # reaches the float64 sums.
+    g = Grid2D.centered(4, 3, 1e-5)
+    mu, nu = 3e7, 5e4
+    n = 8 * BATCH_FRAMES
+    common = rng.standard_normal(n)
+    buckets = nu * (1.0 + 1e-5 * common)
+    own = rng.standard_normal((n, 3, 4))
+    frames = mu * (1.0 + 1e-5 * (0.6 * common[:, None, None] + 0.8 * own))
+    est = GhostImageEstimate(g, intensity_mean=mu, bucket_mean=nu)
+    for lo in range(0, n, batch):
+        est.add(buckets[lo:lo + batch] / nu - 1.0, _moments(frames[lo:lo + batch] / mu - 1.0))
+    result = est.finalize()
+    _assert_matches_two_pass(result, buckets, frames, 4 * batch)
+    # The correlation survives: the ghost image is 0.6 of sqrt(var b var I).
+    assert np.allclose(result.ghost / (1e-10 * mu * nu), 0.6, atol=0.15)
 
 
 def test_estimate_needs_three_frames():
@@ -191,12 +230,16 @@ def test_batched_add_equals_frame_by_frame(rng):
     single = GhostImageEstimate(g)
     for b, im in zip(buckets, frames):
         add_frame(single, b, im)
-    batched = GhostImageEstimate(g).add(buckets[:32], _moments(frames[:32]))
-    batched.add(buckets[32:], _moments(frames[32:]))
+    batched = GhostImageEstimate(g).add(buckets[:32] - 1.0, _moments(frames[:32] - 1.0))
+    batched.add(buckets[32:] - 1.0, _moments(frames[32:] - 1.0))
     assert batched.n == single.n == 40
     assert batched.sums.shape == (2, 4, 5, 3)
+    # The same float32 values: each frame's products are rounded once
+    # alone and once in a float32 sum of 32 frames.
+    bound = float32_bound(4 * 32)
     for name in ("s_b", "s_b2", "sums"):
-        assert np.allclose(getattr(batched, name), getattr(single, name), rtol=1e-13, atol=0)
+        ours, theirs = getattr(batched, name), getattr(single, name)
+        assert np.max(np.abs(ours - theirs)) <= bound * np.max(np.abs(theirs))
     with pytest.raises(ValidationError, match="shape"):
         GhostImageEstimate(g).add(buckets[:3], _moments(frames[:2]))
     with pytest.raises(ValidationError, match="shape"):
@@ -267,6 +310,10 @@ def test_merge_rejects_layout_mismatch():
     b = GhostImageEstimate(Grid2D.centered(4, 4, 2e-5))
     with pytest.raises(ValidationError, match="grids"):
         a.merge(b)
+    # Sums centred by other means are sums of other values.
+    for means in ((2.0, 1.0), (1.0, 2.0)):
+        with pytest.raises(ValidationError, match="means"):
+            a.merge(GhostImageEstimate(a.grid, *means))
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (7,), (3, 4), (252,), (65, 65)])

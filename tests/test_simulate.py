@@ -12,10 +12,11 @@ from ghost_turb.config import build_config, config_to_setup, load_config
 from ghost_turb.correlator import GhostImageEstimate, ObjectMask, point_mask, three_bar_mask
 from ghost_turb.errors import ValidationError
 from ghost_turb.optics import Grid2D, OpticalConfig
-from oracles import (PER_PATH_RHO0_FACTOR, add_frame, bucket_signals, intensity,
-                     per_path_screen_model, propagate_subsources, unchirped)
+from oracles import (PER_PATH_RHO0_FACTOR, bucket_signals, covariance_image, float32_bound,
+                     fresnel_kernel, intensity, lattice_terms, per_path_screen_model,
+                     propagate_subsources, unchirped)
 from ghost_turb.simulate import (BATCH_FRAMES, UNIT_BATCHES, FramePipeline, RunSetup, _openblas,
-                                 merge_units, one_blas_thread, run_simulation)
+                                 exact_means, merge_units, one_blas_thread, run_simulation)
 from ghost_turb.source import SubsourceSet, batch_generator, draw_amplitudes, make_source_grid
 from ghost_turb.turbulence import TurbulenceModel
 
@@ -79,62 +80,97 @@ def _close(actual, expected, rel=1e-12):
     return float(np.max(np.abs(np.asarray(actual) - expected))) <= rel * scale
 
 
+def _bound(setup):
+    """float32 bound of a run's maps, relative to the largest float64 value.
+
+    Every map compared is at most fourth order in the fields (x^2, the
+    ghost image, its stderr), and each field element is one contraction
+    of lattice_terms along the lattice route.
+    """
+    return float32_bound(4 * lattice_terms(setup.sources))
+
+
+def _dense_run(setup):
+    """Buckets (n,) and reference maps (n, ny, nx) of a run, by the dense float64 kernel.
+
+    Every batch is drawn whole, amplitudes then tilts, and the run keeps
+    the head of each batch that it reaches.  The amplitudes are the
+    drawn ones without the node chirp, as the lattice path propagates
+    them; the reference path's carry the relative screen pos . g.
+    """
+    pos, ref = setup.sources.positions, setup.ref_grid
+    obj_kernel = fresnel_kernel(pos, setup.mask.grid, setup.cfg)
+    ref_kernel = fresnel_kernel(pos, ref, setup.cfg)
+    buckets, maps = [], []
+    for index, start in enumerate(range(0, setup.frames, BATCH_FRAMES)):
+        drawn, tilts = _batch_draws(setup, index)
+        head = slice(0, setup.frames - start)
+        amps = unchirped(drawn[head], pos, setup.cfg)
+        obj = intensity(amps @ obj_kernel.T).reshape(-1, setup.mask.grid.ny, setup.mask.grid.nx)
+        buckets.append(bucket_signals(obj, setup.mask))
+        screened = amps * np.exp(1j * (tilts[head] @ pos.T))
+        maps.append(intensity(screened @ ref_kernel.T).reshape(-1, ref.ny, ref.nx))
+    return np.concatenate(buckets), np.concatenate(maps)
+
+
+def _assert_batch_matches(setup, batch, direct_buckets, direct_maps):
+    """A batch's centred buckets and maps against the raw float64 ones of its first frames."""
+    buckets, moments = batch
+    assert buckets.dtype == moments.dtype == np.float32
+    mu, nu = exact_means(setup)
+    bound = _bound(setup)
+    assert _close(buckets[:direct_buckets.size], direct_buckets / nu - 1.0, bound)
+    for i, image in enumerate(direct_maps):
+        x = image / mu - 1.0
+        assert _close(moments[0, ..., i], x, bound)
+        assert _close(moments[1, ..., i], x * x, bound)
+
+
+def _assert_run_matches(setup, result):
+    """A run's maps against the two-pass float64 covariance of the dense run's draws."""
+    ghost, background, stderr = covariance_image(*_dense_run(setup))
+    bound = _bound(setup)
+    assert result.frames == setup.frames
+    assert _close(result.ghost, ghost, bound)
+    assert np.all(np.abs(result.stderr - stderr) <= bound * stderr)
+    assert np.all(np.abs(result.background - background) <= bound * background)
+
+
 def test_vacuum_engine_matches_direct_propagation():
     # The pipeline's separable lattice propagation and the dense kernel
-    # of propagate_subsources are two exact factorisations of the same
-    # Fresnel sum, so they agree to rounding.
+    # are two exact factorisations of the same Fresnel sum, so they agree
+    # to float32 rounding.
     setup = _setup(frames=6)
-    buckets, moments = FramePipeline(setup).batch(0)
-    assert moments.shape == (2, 16, 16, BATCH_FRAMES)
-    amps, direct_buckets, direct = _manual_run(setup)
-    for i in range(setup.frames):
-        ref = propagate_subsources(amps[i], setup.sources.positions, setup.ref_grid, CFG)
-        assert buckets[i] == pytest.approx(direct_buckets[i], rel=1e-12)
-        assert _close(moments[0, ..., i], intensity(ref))
-        assert _close(moments[1, ..., i], intensity(ref) ** 2)
-    out = run_simulation(setup)
-    assert _close(out.result.ghost, direct.ghost)
-    assert _close(out.result.stderr, direct.stderr)
-    assert out.result.frames == 6
-
-
-def _manual_run(setup):
-    """Amplitudes, buckets and result of a vacuum run, frame by frame, dense kernel.
-
-    Every batch is drawn whole, and the run keeps the head of each batch
-    that it reaches.  The amplitudes are the drawn ones without the node
-    chirp, as the lattice path propagates them.
-    """
-    pos = setup.sources.positions
-    amps = unchirped(np.concatenate([
-        draw_amplitudes(setup.sources, batch_generator(setup.seed, b),
-                        BATCH_FRAMES)[:setup.frames - start]
-        for b, start in enumerate(range(0, setup.frames, BATCH_FRAMES))]), pos, CFG)
-    est = GhostImageEstimate(setup.ref_grid)
-    buckets = np.empty(setup.frames)
-    for i in range(setup.frames):
-        obj = propagate_subsources(amps[i], pos, setup.mask.grid, CFG)
-        buckets[i] = float(bucket_signals(intensity(obj), setup.mask))
-        ref = propagate_subsources(amps[i], pos, setup.ref_grid, CFG)
-        add_frame(est, buckets[i], intensity(ref))
-    return amps, buckets, est.finalize()
+    batch = FramePipeline(setup).batch(0)
+    assert batch[1].shape == (2, 16, 16, BATCH_FRAMES)
+    _assert_batch_matches(setup, batch, *_dense_run(setup))
+    _assert_run_matches(setup, run_simulation(setup).result)
 
 
 def test_run_ending_in_a_short_batch_matches_a_manual_loop():
     # Two full batches and a short one: the short batch is computed
     # whole, and only its first frames are added.
     setup = _setup(frames=2 * BATCH_FRAMES + 5, seed=31, pitch=3e-3, ref_n=8)
-    _, direct_buckets, direct = _manual_run(setup)
-    out = run_simulation(setup)
-    assert out.result.frames == 2 * BATCH_FRAMES + 5
-    assert _close(out.result.ghost, direct.ghost)
-    assert _close(out.result.stderr, direct.stderr)
-    assert _close(out.result.background, direct.background)
+    _assert_run_matches(setup, run_simulation(setup).result)
+    direct_buckets, direct_maps = _dense_run(setup)
     pipeline = FramePipeline(setup)
     for index in range(3):
-        buckets, _ = pipeline.batch(index)
-        head = direct_buckets[index * BATCH_FRAMES:(index + 1) * BATCH_FRAMES]
-        assert np.allclose(buckets[:head.size], head, rtol=1e-12, atol=0)
+        head = slice(index * BATCH_FRAMES, (index + 1) * BATCH_FRAMES)
+        _assert_batch_matches(setup, pipeline.batch(index), direct_buckets[head],
+                              direct_maps[head])
+
+
+@pytest.mark.parametrize("overrides", [{"rho0": "inf", "source_power": "2.5"},
+                                       {"rho0": "0.002"}, {"cn2": "1.5e-12", "mask": "open"}],
+                         ids=["vacuum", "2mm", "open"])
+def test_run_matches_a_float64_evaluation_of_the_same_draws(overrides):
+    # At the default geometry, the float32 frame loop with its float64
+    # sums against the dense float64 kernel and a two-pass float64
+    # covariance of the same draws: three whole batches and a short one.
+    # The vacuum run's source power is not 1, so both exact means carry it.
+    frames = str(3 * BATCH_FRAMES + 5)
+    setup = config_to_setup(load_config(None, {**overrides, "frames": frames}))
+    _assert_run_matches(setup, run_simulation(setup).result)
 
 
 def test_fold_unit_adds_only_the_frames_of_the_run():
@@ -174,13 +210,9 @@ def test_cropped_support_buckets_equal_full_grid_buckets(name):
     assert support.grid.nx * support.grid.ny == {"point": 1, "three_bar": 45, "gray": 16,
                                                  "edge": 6}[name]
     buckets, _ = pipeline.batch(0)
-    amps = unchirped(draw_amplitudes(
-        setup.sources, batch_generator(setup.seed, 0), BATCH_FRAMES),
-        setup.sources.positions, CFG)
-    for i in range(BATCH_FRAMES):
-        obj = propagate_subsources(amps[i], setup.sources.positions, grid, CFG)
-        assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), mask)),
-                                           rel=1e-12)
+    direct, _ = _dense_run(setup)
+    nu = exact_means(setup)[1]
+    assert _close(buckets, direct / nu - 1.0, _bound(setup))
 
 
 def _batch_draws(setup, index=0):
@@ -231,17 +263,28 @@ def test_turbulent_engine_matches_manual_screen_loop(case):
     # The bucket path propagates the drawn amplitudes as they are; the
     # reference path carries one relative screen at the configured rho0.
     setup = _tilted_setup(case)
-    buckets, moments = FramePipeline(setup).batch(0)
-    pos = setup.sources.positions
-    drawn, tilts = _batch_draws(setup)
-    amps = unchirped(drawn, pos, CFG)
-    for i in range(setup.frames):
-        screen = pos @ tilts[i]
-        obj = propagate_subsources(amps[i], pos, setup.mask.grid, CFG)
-        ref = propagate_subsources(amps[i] * np.exp(1j * screen), pos, setup.ref_grid, CFG)
-        assert buckets[i] == pytest.approx(float(bucket_signals(intensity(obj), setup.mask)),
-                                           rel=1e-12)
-        assert _close(moments[0, ..., i], intensity(ref))
+    _assert_batch_matches(setup, FramePipeline(setup).batch(0), *_dense_run(setup))
+
+
+def test_centred_block_has_mean_zero_at_every_pixel():
+    # x = I / mu - 1 and y = b / nu - 1 are centred by the exact means,
+    # not by estimates, so over a 4,096-frame vacuum run every pixel's
+    # mean x, and the mean y, lie within 5 standard errors of 0.  The
+    # source power is not 1: a mu without it would be off by 1.5.
+    setup = config_to_setup(load_config(None, {"rho0": "inf", "source_power": "2.5",
+                                               "frames": "4096"}))
+    pipeline = FramePipeline(setup)
+    sums = np.zeros((2, setup.ref_grid.ny, setup.ref_grid.nx))
+    buckets = []
+    for index in range(setup.frames // BATCH_FRAMES):
+        y, moments = pipeline.batch(index)
+        sums += moments.sum(axis=-1, dtype=float)
+        buckets.append(y.astype(float))
+    n = setup.frames
+    mean = sums[0] / n
+    assert np.all(np.abs(mean) <= 5.0 * np.sqrt((sums[1] / n - mean**2) / n))
+    y = np.concatenate(buckets)
+    assert abs(y.mean()) <= 5.0 * y.std() / math.sqrt(n)
 
 
 def _record_pool_sizes(monkeypatch):
@@ -304,10 +347,12 @@ def test_turbulent_reference_map_is_the_vacuum_map_moved_by_the_tilt(overrides):
     amps = unchirped(drawn, setup.sources.positions, setup.cfg)
     shifts = tilts * setup.cfg.path_length / setup.cfg.wavenumber
     cx, cy = setup.ref_grid.center
+    mu = exact_means(setup)[0]
     for i in range(BATCH_FRAMES):
         moved = replace(setup.ref_grid, center=(cx - shifts[i, 0], cy - shifts[i, 1]))
         vacuum = propagate_subsources(amps[i], setup.sources.positions, moved, setup.cfg)
-        assert _close(moments[0, ..., i], intensity(vacuum))
+        assert _close(moments[0, ..., i], intensity(vacuum) / mu - 1.0,
+                      _bound(setup))
 
 
 def _record_generators(monkeypatch):
@@ -501,12 +546,15 @@ def test_source_plane_screen_changes_the_result():
     assert not np.array_equal(turb.result.ghost, vac.result.ghost)
 
 
-# How far the s = 3 maps may stray from the unscaled ones, relative: the
-# largest deviations measured (seed 7, 512 frames, both masks, vacuum and
-# 2 mm) are 5.3e-15 of the ghost peak, 7.3e-15 of the local stderr and
-# 4.5e-16 of the closed form's peak, so 1e-13 leaves a 13x margin.  At
-# s = 2 every length scales by a power of two, and the maps are exact.
-SCALE_BOUND = {2: 0.0, 3: 1e-13}
+# How far the s = 3 maps may stray from the unscaled ones, relative.  The
+# float32 propagation factors of both runs round to the same values, so
+# their centred frames are equal bit for bit, and only the float64 means
+# that map the sums back round differently: the largest deviations
+# measured (seed 7, 512 frames, both masks, vacuum and 2 mm) are 3.2e-16
+# of the ghost peak, 4.0e-16 of the local stderr and 4.5e-16 of the
+# closed form's peak, so 1e-14 leaves a 22x margin.  At s = 2 every
+# length scales by a power of two, and the maps are exact.
+SCALE_BOUND = {2: 0.0, 3: 1e-14}
 
 
 @pytest.mark.law
