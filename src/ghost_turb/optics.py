@@ -21,11 +21,15 @@ about the box centre are folded into sums and differences (LatticeFold)
 that depend only on the lattice, so one fold feeds every grid
 (LatticePropagator) that sees the same amplitudes.
 
-The fold's block, the propagation factors, the fields and their
-intensity moments are float32, which halves the memory traffic that
-bounds the frame loop; each factor is formed in float64 and rounded
-once.  A LatticePropagator scales its fields to unit mean intensity:
-its intensities are I / mu, with mu = M P / (wavelength L)^2 the exact
+The amplitudes enter as planar float32 (re, im) planes (2, n, M), the
+layout of every other buffer here, so the fold's scatter reads them
+through a transposed view, with no intermediate copy; complex
+amplitudes are refused, not cast.  The fold's block, the
+propagation factors, the fields and their intensity moments are
+float32, which halves the memory traffic that bounds the frame loop;
+each factor is formed in float64 and rounded once.  A
+LatticePropagator scales its fields to unit mean intensity: its
+intensities are I / mu, with mu = M P / (wavelength L)^2 the exact
 mean intensity at every pixel (a source-plane screen is a unit-modulus
 factor and cannot move it).  intensity_moments then returns
 x = I / mu - 1, centred at no cost, and the sums of its moments are
@@ -155,11 +159,12 @@ class LatticeFold:
     ceil(L / 2) offsets, without collisions.  offsets holds those half
     axes, the non-negative halves of the lattice's u and v; the centre
     enters only the dropped pixel factor, so the fold keeps none.  Every
-    call holds exactly `frames` frames and writes the real and imaginary
-    parts of all nodes into that (Hy, 8, Hx, n) block, rows (quadrant,
-    re/im), with one scatter through a fixed slot table; nodes without a
-    subsource stay zero.  One product of the block with the constant sign
-    matrix _FOLD_SIGNS gives the folded block.  In vacuum both detector
+    call takes exactly `frames` frames of planar amplitudes and writes
+    the real and imaginary planes of all nodes into that (Hy, 8, Hx, n)
+    block, rows (quadrant, re/im), with one scatter through a fixed
+    (2, M) slot table; nodes without a subsource stay zero.  One product
+    of the block with the constant sign matrix _FOLD_SIGNS gives the
+    folded block.  In vacuum both detector
     planes read the same fold.  norm = 1 / sqrt(M P) scales a field of
     the fold's M subsources of power P to unit mean intensity.
     """
@@ -171,7 +176,7 @@ class LatticeFold:
         self.offsets = (u[u.size // 2:], v[v.size // 2:])
         self.frames = frames
         self.norm = 1.0 / math.sqrt(sources.count * sources.mean_power)
-        self._shape = (frames, sources.count)
+        self._shape = (2, frames, sources.count)
         hx, hy = (o.size for o in self.offsets)
         block = 8 * hy * hx * frames
         buffer = _buffer(2 * block)
@@ -190,21 +195,26 @@ class LatticeFold:
                         for t in range(1 - v.size, v.size, 2)])
         col = np.array([2 * hx * (t < 0) + abs(t) // 2 for t in range(1 - u.size, u.size, 2)])
         # Each node's real part, then its imaginary part Hx rows on.
-        self._slots = np.add.outer(row[iy] + col[ix], (0, hx)).ravel()
+        self._slots = np.add.outer((0, hx), row[iy] + col[ix])
 
-    def __call__(self, amplitudes) -> np.ndarray:
-        """Folded block (4 Hy, 2 Hx, n) of amplitudes (n, M), n the fold's frames.
+    def __call__(self, planes) -> np.ndarray:
+        """Folded block (4 Hy, 2 Hx, n) of planar amplitudes (2, n, M), n the fold's frames.
 
-        amplitudes is any (n, M) array_like, read as complex64; the block
-        holds a copy, so the caller may change them afterwards.  Rows
-        are (v, y factor, plane) and columns (x factor, u), with factor
-        0 the cosine and 1 the sine and plane 0 the real part; the frame
-        is the last axis.  The block is a view of a buffer that the next
-        call overwrites.
+        planes[0] holds the real and planes[1] the imaginary parts, read
+        as float32; the block holds a copy, so the caller may change them
+        afterwards.  Rows of the block are (v, y factor, plane) and
+        columns (x factor, u), with factor 0 the cosine and 1 the sine
+        and plane 0 the real part; the frame is the last axis.  The block
+        is a view of a buffer that the next call overwrites.  Complex
+        input, whose imaginary part a float cast would drop, and any
+        other shape, which the scatter would broadcast or cut, raise
+        ValidationError.
         """
-        # A reshape refuses any other frame count, where the scatter would broadcast one frame.
-        amps = np.ascontiguousarray(amplitudes, dtype=np.complex64).reshape(self._shape)
-        self._rows[self._slots] = amps.view(np.float32).T
+        planes = np.asarray(planes)
+        if np.iscomplexobj(planes) or planes.shape != self._shape:
+            raise ValidationError(f"amplitudes must be real planes of shape {self._shape}, "
+                                  f"got {planes.dtype} {planes.shape}")
+        self._rows[self._slots] = planes.transpose(0, 2, 1)
         np.matmul(_FOLD_SIGNS, self._quadrants, out=self._folded)
         return self._block
 

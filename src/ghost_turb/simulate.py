@@ -2,21 +2,25 @@
 
 Frames run in whole batches of BATCH_FRAMES, and every buffer of the
 frame loop holds one batch.  A batch draws from one generator, keyed
-by the seed and the batch index: its subsource amplitudes as a
-frame-major block, then, only when independent source-plane screens are
-on, one relative screen's two tilt normals per frame.  So a frame's
-draws do not depend on the run's length, and a turbulent batch's
-amplitudes are the vacuum batch's.  A run whose length is not a multiple
-of BATCH_FRAMES computes its last batch whole and adds only the frames
-before its end.  A batch propagates with the separable lattice form of
-the Fresnel kernel (the only propagation path) in real arithmetic on
-planar (re, im) fields with the frame as the fastest axis: to the
-bounding box of the mask's transmissive pixels for the bucket, and to
-the reference grid.  Mirror nodes are folded into sums and differences
-that depend only on the lattice, so a vacuum batch folds its amplitudes
-once for both planes; with independent source-plane screens the batch
-tilts its amplitudes in place after the first fold and folds them a
-second time for the reference path.
+by the seed and the batch index: its subsource amplitudes in polar
+form, a float32 radius and a float64 phase per subsource, as
+frame-major blocks (source.draw_polar), then, only when independent
+source-plane screens are on, one relative screen's two tilt normals per
+frame.  So a frame's draws do not depend on the run's length, and a
+turbulent batch's amplitudes are the vacuum batch's.  A run whose
+length is not a multiple of BATCH_FRAMES computes its last batch whole
+and adds only the frames before its end.  The batch writes float32 cos
+and sin of its phases, rounded once to float32, into planar (re, im)
+amplitude planes and multiplies both by the radii.  It propagates them
+with the separable lattice form of the Fresnel kernel (the only
+propagation path) in real arithmetic on planar fields with the frame
+as the fastest axis: to the bounding box of the mask's transmissive
+pixels for the bucket, and to the reference grid.  Mirror nodes are
+folded into sums and differences that depend only on the lattice, so a
+vacuum batch folds its amplitudes once for both planes; with
+independent source-plane screens the batch adds the tilt to its
+float64 phases after the first fold, writes the planes again and folds
+them a second time for the reference path.
 
 A batch propagates in float32 and hands on centred values; only the
 estimate's sums are float64.  A source-plane screen is a unit-modulus
@@ -52,9 +56,10 @@ which is a screen at the configured pair rho0.
 The relative screen's structure function is the square law
 2 r^2 / rho0^2 exactly, so it is a random tilt g: two standard normals
 per frame, times TurbulenceModel.tilt_std (FramePipeline.batch).  The
-pipeline applies it to the amplitudes as one factor per lattice column
-and one per row, exactly at every subsource, and the reference frame is
-the vacuum frame moved by g L / k.  Coupled paths
+pipeline adds g . rho_m, rho_m taken from the centre of the lattice's
+box, to each subsource's float64 phase before its one rounding, so the
+tilt is exact at every subsource, and the reference frame is the
+vacuum frame moved by g L / k.  Coupled paths
 (phi_r = phi_b) and a detector-plane screen leave the law of every
 intensity as in vacuum, so nothing is drawn for them and such a run
 equals the vacuum run frame by frame.
@@ -105,7 +110,7 @@ import numpy as np
 from .correlator import MIN_FRAMES, GhostImageEstimate, GhostImageResult, ObjectMask
 from .errors import ConfigurationError, ValidationError
 from .optics import Grid2D, LatticeFold, LatticePropagator, OpticalConfig, intensity_moments
-from .source import BATCH_FRAMES, SubsourceSet, batch_generator, draw_amplitudes
+from .source import BATCH_FRAMES, SubsourceSet, batch_generator, draw_polar
 from .turbulence import TurbulenceModel
 
 # Batches per merge unit: the work of one pool task, and of one merge.
@@ -218,10 +223,12 @@ class FramePipeline:
     """Propagation factors and the screen tilt law of a run's frame loop.
 
     A batch of B = BATCH_FRAMES frames is processed as matrices: its
-    (B, M) amplitude block and the relative screen's (B, 2) tilts on the
-    reference path, drawn in float64, then the folded lattice propagation
-    to both detector planes in float32 real arithmetic, and one float32
-    GEMM of the centred reference moments [x; x^2] for the running sums.
+    (B, M) radius and phase blocks and the relative screen's (B, 2)
+    tilts on the reference path, drawn into buffers the pipeline owns,
+    then (2, B, M) float32 amplitude planes, the folded lattice
+    propagation to both detector planes in float32 real arithmetic, and
+    one float32 GEMM of the centred reference moments [x; x^2] for the
+    running sums.
     The bucket path propagates only to the bounding box of the mask's
     transmissive pixels (one pixel for a point mask), and its centred
     bucket is the product of the box's x with T / sum(T).
@@ -240,6 +247,15 @@ class FramePipeline:
         # 0.0 unless independent source-plane screens change the law of
         # the intensities; their difference has the configured pair rho0.
         self.tilt_std = setup.model.tilt_std
+        shape = (BATCH_FRAMES, setup.sources.count)
+        self._radius = np.empty(shape, dtype=np.float32)
+        self._phase = np.empty(shape)
+        self._tilt_phase = np.empty(shape)
+        self._planes = np.empty((2, *shape), dtype=np.float32)
+        # Each node's offset (u[ix], v[iy]) from the centre of the lattice's
+        # box, read from the lattice the fold reads.
+        ix, iy, u, v = setup.sources.lattice
+        self._offsets = np.stack([u[ix], v[iy]])
 
     def batch(self, index: int) -> tuple[np.ndarray, np.ndarray]:
         """Centred buckets y (B,) and reference moments [x; x^2] (2, ny, nx, B) of one batch.
@@ -250,29 +266,35 @@ class FramePipeline:
         length; frame i of the batch is the last index i.  The moments are a view of a buffer
         that the next call overwrites.
 
-        The batch's one generator draws the amplitudes, then, when
-        tilt_std is not 0, the relative screen's tilts g (B, 2) in rad/m:
-        frame i's tilt is normals 2i and 2i + 1 of those drawn after the
-        amplitudes, times tilt_std.
+        The batch's one generator draws the amplitudes in polar form
+        (source.draw_polar), then, when tilt_std is not 0, the relative
+        screen's tilts g (B, 2) in rad/m: frame i's tilt is normals 2i and
+        2i + 1 of those drawn after the amplitudes, times tilt_std.  The
+        tilt adds g . (u[ix[m]], v[iy[m]]), node m's offset from the centre
+        of the lattice's box, to its float64 phase; the frame's constant
+        g . centre is left out, as no intensity sees it.
         """
         setup = self.setup
         rng = batch_generator(setup.seed, index)
-        amps = draw_amplitudes(setup.sources, rng, BATCH_FRAMES)
-        folded = self.fold(amps)
+        draw_polar(setup.sources, rng, self._radius, self._phase)
+        folded = self._fold()
         box = intensity_moments(self.box(folded))[0]
         buckets = self._weights @ box.reshape(self._weights.size, -1)
         if self.tilt_std != 0.0:
             tilts = self.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
-            # Node m times exp(i g . (u[ix[m]], v[iy[m]])), its offset from
-            # the centre of the lattice's box, read from the lattice the fold
-            # reads: the frame's constant exp(i g . centre) is left out, as no
-            # intensity sees it.  The fold keeps its own copy, so the
-            # amplitudes are tilted in place.
-            ix, iy, u, v = setup.sources.lattice
-            amps *= np.exp(1j * np.multiply.outer(tilts[:, 0], u))[:, ix]
-            amps *= np.exp(1j * np.multiply.outer(tilts[:, 1], v))[:, iy]
-            folded = self.fold(amps)
+            np.matmul(tilts, self._offsets, out=self._tilt_phase)
+            self._phase += self._tilt_phase
+            folded = self._fold()
         return buckets, intensity_moments(self.ref(folded))
+
+    def _fold(self) -> np.ndarray:
+        """The fold of the amplitudes radius e^{i phase}, the phase rounded once to float32."""
+        re, im = self._planes
+        im[...] = self._phase
+        np.cos(im, out=re)
+        np.sin(im, out=im)
+        self._planes *= self._radius
+        return self.fold(self._planes)
 
 
 def exact_means(setup: RunSetup) -> tuple[float, float]:

@@ -4,13 +4,19 @@ SubsourceSet.lattice is the one home of the lattice's geometry, and
 SubsourceSet.lags of its lag spectrum.
 
 Each frame draws one circular complex Gaussian amplitude per subsource
-(zero mean, variance mean_power per subsource, independent between
+(zero mean, variance mean_power P per subsource, independent between
 subsources and frames).  Draws are keyed per batch: frames
 [b * BATCH_FRAMES, (b + 1) * BATCH_FRAMES) draw everything they need
 from one generator keyed (seed, b, RNG_DOMAIN_SOURCE), amplitudes first
 and frame-major, so frame i's amplitudes are row i % BATCH_FRAMES of its
 batch block whatever the run length, worker count or order of
-evaluation.
+evaluation.  A batch is always drawn whole.
+
+The amplitudes are drawn in polar form, r e^{i theta}, with r^2 = P E,
+E standard exponential, and theta uniform on [0, 2 pi) (Box and Muller,
+Ann. Math. Statist. 29, 610 (1958)): the law of a circular Gaussian of
+variance P.  draw_polar writes r and theta into buffers that the frame
+pipeline owns, so a source-plane tilt is an addition to theta.
 """
 
 from __future__ import annotations
@@ -137,14 +143,21 @@ def make_source_grid(diameter: float, pitch: float, mean_power: float = 1.0) -> 
     return SubsourceSet(nodes=nodes, pitch=float(pitch), mean_power=float(mean_power))
 
 
-def draw_amplitudes(sources: SubsourceSet, rng: np.random.Generator,
-                    frames: int) -> np.ndarray:
-    """Amplitudes (frames, M) of consecutive frames, drawn frame-major.
+def draw_polar(sources: SubsourceSet, rng: np.random.Generator, radius: np.ndarray,
+               phase: np.ndarray) -> None:
+    """Draw a batch's amplitudes r e^{i theta} into radius (n, M) float32 and phase (n, M) float64.
 
-    Row r depends only on the generator state and r, not on `frames`.
-    Each subsource's pair of standard normals is read in place as one
-    complex number (real part first) and scaled once.
+    Both buffers are filled whole, frame-major, so n is theirs.  The
+    generator draws n M uniforms u for the radii, then n M uniforms u'
+    for the phases.  r = sqrt(-P log(1 - u)) is formed in float64, in
+    the phase buffer, and rounded once into radius; 1 - u lies in
+    (0, 1], so every radius is finite.  theta = 2 pi u' stays float64.
     """
-    g = rng.standard_normal((frames, sources.count, 2))
-    scale = math.sqrt(sources.mean_power / 2.0)
-    return scale * g.view(complex)[..., 0]
+    rng.random(out=phase)
+    np.subtract(1.0, phase, out=phase)
+    np.log(phase, out=phase)
+    phase *= -sources.mean_power
+    np.sqrt(phase, out=phase)
+    radius[...] = phase
+    rng.random(out=phase)
+    phase *= 2.0 * math.pi

@@ -7,6 +7,7 @@ amplitude for the pair term, brute-force loops for lattice counts,
 per-path screens drawn separately for the relative screen, the
 two-mode sum as the squared modulus of two complex exponentials,
 |u|^2 of complex fields for the planar intensities of the frame pipeline,
+complex amplitudes split into the (re, im) planes the lattice fold reads,
 the dense Fresnel kernel for the folded lattice propagation (with the
 phases it drops put back), sum(I T) per map for the bucket, a two-pass
 float64 covariance for the running moment sums, the
@@ -221,6 +222,12 @@ def intensity(values) -> np.ndarray:
     """|u|^2 of complex values as re^2 + im^2."""
     values = np.asarray(values)
     return values.real**2 + values.imag**2
+
+
+def planes(amplitudes) -> np.ndarray:
+    """Planar float32 amplitudes (2, ...): the real, then the imaginary parts of complex (...)."""
+    values = np.asarray(amplitudes)
+    return np.stack([values.real, values.imag]).astype(np.float32)
 
 
 def max_pairwise_distance(positions) -> float:

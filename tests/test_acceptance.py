@@ -20,7 +20,7 @@ from ghost_turb.correlator import GhostImageEstimate, point_mask, psf_metrics
 from ghost_turb.io_formats import write_pgm16
 from ghost_turb.optics import Grid2D, OpticalConfig
 from ghost_turb.simulate import RunSetup, run_simulation
-from ghost_turb.source import BATCH_FRAMES, batch_generator, draw_amplitudes, make_source_grid
+from ghost_turb.source import BATCH_FRAMES, batch_generator, draw_polar, make_source_grid
 from ghost_turb.turbulence import (CnSquaredProfile, TurbulenceModel, coherence_length,
                                    weighted_path_integral)
 from oracles import glauber_pair_term, per_path_screen_model
@@ -294,10 +294,15 @@ def test_criterion_8_property_suites(capsys, rho0_nominal):
 
     # Source amplitude moments: circular Gaussian with E|a|^2 = P.
     sources = make_source_grid(DIAMETER, DIAMETER / 16.0)
-    # Frames 0..299: the head of each batch's block, as the pipeline draws it.
-    draws = np.concatenate([
-        draw_amplitudes(sources, batch_generator(2024, b), BATCH_FRAMES)
-        for b in range(math.ceil(300 / BATCH_FRAMES))])[:300].reshape(-1)
+    # Frames 0..299: the head of each batch's polar draw, as the pipeline
+    # draws it, r e^{i theta} from the float32 radii and float64 phases.
+    radius = np.empty((BATCH_FRAMES, sources.count), dtype=np.float32)
+    phase = np.empty((BATCH_FRAMES, sources.count))
+    blocks = []
+    for b in range(math.ceil(300 / BATCH_FRAMES)):
+        draw_polar(sources, batch_generator(2024, b), radius, phase)
+        blocks.append(radius * np.exp(1j * phase))
+    draws = np.concatenate(blocks)[:300].reshape(-1)
     n = draws.size
     assert abs(np.mean(draws.real)) < 4.0 * math.sqrt(0.5 / n)
     assert abs(np.mean(draws.imag)) < 4.0 * math.sqrt(0.5 / n)

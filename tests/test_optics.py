@@ -104,7 +104,7 @@ def _assert_matches_dense_kernel(prop, fold, sources, grid, amps):
     # Fresnel field of amps exp(-iq |rho_m|^2) to float32 rounding, the
     # fold having left out the node chirp.
     n = amps.shape[0]
-    planar = prop(fold(amps))
+    planar = prop(fold(oracles.planes(amps)))
     assert planar.shape == (2, grid.ny, grid.nx, n)
     assert planar.dtype == np.float32
     scale = abs(oracles.path_prefactor(CFG)) / fold.norm
@@ -171,7 +171,7 @@ def test_lattice_fold_folds_the_box_in_half_per_axis(nodes, half_rows):
     for axis, offsets in zip((u, v), fold.offsets):
         assert np.all(axis + axis[::-1] == 0.0)
         assert np.array_equal(axis[axis.size // 2:], offsets)
-    assert fold(np.ones((1, sources.count))).shape == (4 * half_rows.size, 2 * 9, 1)
+    assert fold(np.ones((2, 1, sources.count))).shape == (4 * half_rows.size, 2 * 9, 1)
 
 
 def test_lattice_fold_takes_only_its_frame_count(rng):
@@ -184,23 +184,36 @@ def test_lattice_fold_takes_only_its_frame_count(rng):
     for _ in range(2):
         _assert_matches_dense_kernel(prop, fold, sources, grid, _amplitudes(rng, 8, sources.count))
     for n in (1, 7, 9):
-        with pytest.raises(ValueError):
-            fold(np.ones((n, sources.count), dtype=complex))
+        with pytest.raises(ValidationError, match="real planes of shape"):
+            fold(np.ones((2, n, sources.count), dtype=np.float32))
 
 
-def test_lattice_fold_reads_real_amplitudes_as_complex_and_keeps_a_copy(rng):
-    # Real amplitudes fold as their complex cast.  The block holds a copy:
-    # the frame pipeline tilts its amplitudes in place after the first
-    # fold, and that must not reach a block already returned.
+def test_lattice_fold_refuses_complex_amplitudes_and_other_shapes(rng):
+    # A float cast of complex amplitudes would drop their imaginary part,
+    # and the scatter would broadcast one plane or frame, or cut a node.
     sources = make_source_grid(2e-3, 0.5e-3)
     fold = LatticeFold(sources, 8)
-    real = rng.normal(size=(8, sources.count))
-    folded = fold(real).copy()
-    assert np.array_equal(fold(real.astype(complex)), folded)
     amps = _amplitudes(rng, 8, sources.count)
-    block = fold(amps)
+    for bad in (amps, oracles.planes(amps).astype(np.complex64), np.ones((8, sources.count)),
+                np.ones((1, 8, sources.count)), np.ones((2, 8, sources.count + 1)),
+                np.ones((2, sources.count, 8)), np.ones((2, 2, 8, sources.count))):
+        with pytest.raises(ValidationError, match="real planes of shape"):
+            fold(bad)
+
+
+def test_lattice_fold_reads_planes_as_float32_and_keeps_a_copy(rng):
+    # float64 planes fold as their float32 cast.  The block holds a copy:
+    # the frame pipeline rewrites its planes with the tilt after the
+    # first fold, and that must not reach a block already returned.
+    sources = make_source_grid(2e-3, 0.5e-3)
+    fold = LatticeFold(sources, 8)
+    wide = rng.normal(size=(2, 8, sources.count))
+    folded = fold(wide).copy()
+    assert np.array_equal(fold(wide.astype(np.float32)), folded)
+    planes = oracles.planes(_amplitudes(rng, 8, sources.count))
+    block = fold(planes)
     kept = block.copy()
-    amps *= 2.0
+    planes *= 2.0
     assert np.array_equal(block, kept)
 
 
@@ -210,13 +223,15 @@ def test_lattice_propagator_takes_only_its_fold_frame_count():
     for n in (1, 7, 9):
         other = LatticeFold(sources, n)
         with pytest.raises(ValueError):
-            prop(other(np.ones((n, sources.count), dtype=complex)))
+            prop(other(np.ones((2, n, sources.count), dtype=np.float32)))
 
 
-def test_a_frame_batch_allocates_little():
-    # Every buffer of a batch is the pipeline's own; what a steady-state
-    # batch allocates is the amplitude draw and a few small vectors.
-    pipeline = FramePipeline(config_to_setup(load_config(None, {})))
+@pytest.mark.parametrize("overrides", [{}, {"cn2": "1.5e-12"}], ids=["vacuum", "turbulent"])
+def test_a_frame_batch_allocates_little(overrides):
+    # Every buffer of a batch is the pipeline's own, the draw's and the
+    # tilt's included; what a steady-state batch allocates is a few small
+    # vectors.
+    pipeline = FramePipeline(config_to_setup(load_config(None, overrides)))
     pipeline.batch(0)
     tracemalloc.start()
     try:

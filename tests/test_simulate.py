@@ -17,7 +17,7 @@ from oracles import (PER_PATH_RHO0_FACTOR, bucket_signals, covariance_image, flo
                      propagate_subsources, unchirped)
 from ghost_turb.simulate import (BATCH_FRAMES, UNIT_BATCHES, FramePipeline, RunSetup, _openblas,
                                  exact_means, merge_units, one_blas_thread, run_simulation)
-from ghost_turb.source import SubsourceSet, batch_generator, draw_amplitudes, make_source_grid
+from ghost_turb.source import SubsourceSet, batch_generator, draw_polar, make_source_grid
 from ghost_turb.turbulence import TurbulenceModel
 
 CFG = OpticalConfig(wavelength=780e-9, path_length=1.4)
@@ -215,15 +215,23 @@ def test_cropped_support_buckets_equal_full_grid_buckets(name):
     assert _close(buckets, direct / nu - 1.0, _bound(setup))
 
 
-def _batch_draws(setup, index=0):
-    """A batch's amplitudes (B, M) and its relative screen's tilts (B, 2).
+def _polar_draws(setup, index=0):
+    """A batch's float32 radii and float64 phases (B, M), and its relative screen's tilts (B, 2).
 
-    Both come from the batch's one generator: the amplitudes, then
+    All come from the batch's one generator: the polar draw, then
     tilt_std times the next 2 B normals, frame-major.
     """
     rng = batch_generator(setup.seed, index)
-    amps = draw_amplitudes(setup.sources, rng, BATCH_FRAMES)
-    return amps, setup.model.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
+    radius = np.empty((BATCH_FRAMES, setup.sources.count), dtype=np.float32)
+    phase = np.empty(radius.shape)
+    draw_polar(setup.sources, rng, radius, phase)
+    return radius, phase, setup.model.tilt_std * rng.standard_normal((BATCH_FRAMES, 2))
+
+
+def _batch_draws(setup, index=0):
+    """A batch's amplitudes r e^{i theta} (B, M) in complex128, and its tilts (B, 2)."""
+    radius, phase, tilts = _polar_draws(setup, index)
+    return radius * np.exp(1j * phase), tilts
 
 
 DISC = make_source_grid(11e-3, 11e-3 / 16.0)
@@ -329,6 +337,35 @@ def test_turbulent_buckets_equal_vacuum_buckets():
     assert not np.array_equal(turb_maps, vac_maps)
 
 
+def _record_folds(monkeypatch, pipeline):
+    """Copies of the planes that pipeline.batch folds, in order."""
+    folded, fold = [], pipeline.fold
+
+    def recording(planes):
+        folded.append(planes.copy())
+        return fold(planes)
+
+    monkeypatch.setattr(pipeline, "fold", recording)
+    return folded
+
+
+def test_tilt_is_added_to_the_float64_phase(monkeypatch):
+    # A turbulent batch folds the vacuum batch's planes for the bucket,
+    # bit for bit, then, for the reference, the planes of the vacuum phase
+    # plus g . rho, summed in float64 and rounded once to float32.
+    turb = FramePipeline(_setup(rho0=2e-3, frames=BATCH_FRAMES))
+    vac = FramePipeline(_setup(frames=BATCH_FRAMES))
+    turb_folds, vac_folds = (_record_folds(monkeypatch, p) for p in (turb, vac))
+    turb.batch(0)
+    vac.batch(0)
+    assert len(turb_folds) == 2 and len(vac_folds) == 1
+    assert np.array_equal(turb_folds[0], vac_folds[0])
+    radius, phase, tilts = _polar_draws(turb.setup)
+    ix, iy, u, v = turb.setup.sources.lattice
+    tilted = (phase + tilts @ np.stack([u[ix], v[iy]])).astype(np.float32)
+    assert np.array_equal(turb_folds[1], radius * np.stack([np.cos(tilted), np.sin(tilted)]))
+
+
 def _default_turbulent_pipeline(overrides=None):
     return FramePipeline(config_to_setup(load_config(None, overrides or {"cn2": "1.5e-12"})))
 
@@ -385,7 +422,7 @@ def test_screen_tilts_are_tilt_std_times_the_normals_after_the_amplitudes(
     buckets, moments = pipeline.batch(1)
     ((index, used),) = built
     rng = batch_generator(setup.seed, 1)
-    rng.standard_normal((BATCH_FRAMES, setup.sources.count, 2))
+    rng.random((2, BATCH_FRAMES, setup.sources.count))
     rng.standard_normal(normals)
     assert index == 1
     assert used.bit_generator.state == rng.bit_generator.state

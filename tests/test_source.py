@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 from ghost_turb.errors import ValidationError
-from ghost_turb.source import (BATCH_FRAMES, SubsourceSet, batch_generator, draw_amplitudes,
+from ghost_turb.source import (BATCH_FRAMES, SubsourceSet, batch_generator, draw_polar,
                                make_source_grid)
 
 
@@ -134,17 +135,27 @@ def test_fine_lattice_builds_no_pairwise_array():
     assert peak < 4.0
 
 
-def _block(s, seed, batch, frames):
-    return draw_amplitudes(s, batch_generator(seed, batch), frames)
+def _buffers(s):
+    """Radius (float32) and phase (float64) buffers of one batch."""
+    return (np.empty((BATCH_FRAMES, s.count), dtype=np.float32),
+            np.empty((BATCH_FRAMES, s.count)))
+
+
+def _draw(s, seed, batch):
+    radius, phase = _buffers(s)
+    draw_polar(s, batch_generator(seed, batch), radius, phase)
+    return radius, phase
 
 
 def test_sample_frame_is_deterministic_per_key():
     s = make_source_grid(11e-3, 1e-3)
-    a = _block(s, 42, 0, 9)
-    assert np.array_equal(a, _block(s, 42, 0, 9))
-    assert not np.array_equal(a[7], a[8])
-    assert not np.array_equal(a[7], _block(s, 43, 0, 9)[7])
-    assert not np.array_equal(a[7], _block(s, 42, 1, 9)[7])
+    r, p = _draw(s, 42, 0)
+    again = _draw(s, 42, 0)
+    assert np.array_equal(r, again[0]) and np.array_equal(p, again[1])
+    for other in (_draw(s, 43, 0), _draw(s, 42, 1)):
+        assert not np.array_equal(r[7], other[0][7])
+        assert not np.array_equal(p[7], other[1][7])
+    assert not np.array_equal(r[7], r[8])
 
 
 def test_sample_frame_rejects_bad_keys():
@@ -154,38 +165,56 @@ def test_sample_frame_rejects_bad_keys():
         batch_generator(0, -1)
 
 
+@pytest.mark.law
 def test_amplitude_moments_match_circular_gaussian():
-    # E[a] = 0, E[|a|^2] = P, E[a^2] = 0, E[|a|^4] = 2 P^2.
-    s = make_source_grid(11e-3, 1e-3, mean_power=0.7)
-    draws = np.concatenate([_block(s, 11, b, BATCH_FRAMES)
-                            for b in range(math.ceil(200 / BATCH_FRAMES))])[:200].reshape(-1)
-    n = draws.size
+    # One batch generator's draw over 1,517 subsources, 48,544 amplitudes
+    # a = r e^{i theta}: E[a] = 0, E|a|^2 = P, E[a^2] = 0 and
+    # E|a|^4 = 2 P^2, each within 5 standard errors, with sd(Re a) =
+    # sd(Im a) = sqrt(P / 2), sd(|a|^2) = P, sd(Re a^2) = sd(Im a^2) = P
+    # and sd(|a|^4) = sqrt(20) P^2.
     p = 0.7
-    se = p / math.sqrt(n)
-    assert abs(np.mean(draws.real)) < 4 * math.sqrt(p / 2 / n)
-    assert abs(np.mean(draws.imag)) < 4 * math.sqrt(p / 2 / n)
-    assert abs(np.mean(np.abs(draws) ** 2) - p) < 4 * se
-    assert abs(np.mean(draws ** 2)) < 4 * se
-    assert abs(np.mean(np.abs(draws) ** 4) - 2 * p * p) < 4 * math.sqrt(20.0) * p * p / math.sqrt(n)
-
-
-def test_sample_frame_is_a_row_of_its_batch_block():
-    # Frame-major draws: a frame's amplitudes are its row of the batch
-    # block however many frames are drawn, so a shorter block is a prefix.
-    s = make_source_grid(11e-3, 2e-3)
-    block = _block(s, 42, 1, BATCH_FRAMES)
-    for row in (0, 5, BATCH_FRAMES - 1):
-        assert np.array_equal(_block(s, 42, 1, row + 1)[row], block[row])
-    assert np.array_equal(_block(s, 42, 1, 3), block[:3])
+    s = make_source_grid(11e-3, 0.25e-3, mean_power=p)
+    radius, phase = _draw(s, 11, 0)
+    draws = (radius * np.exp(1j * phase)).ravel()
+    z = 5.0 / math.sqrt(draws.size)
+    mean = np.mean(draws)
+    assert max(abs(mean.real), abs(mean.imag)) < z * math.sqrt(p / 2)
+    power = np.abs(draws) ** 2
+    assert abs(np.mean(power) - p) < z * p
+    square = np.mean(draws**2)
+    assert max(abs(square.real), abs(square.imag)) < z * p
+    assert abs(np.mean(power**2) - 2 * p * p) < z * math.sqrt(20.0) * p * p
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024])
-def test_amplitudes_are_the_pairs_of_normals_scaled(seed):
-    # The draw reads each (re, im) pair of normals in place as a complex
-    # number; pin it bit for bit against the explicit re + 1j im form.
+def test_draw_is_the_polar_form_of_the_batch_uniforms(seed):
+    # Radii sqrt(-P log(1 - u)) in float64, rounded once to float32, from
+    # the batch's first B M uniforms, then phases 2 pi u' from the next
+    # B M, pinned bit for bit.
     s = make_source_grid(11e-3, 1e-3, mean_power=0.7)
     # The generator's key, (seed, batch, RNG_DOMAIN_SOURCE = 1), is pinned too.
-    rng = batch_generator(seed, 3)
-    g = np.random.default_rng((seed, 3, 1)).standard_normal((BATCH_FRAMES, s.count, 2))
-    expected = math.sqrt(0.7 / 2.0) * (g[..., 0] + 1j * g[..., 1])
-    assert np.array_equal(draw_amplitudes(s, rng, BATCH_FRAMES), expected)
+    u, u_phase = np.random.default_rng((seed, 3, 1)).random((2, BATCH_FRAMES, s.count))
+    radius, phase = _draw(s, seed, 3)
+    assert np.array_equal(radius, np.sqrt(-0.7 * np.log(1.0 - u)).astype(np.float32))
+    assert np.array_equal(phase, 2.0 * math.pi * u_phase)
+
+
+class _EndUniforms:
+    """A generator stand-in whose uniforms alternate the ends 0.0 and 1 - 2**-53 of random()."""
+
+    def random(self, out):
+        out[...] = np.resize([0.0, 1.0 - 2.0**-53], out.shape)
+
+
+def test_uniforms_at_both_ends_give_finite_radii():
+    # 1 - u lies in (0, 1]: u = 0 gives radius 0 and the largest uniform
+    # sqrt(53 P ln 2), with no log of 0.
+    s = make_source_grid(11e-3, 2e-3, mean_power=0.7)
+    radius, phase = _buffers(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        draw_polar(s, _EndUniforms(), radius, phase)
+    assert np.all(np.isfinite(radius)) and np.all(np.isfinite(phase))
+    assert np.all(radius.ravel()[::2] == 0.0)
+    assert np.allclose(radius.ravel()[1::2], math.sqrt(53.0 * 0.7 * math.log(2.0)), rtol=1e-6)
+    assert np.all(phase.ravel()[::2] == 0.0) and np.all(phase < 2.0 * math.pi)
